@@ -2,8 +2,8 @@
 respect to protected features, for linear, GLM, ReLU, and tensor models."""
 
 from .correct import (
+    ConstrainedConfig,
     CorrectionOutcome,
-    MdmmConfig,
     constraint_value,
     correct_features_linear,
     correct_features_relu,
@@ -59,6 +59,7 @@ __all__ = [
     "GAUSSIAN",
     "POISSON",
     "ConfoundedDataset",
+    "ConstrainedConfig",
     "CorrectionOutcome",
     "DidNotConverge",
     "DimensionMismatch",
@@ -67,7 +68,6 @@ __all__ = [
     "GlmFamily",
     "GlmFit",
     "InvalidSpec",
-    "MdmmConfig",
     "MlpConfig",
     "OrthokitError",
     "Projector",

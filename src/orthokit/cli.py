@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .correct import (
-    MdmmConfig,
+    ConstrainedConfig,
     augment_intercept,
     correct_features_linear,
     fit_constrained_glm,
@@ -170,6 +170,11 @@ def _write_csv(path, header, rows) -> None:
 
 
 def cmd_correct(args) -> int:
+    if args.retired:
+        raise CliError(
+            f"{args.retired} is retired: the constrained solver takes Newton "
+            "steps and has no step size; use --max-iter and --tol"
+        )
     family = family_by_name(args.family)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,12 +216,7 @@ def cmd_correct(args) -> int:
 
     exit_code = 0
     if args.method == "glm-constrained":
-        cfg = MdmmConfig(
-            learning_rate=args.lr,
-            damping=args.zeta,
-            max_iter=args.max_iter,
-            constraint_tol=args.tol,
-        )
+        cfg = ConstrainedConfig(max_iter=args.max_iter, constraint_tol=args.tol)
         try:
             out = fit_constrained_glm(z, y, x, family, cfg)
         except DidNotConverge as exc:
@@ -234,7 +234,7 @@ def cmd_correct(args) -> int:
             "iterations": out.iterations,
             "converged": out.converged,
             "loss": out.loss,
-            "lambda_final": out.lambda_final,
+            "stationarity": out.stationarity,
             "protected": x_names,
             "reference_levels": refs,
         }
@@ -493,6 +493,13 @@ def cmd_demo(args) -> int:
 # parser
 
 
+class _Retired(argparse.Action):
+    """Records a retired flag; ``cmd_correct`` refuses it with exit code 2."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.retired = option_string
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthokit",
@@ -512,11 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("linear", "glm-constrained", "relu", "tensor"))
     c.add_argument("--tensor", help="tensor CSV (for method=tensor)")
     c.add_argument("--out", required=True, help="output directory")
-    c.add_argument("--lr", type=float, default=MdmmConfig.learning_rate)
-    c.add_argument("--zeta", type=float, default=MdmmConfig.damping)
-    c.add_argument("--max-iter", type=int, default=MdmmConfig.max_iter)
-    c.add_argument("--tol", type=float, default=MdmmConfig.constraint_tol)
-    c.set_defaults(func=cmd_correct)
+    c.add_argument("--max-iter", type=int, default=ConstrainedConfig.max_iter,
+                   help="Newton-step budget of method=glm-constrained")
+    c.add_argument("--tol", type=float, default=ConstrainedConfig.constraint_tol,
+                   help="constraint-residual tolerance of method=glm-constrained")
+    for retired in ("--lr", "--zeta"):
+        c.add_argument(retired, action=_Retired, help=argparse.SUPPRESS)
+    c.set_defaults(func=cmd_correct, retired=None)
 
     e = sub.add_parser("evaluate", help="test protected influence on predictions")
     e.add_argument("--predictions", required=True,

@@ -9,8 +9,8 @@ Four ways to remove the linear influence of protected features:
   re-centers them at the activation's value at zero.
 * ``fit_constrained_glm`` refits a GLM subject to the corrected predictions
   being empirically uncorrelated with every (centered) protected column,
-  solved by simultaneous gradient descent in the coefficients and gradient
-  ascent in a single Lagrange multiplier with a quadratic damping penalty.
+  solved by equality-constrained Newton steps (SQP) on one constraint per
+  protected column, from the exactly feasible start ``gamma = 0``.
 * ``correct_tensor_prediction`` / ``correct_tensor_preactivation`` apply the
   complement projector along the observation mode of tensor-valued outputs
   (for pre-activations: before the ReLU is applied).
@@ -18,13 +18,12 @@ Four ways to remove the linear influence of protected features:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DidNotConverge, DimensionMismatch, DomainError
-from .glm import GlmFamily, fit_glm
+from .errors import DidNotConverge, DimensionMismatch, DomainError, RankDeficient
+from .glm import MEAN_EPS, GlmFamily
 from .linalg import (
     apply_complement,
     as_matrix,
@@ -33,10 +32,6 @@ from .linalg import (
     center_columns,
     mode1_product,
 )
-
-
-# stability-cap curvature proxy refresh interval (iterations)
-JJ_REFRESH = 25
 
 
 def relu(x) -> np.ndarray:
@@ -115,31 +110,20 @@ def constraint_value(gamma, z, x_centered, family: GlmFamily) -> float:
 
 
 @dataclass(frozen=True)
-class MdmmConfig:
-    """Hyperparameters of the constrained-GLM optimizer.
+class ConstrainedConfig:
+    """Stopping rule of the constrained-GLM solver.
 
-    ``learning_rate`` drives both the coefficient descent and the multiplier
-    ascent (each step is additionally capped by a local curvature estimate of
-    the penalty term); ``damping`` scales the quadratic constraint penalty.
-    When the multiplier ascent stalls while infeasible, the multiplier is
-    scaled by ``lambda_growth`` (checked every ``stall_check`` iterations).
-    Divergence halves the learning rate and resumes from the best iterate
-    recorded so far, with the total backoff budget tied to ``max_restarts``.
+    ``max_iter`` bounds the number of Newton steps and ``constraint_tol``
+    the reported ``constraint_residual`` of an accepted fit.
     """
 
-    learning_rate: float = 1e-2
-    damping: float = 1.0
-    max_iter: int = 50_000
+    max_iter: int = 100
     constraint_tol: float = 1e-6
-    lambda_init: float = 0.0
-    cosine_decay: bool = False
-    loss_window: int = 100
-    loss_rtol: float = 1e-9
-    stall_check: int = 250
-    lambda_growth: float = 10.0
-    max_restarts: int = 5
-    divergence_limit: float = 1e8
-    feasible_budget: int = 1500
+
+
+# KKT stationarity ||grad f + J^T lam||_inf (f = NLL / n) below which a
+# feasible iterate is accepted as the constrained optimum
+STATIONARITY_TOL = 1e-8
 
 
 @dataclass
@@ -149,30 +133,19 @@ class CorrectionOutcome:
     ``constraint_residual`` is the squared norm of the empirical covariances
     between centered protected columns and the corrected predictions, i.e.
     ``||Xc^T h(Z gamma) / n||^2`` (equal to ``constraint_value(...) / n^2``).
-    ``loss`` is the family negative log-likelihood (total, not per-row).
+    ``loss`` is the family negative log-likelihood (total, not per-row) and
+    ``stationarity`` the KKT residual ``||grad f + J^T lam||_inf`` of the
+    per-row loss f at the least-squares multipliers.
     """
 
     gamma_c: np.ndarray
     corrected_predictions: np.ndarray
     constraint_residual: float
     loss: float
-    lambda_final: float
     iterations: int
     converged: bool
     stationarity: float = float("nan")
-    restarts: int = 0
     with_intercept: bool = True
-
-
-def _warm_start(zd: np.ndarray, y: np.ndarray, family: GlmFamily) -> np.ndarray:
-    try:
-        fit = fit_glm(zd, y, family)
-        return fit.coefficients
-    except DidNotConverge as exc:
-        # Near-separated designs: the best iterate is still a usable start.
-        if exc.result is not None:
-            return exc.result.coefficients
-        return np.zeros(zd.shape[1])
 
 
 def fit_constrained_glm(
@@ -180,31 +153,35 @@ def fit_constrained_glm(
     y,
     x,
     family: GlmFamily,
-    cfg: MdmmConfig | None = None,
+    cfg: ConstrainedConfig | None = None,
     with_intercept: bool = True,
-    warm_start: bool = True,
-    callback=None,
 ) -> CorrectionOutcome:
     """Fit a GLM whose activated predictions are uncorrelated with protected
     features.
 
-    Minimizes the per-observation negative log-likelihood subject to
-    ``||Xc^T h(Z gamma) / n||^2 = 0`` (Xc column-centered, so the intercept
-    stays unconstrained).  Updates, with step ``nu``, multiplier ``lam`` and
-    damping ``zeta``::
+    Minimizes f(gamma) = NLL / n subject to the p equations
+    ``c(gamma) = Xc^T h(Z gamma) / n = 0`` (Xc column-centered, so the
+    intercept stays unconstrained) by equality-constrained Newton steps
+    (SQP; Nocedal & Wright, ch. 18).  Each step solves the KKT system::
 
-        gamma <- gamma - nu * [grad_nll + (lam + zeta*A) * grad_A]
-        lam   <- lam + nu * A
+        [ Z^T W Z / n   J^T ] [ d   ]     [ grad f ]
+        [ J             0   ] [ lam ] = - [ c      ]
 
-    Starts from the unconstrained fit (``warm_start=False`` starts from zero
-    coefficients).  Convergence requires the residual to be at or below
-    ``cfg.constraint_tol`` and the loss to be flat (relative change below
-    ``cfg.loss_rtol`` across ``cfg.loss_window`` iterations) or a bounded
-    post-feasibility budget to be spent.  Raises ``DidNotConverge`` carrying
-    the best outcome found so far.  ``callback(t, gamma)`` is invoked once
-    per iteration with the pre-update coefficients.
+    with ``J = Xc^T diag(h') Z / n`` and ``W = h' + h'' * (Xc lam)`` at the
+    least-squares multipliers ``lam``, so that ``Z^T W Z / n`` is the
+    Hessian of the Lagrangian; a Levenberg shift keeps its reduced
+    (null-space of J) block positive definite.  Steps are damped by a
+    backtracking search on the l1 merit ``f + rho ||c||_1``, starting from
+    ``gamma = 0``, which is exactly feasible.
+
+    Converges when ``constraint_residual <= cfg.constraint_tol`` and the
+    KKT stationarity is at most ``STATIONARITY_TOL``.  Otherwise raises
+    ``DidNotConverge`` carrying the feasible iterate of lowest loss: after
+    ``cfg.max_iter`` steps, when the line search stalls, or as soon as a
+    bernoulli fit's means reach the ``MEAN_EPS`` clamp (a quasi-separated
+    design, on which no finite optimum exists).
     """
-    cfg = cfg or MdmmConfig()
+    cfg = cfg or ConstrainedConfig()
     zm = as_matrix(z, "design matrix")
     yv = as_vector(y, "response")
     xm = as_matrix(x, "protected features")
@@ -215,209 +192,82 @@ def fit_constrained_glm(
 
     zd = np.column_stack([np.ones(n), zm]) if with_intercept else zm
     xc = center_columns(xm)
-    sd_x = xc.std(axis=0)
-    if np.any(sd_x <= 0.0):
+    if np.any(xc.std(axis=0) <= 0.0):
         raise DomainError("protected features must not be constant columns")
+    k, p = zd.shape[1], xc.shape[1]
+    if n < k:
+        raise RankDeficient(n, f"{n}x{k} design cannot have full column rank")
 
-    gamma0 = _warm_start(zd, yv, family) if warm_start else np.zeros(zd.shape[1])
-    # A saturated warm start (near-separated logistic fits) has vanishing
-    # activation derivatives, which kills the constraint gradient; start
-    # from zero coefficients instead, which is exactly feasible for
-    # centered constraints.
-    with np.errstate(over="ignore"):
-        hp0 = family.h_prime(zd @ gamma0)
-    if family.name == "bernoulli" and float(np.mean(hp0)) < 1e-3:
-        gamma0 = np.zeros(zd.shape[1])
-    lam0 = float(cfg.lambda_init)
-    nu0 = float(cfg.learning_rate)
-    zeta = float(cfg.damping)
-    tol = float(cfg.constraint_tol)
-
-    # Precondition the constraint: scale each centered protected column by
-    # 1 / (sd(x_j) * sd(mu at warm start)), making the optimizer's constraint
-    # a sum of squared correlation-scale quantities.  The feasible set is
-    # unchanged; convergence and the reported residual use the unscaled
-    # covariances.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu_warm = family.h(zd @ gamma0)
-    sd_mu = float(np.std(mu_warm)) if np.all(np.isfinite(mu_warm)) else 1.0
-    if not np.isfinite(sd_mu) or sd_mu <= 1e-12:
-        sd_mu = 1.0
-    col_scale = 1.0 / (sd_x * sd_mu)
-    xcs = xc * col_scale
-    # contiguous transposes keep the two per-iteration gemv calls fast
-    zdt = np.ascontiguousarray(zd.T)
-    xcst = np.ascontiguousarray(xcs.T)
-
-    def state(g: np.ndarray):
+    def evaluate(g: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = zd @ g
-            mu = family.h(eta)
-            c_s = xcst @ mu / n
-            a_opt = float(c_s @ c_s)
-            c_raw = c_s / col_scale
-            a_raw = float(c_raw @ c_raw)
-            loss = family.nll(yv, mu) / n
-        return eta, mu, c_s, a_opt, a_raw, loss
+            mu = family.h(zd @ g)
+            return mu, xc.T @ mu / n, family.nll(yv, mu) / n
 
-    def grads(mu: np.ndarray, c_s: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mu_c = family.clip_mean(mu)
-            grad_l = zdt @ (mu_c - yv) / n
-            grad_a = 2.0 * (zdt @ (family.h_prime_from_mu(mu) * (xcs @ c_s))) / n
-        return grad_l, grad_a
-
-    best: CorrectionOutcome | None = None
-
-    def record(g, a_raw, loss, lam, it, converged, restarts, stat):
-        nonlocal best
+    gamma, rho, best = np.zeros(k), 0.0, None
+    mu, c, loss = evaluate(gamma)
+    reason = f"reached max_iter={cfg.max_iter}"
+    for it in range(cfg.max_iter + 1):
+        hp = family.h_prime_from_mu(mu)
+        grad = zd.T @ (mu - yv) / n
+        jac = (xc * hp[:, None]).T @ zd / n
+        lam = np.linalg.lstsq(jac.T, -grad, rcond=None)[0]
+        stat = float(np.max(np.abs(grad + jac.T @ lam)))
         out = CorrectionOutcome(
-            gamma_c=g.copy(),
-            corrected_predictions=family.h(zd @ g),
-            constraint_residual=a_raw,
-            loss=loss * n,
-            lambda_final=lam,
-            iterations=it,
-            converged=converged,
-            stationarity=stat,
-            restarts=restarts,
-            with_intercept=with_intercept,
+            gamma, mu, float(c @ c), loss * n, it, False, stat, with_intercept
         )
-        if best is None:
+        feasible = out.constraint_residual <= cfg.constraint_tol
+        if feasible and (best is None or out.loss < best.loss):
             best = out
-        else:
-            b_feas, o_feas = best.constraint_residual <= tol, a_raw <= tol
-            if (o_feas and not b_feas) or (
-                o_feas == b_feas
-                and (
-                    (o_feas and out.loss < best.loss)
-                    or (not o_feas and a_raw < best.constraint_residual)
-                )
-            ):
-                best = out
-        return out
-
-    nu = nu0
-    gamma = gamma0.copy()
-    lam = lam0
-
-    max_backoffs = 4 * max(cfg.max_restarts, 1)
-
-    def stat_at(mu, c_s, lam):
-        grad_l, grad_a = grads(mu, c_s)
-        return float(np.max(np.abs(grad_l + lam * grad_a)))
-
-    loss_hist: deque = deque(maxlen=cfg.loss_window + 1)
-    check_a = None
-    backoffs = 0
-    converged = False
-    feasible_since = 0
-    total_iter = 0
-    # curvature proxy ||grad A||^2 / (4 A) for the stability cap; refreshed
-    # periodically and whenever the multiplier or step changes
-    jj = 0.0
-    jj_age = JJ_REFRESH
-    while total_iter < cfg.max_iter:
-        total_iter += 1
-        eta, mu, c_s, a_opt, a_raw, loss = state(gamma)
-        if callback is not None:
-            callback(total_iter - 1, gamma)
-        if not np.isfinite(loss) or not np.isfinite(a_opt) or max(
-            abs(loss), a_opt
-        ) > cfg.divergence_limit:
-            # Diverged: halve the step and resume from the best iterate seen
-            # (fall back to the warm start before anything was recorded).
-            backoffs += 1
-            if backoffs > max_backoffs:
-                break
-            nu *= 0.5
-            if best is not None:
-                gamma = best.gamma_c.copy()
-                lam = min(lam, best.lambda_final)
-            else:
-                gamma = gamma0.copy()
-                lam = lam0
-            loss_hist.clear()
-            check_a = None
-            feasible_since = 0
-            jj_age = JJ_REFRESH
-            continue
-        loss_hist.append(loss)
-        if a_raw <= tol:
-            if feasible_since == 0:
-                feasible_since = total_iter
-        else:
-            feasible_since = 0
-        plateau = (
-            len(loss_hist) > cfg.loss_window
-            and abs(loss_hist[-1] - loss_hist[0])
-            <= cfg.loss_rtol * (abs(loss_hist[-1]) + 1e-12)
-        )
-        budget_spent = (
-            feasible_since > 0
-            and total_iter - feasible_since >= cfg.feasible_budget
-        )
-        if a_raw <= tol and (plateau or budget_spent):
-            record(
-                gamma, a_raw, loss, lam, total_iter, True, backoffs,
-                stat_at(mu, c_s, lam),
-            )
-            converged = True
+        if family.name == "bernoulli" and not np.all(
+            (mu > MEAN_EPS) & (mu < 1.0 - MEAN_EPS)
+        ):
+            reason = "means reached the clamp: the design is quasi-separated"
+            break
+        if feasible and stat <= STATIONARITY_TOL:
+            out.converged = True
+            return out
+        if it == cfg.max_iter:
             break
 
-        mult = lam + zeta * a_opt
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w_a = (2.0 / n) * family.h_prime_from_mu(mu) * (xcs @ c_s)
-            if jj_age >= JJ_REFRESH and a_opt > 0.0:
-                grad_a = zdt @ w_a
-                jj = float(grad_a @ grad_a) / (4.0 * a_opt)
-                jj_age = 0
-            jj_age += 1
-            # combined step direction grad_l + mult * grad_a in a single gemv
-            force = zdt @ ((family.clip_mean(mu) - yv) / n + mult * w_a)
+        w = hp * (1.0 + family.variance_prime(mu) * (xc @ lam))
+        hess = zd.T @ (w[:, None] * zd) / n
+        # Levenberg shift: the Hessian restricted to the null space of J
+        # must be positive definite for d to descend on the merit
+        null = np.linalg.qr(jac.T, mode="complete")[0][:, p:]
+        low = np.linalg.eigvalsh(null.T @ hess @ null).min(initial=np.inf)
+        scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
+        if low <= 1e-10 * scale:
+            hess[np.diag_indices(k)] += 1e-4 * scale - 2.0 * low
+        kkt = np.block([[hess, jac.T], [jac, np.zeros((p, p))]])
+        d = np.linalg.lstsq(kkt, -np.concatenate([grad, c]), rcond=None)[0][:k]
 
-        # Per-iteration stability cap: the penalty/multiplier force has local
-        # curvature roughly 2 (lam + zeta A) * ||grad A||^2 / (4 A); keep the
-        # step below the edge of that quadratic.  The configured rate is an
-        # upper bound, used whenever the constraint term is gentle.
-        nu_t = nu
-        if cfg.cosine_decay:
-            nu_t = nu * 0.5 * (1.0 + np.cos(np.pi * total_iter / cfg.max_iter))
-        if a_opt > 0.0:
-            nu_t = min(nu_t, 0.5 / (2.0 * mult * jj + 1.0))
-        gamma = gamma - nu_t * force
-        lam = lam + nu_t * a_opt
+        # l1 merit f + rho ||c||_1 with rho from Nocedal & Wright eq. 18.36
+        # (sigma = 1, rho-bar = 1/2), so that d is a descent direction
+        c1, slope = float(np.sum(np.abs(c))), float(grad @ d)
+        if c1 > 0.0:
+            curv = max(float(d @ hess @ d), 0.0)
+            rho = max(rho, (slope + 0.5 * curv) / (0.5 * c1))
+        merit0, descent = loss + rho * c1, slope - rho * c1
+        step = 1.0
+        for _ in range(34):  # Armijo backtracking down to a step of ~1e-10
+            trial = gamma + step * d
+            mu_t, c_t, loss_t = evaluate(trial)
+            merit = loss_t + rho * float(np.sum(np.abs(c_t)))
+            if merit <= merit0 + 1e-4 * step * descent:
+                break
+            step *= 0.5
+        else:
+            reason = "line search stalled"
+            break
+        gamma, mu, c, loss = trial, mu_t, c_t, loss_t
 
-        if total_iter % cfg.stall_check == 0 and a_raw > tol:
-            record(
-                gamma, a_raw, loss, lam, total_iter, False, backoffs,
-                stat_at(mu, c_s, lam),
-            )
-            if check_a is not None and a_raw > 2.0 * check_a:
-                # Oscillating: back off the step size, keep the multiplier.
-                nu *= 0.5
-            elif check_a is not None and a_raw > 0.25 * check_a:
-                # Ascent too slow to reach tolerance: boost the multiplier.
-                lam = max(lam * cfg.lambda_growth, 1e-2)
-            check_a = a_raw
-            jj_age = JJ_REFRESH
-
-    eta, mu, c_s, a_opt, a_raw, loss = state(gamma)
-    if np.all(np.isfinite(gamma)) and np.isfinite(a_raw) and np.isfinite(loss):
-        record(
-            gamma, a_raw, loss, lam, total_iter, converged, backoffs,
-            stat_at(mu, c_s, lam),
-        )
-    out = best
-    if out is None or not (out.constraint_residual <= tol):
-        raise DidNotConverge(
-            "constraint residual "
-            f"{float('nan') if out is None else out.constraint_residual:.3e} "
-            f"above tolerance {tol:.1e} after {total_iter} iterations",
-            iterations=total_iter,
-            result=out,
-        )
-    return out
+    best = best and replace(best, iterations=it)
+    raise DidNotConverge(
+        f"constrained fit stopped after {it} iterations ({reason}); best feasible "
+        f"residual {best.constraint_residual if best else float('nan'):.3e}",
+        iterations=it,
+        result=best,
+    )
 
 
 def correct_tensor_prediction(x, y_hat_tensor) -> np.ndarray:

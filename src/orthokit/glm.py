@@ -64,6 +64,8 @@ class GlmFamily:
     # derivative of h expressed through the mean (h' = V for canonical
     # links), letting hot loops reuse an already-computed mu
     h_prime_from_mu: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
+    # V'(mu); for canonical links h'' = V'(mu) V(mu)
+    variance_prime: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
 
     @property
     def h0(self) -> float:
@@ -127,6 +129,7 @@ GAUSSIAN = GlmFamily(
     clip_mean=lambda mu: np.asarray(mu, dtype=np.float64),
     check_y=_check_gaussian,
     h_prime_from_mu=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
+    variance_prime=lambda mu: np.zeros_like(np.asarray(mu, dtype=np.float64)),
 )
 
 BERNOULLI = GlmFamily(
@@ -139,6 +142,7 @@ BERNOULLI = GlmFamily(
     clip_mean=lambda mu: np.clip(mu, MEAN_EPS, 1.0 - MEAN_EPS),
     check_y=_check_bernoulli,
     h_prime_from_mu=lambda mu: mu * (1.0 - mu),
+    variance_prime=lambda mu: 1.0 - 2.0 * mu,
 )
 
 POISSON = GlmFamily(
@@ -151,6 +155,7 @@ POISSON = GlmFamily(
     clip_mean=lambda mu: np.clip(mu, MEAN_EPS, None),
     check_y=_check_poisson,
     h_prime_from_mu=lambda mu: np.asarray(mu, dtype=np.float64),
+    variance_prime=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
 )
 
 FAMILIES = {f.name: f for f in (GAUSSIAN, BERNOULLI, POISSON)}

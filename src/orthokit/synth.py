@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .correct import (
-    MdmmConfig,
+    ConstrainedConfig,
     augment_intercept,
     correct_features_linear,
     fit_constrained_glm,
@@ -200,32 +200,33 @@ class StudyTable:
 def run_method(
     data: SyntheticDataset,
     method: str,
-    mdmm: MdmmConfig | None = None,
+    cfg: ConstrainedConfig | None = None,
 ):
     """Fit one method on a dataset and evaluate the protected influence.
 
-    Returns ``(report, outcome)`` where ``outcome`` is the constrained-fit
-    result for method ``ch`` and None otherwise.  ``DidNotConverge`` from the
-    constrained fit is resolved to its best outcome rather than raised.
+    Returns ``(report, outcome, converged)``: ``outcome`` is the
+    constrained-fit result for method ``ch`` and None otherwise, and
+    ``converged`` is the method's own fit flag (IRLS or constrained), not
+    the evaluation fit's.  ``DidNotConverge`` from either fit is resolved to
+    its best iterate rather than raised.
     """
     family = family_by_name(data.spec.family)
     if method == "uncorrected":
         fit = _tolerant_fit(data.z, data.y, family)
-        return evaluate_glm(data.x, fit.fitted_means, family), None
+        return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "cl":
         zc = correct_features_linear(augment_intercept(data.x), data.z)
         fit = _tolerant_fit(zc, data.y, family)
-        return evaluate_glm(data.x, fit.fitted_means, family), None
+        return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "ch":
         try:
-            out = fit_constrained_glm(
-                data.z, data.y, data.x, family, mdmm
-            )
+            out = fit_constrained_glm(data.z, data.y, data.x, family, cfg)
         except DidNotConverge as exc:
             if exc.result is None:
                 raise
             out = exc.result
-        return evaluate_glm(data.x, out.corrected_predictions, family), out
+        report = evaluate_glm(data.x, out.corrected_predictions, family)
+        return report, out, out.converged
     raise InvalidSpec(f"unknown method {method!r}")
 
 
@@ -239,7 +240,7 @@ def _tolerant_fit(z, y, family):
 
 
 def _study_cell(args):
-    cell_idx, spec, replicate, mdmm = args
+    cell_idx, spec, replicate, cfg = args
     rows = []
     base = {
         "family": spec.family,
@@ -264,7 +265,7 @@ def _study_cell(args):
         return cell_idx, replicate, rows
     for method in METHODS:
         try:
-            report, outcome = run_method(data, method, mdmm)
+            report, outcome, converged = run_method(data, method, cfg)
         except OrthokitError as exc:
             rows.append(
                 dict(
@@ -289,9 +290,7 @@ def _study_cell(args):
                         outcome.constraint_residual if outcome else None
                     ),
                     loss=outcome.loss if outcome else None,
-                    converged=(
-                        outcome.converged if outcome else report.converged
-                    ),
+                    converged=converged,
                     error=None,
                 )
             )
@@ -301,7 +300,7 @@ def _study_cell(args):
 def simulation_study(
     grid: Iterable[SyntheticSpec],
     replicates: int,
-    mdmm: MdmmConfig | None = None,
+    cfg: ConstrainedConfig | None = None,
     threads: int | None = None,
 ) -> StudyTable:
     """Run uncorrected, feature-projection, and constrained fits per cell.
@@ -316,7 +315,7 @@ def simulation_study(
     if replicates < 1:
         raise InvalidSpec("replicates must be >= 1")
     jobs = [
-        (ci, spec, r, mdmm)
+        (ci, spec, r, cfg)
         for ci, spec in enumerate(grid)
         for r in range(replicates)
     ]
@@ -416,17 +415,20 @@ def figure1_demo(
     run_gd(zd, "uncorrected")
     run_gd(zc, "cl")
 
-    def on_iteration(t: int, gamma: np.ndarray) -> None:
-        if t % record_every == 0:
-            record("ch", t, family.h(zd @ gamma))
-
-    cfg = MdmmConfig(learning_rate=learning_rate, max_iter=iterations)
-    try:
-        out = fit_constrained_glm(
-            z, y, x, family, cfg, warm_start=False, callback=on_iteration
+    # Constrained trajectory: gradient descent in the coefficients and
+    # ascent in one multiplier on f + lam * c + c^2 / 2, where c is the
+    # covariance of the predictions with the standardized protected feature
+    # (the modified differential method of multipliers, Platt & Barr 1988).
+    xs = (x1 - x1.mean()) / x1.std()
+    gamma, lam = np.zeros(zd.shape[1]), 0.0
+    for t in range(iterations + 1):
+        mu = family.h(zd @ gamma)
+        if t % record_every == 0 or t == iterations:
+            record("ch", t, mu)
+        c = float(xs @ mu) / n
+        grad_c = zd.T @ (family.variance(mu) * xs) / n
+        gamma = gamma - learning_rate * (
+            zd.T @ (mu - y) / n + (lam + c) * grad_c
         )
-    except DidNotConverge as exc:
-        out = exc.result
-    if out is not None:
-        record("ch", out.iterations, out.corrected_predictions)
+        lam = lam + learning_rate * c
     return table

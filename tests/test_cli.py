@@ -97,10 +97,46 @@ class TestCorrectCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["constraint_residual"] <= 1e-6
         assert report["converged"] is True
+        assert report["stationarity"] <= 1e-8
+        assert "lambda_final" not in report
         with open(out / "corrected_predictions.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["row_id", "y_hat_corrected"]
         assert len(rows) == 501
+
+    @pytest.mark.parametrize("flag", ["--lr", "--zeta"])
+    def test_retired_step_size_flags_exit_2(self, bernoulli_csv, tmp_path,
+                                            capsys, flag):
+        path, _ = bernoulli_csv
+        rc = main([
+            "correct", "--data", str(path), "--outcome", "y",
+            "--protected", "x0,x1,x2", "--family", "bernoulli",
+            "--method", "glm-constrained", "--out", str(tmp_path / "o"),
+            flag, "0.01",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert flag in err[0] and "--max-iter" in err[0] and "--tol" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_separated_design_exits_3_with_feasible_report(self, tmp_path):
+        data = generate(
+            SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli", seed=0)
+        )
+        path = tmp_path / "separated.csv"
+        write_dataset(path, data)
+        out = tmp_path / "out"
+        rc = main([
+            "correct", "--data", str(path), "--outcome", "y",
+            "--protected", ",".join(f"x{j}" for j in range(5)),
+            "--family", "bernoulli", "--method", "glm-constrained",
+            "--out", str(out),
+        ])
+        assert rc == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["constraint_residual"] <= 1e-6
 
     def test_seventeen_digit_roundtrip(self, bernoulli_csv, tmp_path):
         path, _ = bernoulli_csv

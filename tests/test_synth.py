@@ -8,7 +8,8 @@ schema stability, and the two-feature demonstration.
 import numpy as np
 import pytest
 
-from orthokit.errors import InvalidSpec
+from orthokit.errors import DidNotConverge, InvalidSpec
+from orthokit.glm import BERNOULLI, fit_glm
 from orthokit.synth import (
     METHODS,
     STUDY_COLUMNS,
@@ -141,6 +142,20 @@ class TestSimulationStudy:
         table = simulation_study(grid, replicates=1)
         assert len(table.rows) >= 1
         assert all(r.get("error") for r in table.rows)
+
+    def test_converged_column_reports_the_methods_own_fit(self):
+        # A separated logistic cell: the uncorrected IRLS fit stops at its
+        # iteration budget with means at the clamp, while the evaluation fit
+        # of its predictions converges.  The column must carry the former.
+        spec = SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli",
+                             seed=6)
+        data = generate(spec)
+        with pytest.raises(DidNotConverge):
+            fit_glm(data.z, data.y, BERNOULLI, with_intercept=True)
+        table = simulation_study([spec], replicates=1)
+        rows = [r for r in table.rows if r["method"] == "uncorrected"]
+        assert len(rows) == spec.p
+        assert all(r["converged"] is False for r in rows)
 
 
 class TestFigure1Demo:
