@@ -301,7 +301,7 @@ def _fit_relu(zc, y, starts: int = 8, seed: int = 0):
     gamma = best.beta
     y_hat = np.maximum(zc @ gamma, 0.0)
     loss = float(np.sum((y - y_hat) ** 2))
-    return gamma, y_hat, loss, starts, True
+    return gamma, y_hat, loss, best.iterations, best.converged
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,10 @@ class ReluEvaluation:
     relu_norm: float
     objective_at_zero: float
     start_index: int
+    # accepted descent steps of the winning start, and whether it stopped
+    # on ``grad_tol`` (not on ``max_iter`` or a failed line search)
+    iterations: int
+    converged: bool
 
 
 def _relu_objective(xm: np.ndarray, yv: np.ndarray, beta: np.ndarray) -> float:
@@ -105,7 +109,9 @@ def evaluate_relu_l2(
 
     Starts are drawn from N(0, 0.1^2) with a per-start substream of ``seed``.
     Each start runs gradient descent with Armijo backtracking.  The lowest
-    objective wins; ties break toward the smaller start index.
+    objective wins; ties break toward the smaller start index.  The result
+    carries the winning start's accepted steps and whether its squared
+    gradient norm reached ``grad_tol``.
     """
     xm = as_matrix(x, "protected features")
     yv = as_vector(y_corrected, "corrected predictions")
@@ -118,10 +124,13 @@ def evaluate_relu_l2(
         rng = np.random.Generator(np.random.Philox(key=(seed << 16) + s))
         beta = 0.1 * rng.standard_normal(p)
         obj = _relu_objective(xm, yv, beta)
+        steps = 0
+        converged = False
         for _ in range(max_iter):
             g = _relu_grad(xm, yv, beta)
             gn = float(g @ g)
             if gn <= grad_tol:
+                converged = True
                 break
             step = 1.0
             improved = False
@@ -130,6 +139,7 @@ def evaluate_relu_l2(
                 cand_obj = _relu_objective(xm, yv, cand)
                 if cand_obj <= obj - 1e-4 * step * gn:
                     beta, obj = cand, cand_obj
+                    steps += 1
                     improved = True
                     break
                 step *= 0.5
@@ -142,6 +152,8 @@ def evaluate_relu_l2(
                 relu_norm=float(np.linalg.norm(np.maximum(xm @ beta, 0.0))),
                 objective_at_zero=_relu_objective(xm, yv, np.zeros(p)),
                 start_index=s,
+                iterations=steps,
+                converged=converged,
             )
     assert best is not None
     return best

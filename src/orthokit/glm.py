@@ -5,7 +5,11 @@ bernoulli/sigmoid, and poisson/exp.  Fitting uses Fisher scoring (expected
 Hessian), for which the weight of observation i is
 ``1 / (g'(mu_i)^2 V(mu_i))`` and the working response is
 ``g'(mu_i) (y_i - mu_i)``; for canonical links the score reduces to
-``Z^T (y - mu)``, which is also the convergence criterion.
+``Z^T (y - mu)``, which is also the convergence criterion.  Each weighted
+least-squares step is solved by Cholesky on the Gram matrix ``Z^T W Z``,
+with pivoted QR as the fallback for ill-conditioned or rank-deficient
+steps; Wald standard errors come from a Cholesky factor of the same
+information matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     DidNotConverge,
@@ -27,6 +32,15 @@ from .linalg import as_matrix, as_vector, least_squares
 # link derivative and variance function away from their boundary
 # singularities.
 MEAN_EPS = 1e-10
+
+# Smallest reciprocal condition estimate (LAPACK ``dpocon``, 1-norm) of the
+# weighted Gram matrix ``Z^T W Z`` at which an IRLS step is solved by
+# Cholesky.  Below it the step goes to pivoted-QR least squares, which also
+# owns the rank check.  cond(Z^T W Z) <= 1e10 means cond(sqrt(W) Z) <= 1e5,
+# so every pivoted-QR diagonal of an accepted design is at least 1e-5 times
+# the largest: five orders of magnitude clear of ``linalg.RANK_RTOL``
+# (1e-10), which absorbs the slack of the condition estimate.
+GRAM_RCOND_MIN = 1e-10
 
 # Default certification thresholds: a report is null-certified when every
 # slope is non-significant at this level and numerically small.
@@ -233,6 +247,36 @@ def normal_sf2(z: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(abs(t) / math.sqrt(2.0)) for t in zv])
 
 
+def _cholesky(gram: np.ndarray):
+    """Upper Cholesky factor of a symmetric matrix with its reciprocal
+    1-norm condition estimate; ``(None, 0.0)`` if it is not positive
+    definite."""
+    anorm = float(np.max(np.sum(np.abs(gram), axis=0)))
+    c, info = lapack.dpotrf(gram)
+    if info != 0:
+        return None, 0.0
+    return c, lapack.dpocon(c, anorm)[0]
+
+
+def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
+    """Weighted least squares ``argmin_b ||sqrt(W) (Z b - resp)||``.
+
+    Solves the normal equations ``Z^T W Z b = Z^T W resp`` by Cholesky when
+    the Gram matrix factors with a reciprocal condition estimate of at least
+    ``GRAM_RCOND_MIN``.  Otherwise, and when n < k or k = 0, the step is
+    pivoted-QR ``least_squares`` on the weighted design, which raises
+    ``RankDeficient`` for a rank-deficient design.
+    """
+    sw = np.sqrt(w)
+    a = zm * sw[:, None]
+    b = resp * sw
+    if a.shape[0] >= a.shape[1] > 0:
+        c, rcond = _cholesky(a.T @ a)
+        if rcond >= GRAM_RCOND_MIN:
+            return lapack.dpotrs(c, a.T @ b)[0]
+    return least_squares(a, b)
+
+
 def fit_glm(
     z,
     y,
@@ -244,6 +288,13 @@ def fit_glm(
     trace: list | None = None,
 ) -> GlmFit:
     """Fit a canonical GLM by Fisher-scoring IRLS with step-halving.
+
+    Each step solves the weighted normal equations ``Z^T W Z b = Z^T W r``
+    by Cholesky.  When the Gram matrix is not positive definite, its
+    condition estimate falls below ``GRAM_RCOND_MIN``, or n < k, the step
+    falls back to pivoted-QR least squares on ``sqrt(W) Z``, which raises
+    ``RankDeficient`` naming the first dependent column (or, for n < k, the
+    row count).
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
     ``tol``.  The deviance is non-increasing across accepted steps; if a full
@@ -278,8 +329,7 @@ def fit_glm(
     for iterations in range(1, max_iter + 1):
         w = fisher_weights(family, mu)
         resp = eta + working_response(family, yv, mu)
-        sw = np.sqrt(w)
-        beta_new = least_squares(zm * sw[:, None], resp * sw)
+        beta_new = _irls_solve(zm, w, resp)
 
         step = beta_new - beta
         accepted = False
@@ -327,7 +377,11 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
 
     Standard errors are the square roots of the diagonal of
     ``(Z^T W Z)^{-1}`` with W the Fisher weights at the fitted means; for the
-    gaussian family this is scaled by the residual variance estimate.
+    gaussian family this is scaled by the residual variance estimate.  The
+    inverse is taken from a Cholesky factor of the information matrix
+    (``dpotri``).  Raises ``SingularInformation`` when the matrix is not
+    positive definite or its reciprocal condition estimate is below k times
+    machine epsilon, the tolerance ``numpy.linalg.matrix_rank`` uses.
     """
     zm = as_matrix(z, "design matrix")
     if fit.with_intercept:
@@ -337,20 +391,18 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     n, k = zm.shape
 
     info = zm.T @ (fit.weight_diag[:, None] * zm)
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformation(str(exc)) from exc
-    if not np.all(np.isfinite(cov)):
-        raise SingularInformation("information matrix inverse is not finite")
-
+    c, rcond = _cholesky(info)
+    if rcond < k * np.finfo(np.float64).eps:
+        raise SingularInformation(
+            f"information matrix is numerically singular (rcond={rcond:.3g})"
+        )
+    diag = np.diag(lapack.dpotri(c)[0])
     if fit.family.name == "gaussian":
         # gaussian deviance is the residual sum of squares
         dof = max(n - k, 1)
         sigma2 = fit.final_deviance / dof
-        cov = cov * sigma2
+        diag = diag * sigma2
 
-    diag = np.diag(cov).copy()
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         raise SingularInformation("non-positive variance estimate")
     se = np.sqrt(diag)

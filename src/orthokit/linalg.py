@@ -3,8 +3,11 @@
 Projector construction and application, column centering, tensor mode-1
 products, and QR-backed least squares.  The orthogonal-complement projector
 ``I - Q Q^T`` is never materialized as an n-by-n matrix; it is applied as two
-skinny matrix products, which keeps storage at O(n p) and is numerically
-better behaved than normal equations.
+skinny matrix products, which keeps storage at O(n p).  Projectors and
+``least_squares`` work from pivoted QR, which carries the hard rank check.
+IRLS (``glm.fit_glm``) does use the normal equations: it solves each step by
+Cholesky on the weighted Gram matrix, guarded by a condition estimate, and
+falls back to ``least_squares`` when that estimate is poor.
 """
 
 from __future__ import annotations

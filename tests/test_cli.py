@@ -9,6 +9,7 @@ import pytest
 
 from orthokit.cli import main
 from orthokit.correct import augment_intercept, correct_features_linear
+from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
 from orthokit.synth import SyntheticSpec, generate
 
@@ -103,6 +104,24 @@ class TestCorrectCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["row_id", "y_hat_corrected"]
         assert len(rows) == 501
+
+    def test_relu_report_carries_winning_start(self, gaussian_csv, tmp_path):
+        path, data = gaussian_csv
+        out = tmp_path / "out"
+        rc = main([
+            "correct", "--data", str(path), "--outcome", "y",
+            "--protected", "x0,x1", "--family", "gaussian",
+            "--method", "relu", "--out", str(out),
+        ])
+        zc = correct_features_linear(augment_intercept(data.x), data.z)
+        best = evaluate_relu_l2(augment_intercept(zc), data.y, starts=8, seed=0)
+        report = json.loads((out / "report.json").read_text())
+        assert report["iterations"] == best.iterations
+        assert report["converged"] is best.converged
+        assert rc == (0 if best.converged else 3)
+        with open(out / "coefficients.csv") as fh:
+            got = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
+        np.testing.assert_array_equal(got, best.beta)
 
     @pytest.mark.parametrize("flag", ["--lr", "--zeta"])
     def test_retired_step_size_flags_exit_2(self, bernoulli_csv, tmp_path,

@@ -144,6 +144,14 @@ class TestEvaluateReluL2:
         np.testing.assert_array_equal(a.beta, b.beta)
         assert a.start_index == b.start_index
 
+    def test_iteration_budget_reported_as_not_converged(self):
+        g = rng(16)
+        x = g.standard_normal((50, 2))
+        yc = relu(x @ np.array([1.0, -0.5])) + 0.1 * g.standard_normal(50)
+        res = evaluate_relu_l2(x, yc, seed=4, max_iter=1)
+        assert res.converged is False
+        assert res.iterations <= 1
+
 
 class TestEvaluateTensor:
     def test_corrected_tensor_is_null(self):

@@ -10,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit.errors import DidNotConverge, DomainError, SingularInformation
+import orthokit.glm as glm_module
+from orthokit.correct import augment_intercept
+from orthokit.errors import (
+    DidNotConverge,
+    DomainError,
+    RankDeficient,
+    SingularInformation,
+)
 from orthokit.glm import (
     BERNOULLI,
     GAUSSIAN,
+    GRAM_RCOND_MIN,
     POISSON,
     GlmFit,
+    _irls_solve,
     family_by_name,
     fisher_weights,
     fit_glm,
@@ -24,6 +33,7 @@ from orthokit.glm import (
     working_response,
 )
 from orthokit.linalg import least_squares
+from orthokit.synth import SyntheticSpec, generate
 
 FAMILIES = (GAUSSIAN, BERNOULLI, POISSON)
 
@@ -224,6 +234,92 @@ class TestFitGlm:
                 numeric[j] = (nll_at(beta + e) - nll_at(beta - e)) / 2e-6
             denom = np.maximum(np.abs(numeric), 1.0)
             assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Count the pivoted-QR fallback solves made by ``fit_glm``."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return least_squares(a, b)
+
+    monkeypatch.setattr(glm_module, "least_squares", counting)
+    return calls
+
+
+class TestIrlsStep:
+    def test_duplicated_column_named(self, qr_calls):
+        g = rng(30)
+        z = g.standard_normal((100, 3))
+        z = np.column_stack([z, z[:, 1]])
+        y = (g.random(100) < 0.5).astype(float)
+        with pytest.raises(RankDeficient) as exc:
+            fit_glm(z, y, BERNOULLI)
+        assert exc.value.col_index == 3
+        assert len(qr_calls) == 1
+
+    def test_fewer_rows_than_columns(self, qr_calls):
+        z = rng(31).standard_normal((3, 5))
+        with pytest.raises(RankDeficient) as exc:
+            fit_glm(z, [0.0, 1.0, 1.0], BERNOULLI)
+        assert exc.value.col_index == 3
+        assert "3x5 design cannot have full column rank" in str(exc.value)
+        assert len(qr_calls) == 1
+
+    def test_no_columns(self):
+        with pytest.raises(RankDeficient) as exc:
+            fit_glm(np.zeros((5, 0)), np.full(5, 0.5), BERNOULLI)
+        assert exc.value.col_index == 0
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_well_conditioned_design_skips_qr(self, family, qr_calls):
+        z, y = draw_problem(family, rng(32))
+        fit = fit_glm(z, y, family)
+        assert fit.converged
+        assert qr_calls == []
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_ill_conditioned_design_takes_qr_fallback(self, family, qr_calls):
+        # a column scaled by 2^-20 keeps full rank for pivoted QR (diagonal
+        # ratio ~1e-6) but puts cond(Z^T W Z) near 1e12
+        z, y = draw_problem(family, rng(33), n=200, q=3)
+        z[:, 1] *= 2.0**-20
+        sw = np.sqrt(fisher_weights(family, family.clip_mean(family.h(np.zeros(200)))))
+        a = z * sw[:, None]
+        assert 1.0 / np.linalg.cond(a.T @ a, 1) < GRAM_RCOND_MIN
+        fit = fit_glm(z, y, family)
+        assert fit.converged
+        assert len(qr_calls) == fit.iterations
+        np.testing.assert_allclose(
+            fit.coefficients, newton_oracle(z, y, family), rtol=1e-6, atol=1e-6
+        )
+
+    @pytest.mark.parametrize("family", ("bernoulli", "poisson"))
+    @pytest.mark.parametrize("q", (10, 100))
+    @pytest.mark.parametrize("n", (200, 5000))
+    def test_cholesky_step_matches_qr_on_appendix_g_shapes(self, n, q, family):
+        fam = family_by_name(family)
+        data = generate(SyntheticSpec(n=n, p=5, q=q, rho=2.0, family=family, seed=0))
+        zd = augment_intercept(data.z)
+        # every iterate the fit visits, up to 30 steps
+        beta = np.zeros(zd.shape[1])
+        for m in range(1, 31):
+            eta = zd @ beta
+            mu = fam.clip_mean(fam.h(eta))
+            w = fisher_weights(fam, mu)
+            resp = eta + working_response(fam, data.y, mu)
+            sw = np.sqrt(w)
+            qr_step = least_squares(zd * sw[:, None], resp * sw)
+            chol_step = _irls_solve(zd, w, resp)
+            err = np.max(np.abs(chol_step - qr_step)) / np.max(np.abs(qr_step))
+            assert err <= 1e-10, (m, err)
+            try:
+                fit_glm(data.z, data.y, fam, with_intercept=True, max_iter=m)
+                break
+            except DidNotConverge as exc:
+                beta = exc.result.coefficients
 
 
 class TestWaldInference:
