@@ -9,11 +9,9 @@ from .correct import (
     correct_features_relu,
     correct_predictions_glm,
     correct_tensor_preactivation,
-    correct_tensor_prediction,
     fit_constrained_glm,
 )
 from .errors import (
-    DidNotConverge,
     DimensionMismatch,
     DomainError,
     InvalidSpec,
@@ -30,19 +28,10 @@ from .glm import (
     GlmFamily,
     GlmFit,
     family_by_name,
-    fisher_weights,
     fit_glm,
     wald_inference,
-    working_response,
 )
-from .linalg import (
-    Projector,
-    apply_complement,
-    build_projector,
-    center_columns,
-    least_squares,
-    mode1_product,
-)
+from .linalg import Projector, build_projector
 from .online import ConfoundedDataset, MlpConfig, make_confounded_data, train_mlp
 from .synth import (
     SyntheticDataset,
@@ -61,7 +50,6 @@ __all__ = [
     "ConfoundedDataset",
     "ConstrainedConfig",
     "CorrectionOutcome",
-    "DidNotConverge",
     "DimensionMismatch",
     "DomainError",
     "EvaluationReport",
@@ -75,29 +63,22 @@ __all__ = [
     "SingularInformation",
     "SyntheticDataset",
     "SyntheticSpec",
-    "apply_complement",
     "build_projector",
-    "center_columns",
     "constraint_value",
     "correct_features_linear",
     "correct_features_relu",
     "correct_predictions_glm",
     "correct_tensor_preactivation",
-    "correct_tensor_prediction",
     "evaluate_glm",
     "evaluate_relu_l2",
     "evaluate_tensor",
     "family_by_name",
     "figure1_demo",
-    "fisher_weights",
     "fit_constrained_glm",
     "fit_glm",
     "generate",
-    "least_squares",
     "make_confounded_data",
-    "mode1_product",
     "simulation_study",
     "train_mlp",
     "wald_inference",
-    "working_response",
 ]

@@ -1,19 +1,18 @@
 """Correction routines.
 
-Four ways to remove the linear influence of protected features:
+Three ways to remove the linear influence of protected features:
 
-* ``correct_features_linear`` / ``correct_features_relu`` replace the
-  prediction features by their projection onto the orthogonal complement of
-  the protected span.
+* ``correct_features_linear`` projects features, tensor-valued predictions
+  or pre-activations (before the ReLU) onto the orthogonal complement of the
+  protected span, along their observation axis.  ``correct_features_relu``
+  and ``correct_tensor_preactivation`` are other names for it.
 * ``correct_predictions_glm`` projects already-computed predictions and
   re-centers them at the activation's value at zero.
 * ``fit_constrained_glm`` refits a GLM subject to the corrected predictions
   being empirically uncorrelated with every (centered) protected column,
   solved by equality-constrained Newton steps (SQP) on one constraint per
-  protected column, from the exactly feasible start ``gamma = 0``.
-* ``correct_tensor_prediction`` / ``correct_tensor_preactivation`` apply the
-  complement projector along the observation mode of tensor-valued outputs
-  (for pre-activations: before the ReLU is applied).
+  protected column, from the exactly feasible start ``gamma = 0``.  It
+  returns its best iterate whether or not it converged.
 """
 
 from __future__ import annotations
@@ -22,16 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DidNotConverge, DimensionMismatch, DomainError, RankDeficient
+from .errors import DimensionMismatch, DomainError, RankDeficient
 from .glm import MEAN_EPS, GlmFamily
-from .linalg import (
-    apply_complement,
-    as_matrix,
-    as_vector,
-    build_projector,
-    center_columns,
-    mode1_product,
-)
+from .linalg import as_matrix, as_tensor, as_vector, build_projector, center_columns
 
 
 def relu(x) -> np.ndarray:
@@ -61,20 +53,14 @@ def augment_intercept(x) -> np.ndarray:
     return np.column_stack([np.ones(xm.shape[0]), xm])
 
 
-def correct_features_linear(x, z) -> np.ndarray:
-    """Project every feature column onto the complement of the protected span."""
-    proj = build_projector(x)
-    return apply_complement(proj, z)
+def correct_features_linear(x, a) -> np.ndarray:
+    """Project ``a`` (features, or a tensor-valued prediction or
+    pre-activation) along its observation axis onto the complement of the
+    protected span."""
+    return build_projector(x).complement(as_tensor(a, "features"))
 
 
-def correct_features_relu(x, z) -> np.ndarray:
-    """Feature correction used with ReLU prediction/evaluation models.
-
-    Numerically identical to ``correct_features_linear``; kept as a separate
-    entry point because its downstream contract (behaviour of rectified
-    cross-terms in an L2 evaluation) differs from the linear one.
-    """
-    return correct_features_linear(x, z)
+correct_features_relu = correct_tensor_preactivation = correct_features_linear
 
 
 def correct_predictions_glm(x, y_hat, family: GlmFamily) -> np.ndarray:
@@ -87,10 +73,7 @@ def correct_predictions_glm(x, y_hat, family: GlmFamily) -> np.ndarray:
     outside (0, 1)); evaluation models accept such values.
     """
     yv = as_vector(y_hat, "predictions")
-    proj = build_projector(augment_intercept(x))
-    if yv.shape[0] != proj.n:
-        raise DimensionMismatch("predictions length does not match protected rows")
-    return proj.complement(yv[:, None])[:, 0] + family.h0
+    return build_projector(augment_intercept(x)).complement(yv) + family.h0
 
 
 def constraint_value(gamma, z, x_centered, family: GlmFamily) -> float:
@@ -135,7 +118,9 @@ class CorrectionOutcome:
     ``||Xc^T h(Z gamma) / n||^2`` (equal to ``constraint_value(...) / n^2``).
     ``loss`` is the family negative log-likelihood (total, not per-row) and
     ``stationarity`` the KKT residual ``||grad f + J^T lam||_inf`` of the
-    per-row loss f at the least-squares multipliers.
+    per-row loss f at the least-squares multipliers.  ``stop_reason`` says
+    why the solver stopped: ``"converged"``, ``"reached max_iter=..."``,
+    ``"line search stalled"``, or quasi-separation of the design.
     """
 
     gamma_c: np.ndarray
@@ -146,6 +131,7 @@ class CorrectionOutcome:
     converged: bool
     stationarity: float = float("nan")
     with_intercept: bool = True
+    stop_reason: str = ""
 
 
 def fit_constrained_glm(
@@ -175,11 +161,13 @@ def fit_constrained_glm(
     ``gamma = 0``, which is exactly feasible.
 
     Converges when ``constraint_residual <= cfg.constraint_tol`` and the
-    KKT stationarity is at most ``STATIONARITY_TOL``.  Otherwise raises
-    ``DidNotConverge`` carrying the feasible iterate of lowest loss: after
-    ``cfg.max_iter`` steps, when the line search stalls, or as soon as a
-    bernoulli fit's means reach the ``MEAN_EPS`` clamp (a quasi-separated
-    design, on which no finite optimum exists).
+    KKT stationarity is at most ``STATIONARITY_TOL``.  Otherwise it returns
+    the feasible iterate of lowest loss with ``converged=False`` and the
+    ``stop_reason``: after ``cfg.max_iter`` steps, when the line search
+    stalls, or as soon as a bernoulli fit's means reach the ``MEAN_EPS``
+    clamp (a quasi-separated design, on which no finite optimum exists).
+    If no iterate was feasible (possible only at ``constraint_tol`` near 0)
+    it returns the last one.
     """
     cfg = cfg or ConstrainedConfig()
     zm = as_matrix(z, "design matrix")
@@ -207,7 +195,7 @@ def fit_constrained_glm(
     mu, c, loss = evaluate(gamma)
     reason = f"reached max_iter={cfg.max_iter}"
     for it in range(cfg.max_iter + 1):
-        hp = family.h_prime_from_mu(mu)
+        hp = family.variance(mu)  # h' for a canonical link
         grad = zd.T @ (mu - yv) / n
         jac = (xc * hp[:, None]).T @ zd / n
         lam = np.linalg.lstsq(jac.T, -grad, rcond=None)[0]
@@ -224,8 +212,7 @@ def fit_constrained_glm(
             reason = "means reached the clamp: the design is quasi-separated"
             break
         if feasible and stat <= STATIONARITY_TOL:
-            out.converged = True
-            return out
+            return replace(out, converged=True, stop_reason="converged")
         if it == cfg.max_iter:
             break
 
@@ -261,26 +248,4 @@ def fit_constrained_glm(
             break
         gamma, mu, c, loss = trial, mu_t, c_t, loss_t
 
-    best = best and replace(best, iterations=it)
-    raise DidNotConverge(
-        f"constrained fit stopped after {it} iterations ({reason}); best feasible "
-        f"residual {best.constraint_residual if best else float('nan'):.3e}",
-        iterations=it,
-        result=best,
-    )
-
-
-def correct_tensor_prediction(x, y_hat_tensor) -> np.ndarray:
-    """Project a tensor-valued prediction along its observation mode."""
-    proj = build_projector(x)
-    return mode1_product(proj, y_hat_tensor)
-
-
-def correct_tensor_preactivation(x, pre_activation_tensor) -> np.ndarray:
-    """Project a tensor-valued pre-activation along its observation mode.
-
-    Numerically the same operation as ``correct_tensor_prediction``; the
-    distinct name marks that it is meant to run before a ReLU is applied.
-    """
-    proj = build_projector(x)
-    return mode1_product(proj, pre_activation_tensor)
+    return replace(best or out, iterations=it, stop_reason=reason)

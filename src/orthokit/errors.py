@@ -30,8 +30,10 @@ class DomainError(OrthokitError):
 class DidNotConverge(OrthokitError):
     """An iterative fit hit its iteration budget before meeting tolerance.
 
-    ``result`` carries the best iterate found so far (a ``GlmFit`` or
-    ``CorrectionOutcome``) so callers can inspect or report it.
+    No orthokit function raises it: fits return their best iterate with
+    ``converged=False`` instead.  It stays importable for callers that
+    still catch it.  ``result`` carries a ``GlmFit`` or
+    ``CorrectionOutcome`` when one is given.
     """
 
     def __init__(self, message: str, iterations: int = 0, result=None):

@@ -20,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DidNotConverge, DimensionMismatch
-from .glm import (
-    ALPHA,
-    COEF_NULL_THRESHOLD,
-    EvaluationReport,
-    GlmFamily,
-    fit_glm,
-    wald_inference,
-)
+from .errors import DimensionMismatch
+from .glm import EvaluationReport, GlmFamily, fit_glm, null_certified, wald_inference
 from .linalg import as_matrix, as_tensor, as_vector, least_squares
 
 
@@ -43,14 +36,7 @@ def evaluate_glm(x, y_corrected, family: GlmFamily) -> EvaluationReport:
     yv = as_vector(y_corrected, "corrected predictions")
     if xm.shape[0] != yv.shape[0]:
         raise DimensionMismatch("X rows and prediction length differ")
-    try:
-        fit = fit_glm(
-            xm, yv, family, with_intercept=True, check_domain=False
-        )
-    except DidNotConverge as exc:
-        if exc.result is None:
-            raise
-        fit = exc.result
+    fit = fit_glm(xm, yv, family, with_intercept=True, check_domain=False)
     report = wald_inference(fit, xm)
     # drop the internal intercept (index 0) from the reported arrays
     slopes = slice(1, None)
@@ -62,11 +48,7 @@ def evaluate_glm(x, y_corrected, family: GlmFamily) -> EvaluationReport:
         z_stats=report.z_stats[slopes],
         p_values=pvals,
         converged=fit.converged,
-        null_certified=bool(
-            fit.converged
-            and np.all(pvals > ALPHA)
-            and np.all(np.abs(coef) < COEF_NULL_THRESHOLD)
-        ),
+        null_certified=null_certified(fit.converged, coef, pvals),
     )
 
 

@@ -1,15 +1,19 @@
 """GLM engine: canonical families, IRLS fitting, and Wald inference.
 
 The three canonical families are supported: gaussian/identity,
-bernoulli/sigmoid, and poisson/exp.  Fitting uses Fisher scoring (expected
-Hessian), for which the weight of observation i is
-``1 / (g'(mu_i)^2 V(mu_i))`` and the working response is
-``g'(mu_i) (y_i - mu_i)``; for canonical links the score reduces to
-``Z^T (y - mu)``, which is also the convergence criterion.  Each weighted
-least-squares step is solved by Cholesky on the Gram matrix ``Z^T W Z``,
-with pivoted QR as the fallback for ill-conditioned or rank-deficient
-steps; Wald standard errors come from a Cholesky factor of the same
-information matrix.
+bernoulli/sigmoid, and poisson/exp.  For a canonical link the derivative of
+the activation is the variance function, ``h'(eta) = V(mu)``, and the link
+derivative is ``g'(mu) = 1 / V(mu)``, so a family is defined by ``h`` and
+``V`` alone.  Fitting uses Fisher scoring (expected Hessian), for which the
+weight of observation i is ``1 / (g'(mu_i)^2 V(mu_i)) = V(mu_i)`` and the
+working response is ``g'(mu_i) (y_i - mu_i) = (y_i - mu_i) / V(mu_i)``; the
+score reduces to ``Z^T (y - mu)``, which is also the convergence criterion.
+Each weighted least-squares step is solved by Cholesky on the Gram matrix
+``Z^T W Z``, with pivoted QR as the fallback for ill-conditioned or
+rank-deficient steps; Wald standard errors come from a Cholesky factor of
+the same information matrix.  Fits that stop short of the tolerance return
+their best iterate with ``converged=False``; nothing here raises on
+non-convergence.
 """
 
 from __future__ import annotations
@@ -21,11 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    DidNotConverge,
-    DomainError,
-    SingularInformation,
-)
+from .errors import DomainError, SingularInformation
 from .linalg import as_matrix, as_vector, least_squares
 
 # Clamp applied to means before weight/likelihood evaluation, keeping the
@@ -59,27 +59,22 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GlmFamily:
-    """A canonical link/activation triple defining a GLM.
+    """A canonical link/activation pair defining a GLM.
 
-    ``h`` is the inverse link (the activation), ``h_prime`` its derivative,
-    ``g_prime`` the derivative of the link ``g = h^{-1}``, ``variance`` the
-    variance function V(mu), and ``clip_mean`` maps means into the open
-    domain on which weights are defined.
+    ``h`` is the inverse link (the activation), ``variance`` the variance
+    function V(mu), which for a canonical link is also ``h'`` expressed
+    through the mean, and ``clip_mean`` maps means into the open domain on
+    which weights are defined.
     """
 
     name: str
     h: Callable[[np.ndarray], np.ndarray]
     h_inv: Callable[[np.ndarray], np.ndarray]
-    h_prime: Callable[[np.ndarray], np.ndarray]
-    g_prime: Callable[[np.ndarray], np.ndarray]
     variance: Callable[[np.ndarray], np.ndarray]
     clip_mean: Callable[[np.ndarray], np.ndarray]
     check_y: Callable[[np.ndarray], None]
-    # derivative of h expressed through the mean (h' = V for canonical
-    # links), letting hot loops reuse an already-computed mu
-    h_prime_from_mu: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
     # V'(mu); for canonical links h'' = V'(mu) V(mu)
-    variance_prime: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
+    variance_prime: Callable[[np.ndarray], np.ndarray]
 
     @property
     def h0(self) -> float:
@@ -137,12 +132,9 @@ GAUSSIAN = GlmFamily(
     name="gaussian",
     h=lambda eta: np.asarray(eta, dtype=np.float64),
     h_inv=lambda mu: np.asarray(mu, dtype=np.float64),
-    h_prime=lambda eta: np.ones_like(np.asarray(eta, dtype=np.float64)),
-    g_prime=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
     variance=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
     clip_mean=lambda mu: np.asarray(mu, dtype=np.float64),
     check_y=_check_gaussian,
-    h_prime_from_mu=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
     variance_prime=lambda mu: np.zeros_like(np.asarray(mu, dtype=np.float64)),
 )
 
@@ -150,12 +142,9 @@ BERNOULLI = GlmFamily(
     name="bernoulli",
     h=_sigmoid,
     h_inv=lambda mu: np.log(mu) - np.log1p(-mu),
-    h_prime=lambda eta: _sigmoid(eta) * (1.0 - _sigmoid(eta)),
-    g_prime=lambda mu: 1.0 / (mu * (1.0 - mu)),
     variance=lambda mu: mu * (1.0 - mu),
     clip_mean=lambda mu: np.clip(mu, MEAN_EPS, 1.0 - MEAN_EPS),
     check_y=_check_bernoulli,
-    h_prime_from_mu=lambda mu: mu * (1.0 - mu),
     variance_prime=lambda mu: 1.0 - 2.0 * mu,
 )
 
@@ -163,12 +152,9 @@ POISSON = GlmFamily(
     name="poisson",
     h=np.exp,
     h_inv=np.log,
-    h_prime=np.exp,
-    g_prime=lambda mu: 1.0 / mu,
     variance=lambda mu: np.asarray(mu, dtype=np.float64),
     clip_mean=lambda mu: np.clip(mu, MEAN_EPS, None),
     check_y=_check_poisson,
-    h_prime_from_mu=lambda mu: np.asarray(mu, dtype=np.float64),
     variance_prime=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
 )
 
@@ -185,19 +171,18 @@ def family_by_name(name: str) -> GlmFamily:
 
 
 def fisher_weights(family: GlmFamily, mu) -> np.ndarray:
-    """Expected-Hessian IRLS weights ``1 / (g'(mu)^2 V(mu))``."""
+    """Expected-Hessian IRLS weights ``1 / (g'(mu)^2 V(mu)) = V(mu)``."""
     m = as_vector(mu, "mean vector")
     if family.name == "bernoulli" and (np.any(m <= 0.0) or np.any(m >= 1.0)):
         raise DomainError("bernoulli means must lie strictly in (0, 1)")
     if family.name == "poisson" and np.any(m <= 0.0):
         raise DomainError("poisson means must be strictly positive")
-    gp = family.g_prime(m)
-    v = family.variance(m)
-    return 1.0 / (gp * gp * v)
+    return family.variance(m)
 
 
 def working_response(family: GlmFamily, y, mu) -> np.ndarray:
-    """Linearized pseudo-response ``g'(mu) (y - mu)`` used in each IRLS step."""
+    """Linearized pseudo-response ``g'(mu) (y - mu) = (y - mu) / V(mu)``
+    used in each IRLS step."""
     yv = as_vector(y, "response")
     m = as_vector(mu, "mean vector")
     if yv.shape != m.shape:
@@ -206,7 +191,7 @@ def working_response(family: GlmFamily, y, mu) -> np.ndarray:
         raise DomainError("bernoulli means must lie strictly in (0, 1)")
     if family.name == "poisson" and np.any(m <= 0.0):
         raise DomainError("poisson means must be strictly positive")
-    return family.g_prime(m) * (yv - m)
+    return (yv - m) / family.variance(m)
 
 
 @dataclass
@@ -227,9 +212,8 @@ class GlmFit:
 class EvaluationReport:
     """Wald inference summary for an evaluation-model fit.
 
-    ``null_certified`` is True when every reported coefficient is both
-    statistically indistinguishable from zero at level ``ALPHA`` and
-    numerically below ``COEF_NULL_THRESHOLD`` in magnitude.
+    ``null_certified`` is the module function of that name applied to the
+    reported coefficients and p-values.
     """
 
     coefficients: np.ndarray
@@ -239,6 +223,17 @@ class EvaluationReport:
     converged: bool
     null_certified: bool
     names: list = field(default_factory=list)
+
+
+def null_certified(converged: bool, coefficients, p_values) -> bool:
+    """True when the fit converged and every coefficient is both
+    statistically indistinguishable from zero at level ``ALPHA`` and
+    numerically below ``COEF_NULL_THRESHOLD`` in magnitude."""
+    return bool(
+        converged
+        and np.all(np.asarray(p_values) > ALPHA)
+        and np.all(np.abs(coefficients) < COEF_NULL_THRESHOLD)
+    )
 
 
 def normal_sf2(z: np.ndarray) -> np.ndarray:
@@ -298,8 +293,9 @@ def fit_glm(
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
     ``tol``.  The deviance is non-increasing across accepted steps; if a full
-    IRLS step increases it, the step is halved (up to 30 times).  Raises
-    ``DidNotConverge`` (carrying the best fit so far) after ``max_iter``.
+    IRLS step increases it, the step is halved (up to 30 times).  After
+    ``max_iter`` steps, or when no halving decreases it, the fit so far is
+    returned with ``converged=False``.
 
     ``check_domain=False`` skips the response-domain check, which evaluation
     models need when regressing corrected predictions that can leave the
@@ -353,7 +349,7 @@ def fit_glm(
             # No descent direction left at floating-point resolution.
             break
 
-    fit = GlmFit(
+    return GlmFit(
         coefficients=beta,
         fitted_means=mu,
         iterations=iterations,
@@ -363,13 +359,6 @@ def fit_glm(
         family=family,
         with_intercept=with_intercept,
     )
-    if not converged:
-        raise DidNotConverge(
-            f"IRLS did not reach score tolerance {tol} in {iterations} iterations",
-            iterations=iterations,
-            result=fit,
-        )
-    return fit
 
 
 def wald_inference(fit: GlmFit, z) -> EvaluationReport:
@@ -409,16 +398,11 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         zstat = np.where(se > 0, fit.coefficients / se, 0.0)
     pvals = normal_sf2(zstat)
-    null_cert = bool(
-        fit.converged
-        and np.all(pvals > ALPHA)
-        and np.all(np.abs(fit.coefficients) < COEF_NULL_THRESHOLD)
-    )
     return EvaluationReport(
         coefficients=fit.coefficients.copy(),
         std_errors=se,
         z_stats=zstat,
         p_values=pvals,
         converged=fit.converged,
-        null_certified=null_cert,
+        null_certified=null_certified(fit.converged, fit.coefficients, pvals),
     )

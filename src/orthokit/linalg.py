@@ -1,9 +1,12 @@
 """Dense linear algebra core.
 
-Projector construction and application, column centering, tensor mode-1
-products, and QR-backed least squares.  The orthogonal-complement projector
-``I - Q Q^T`` is never materialized as an n-by-n matrix; it is applied as two
-skinny matrix products, which keeps storage at O(n p).  Projectors and
+Projector construction and application, column centering, and QR-backed
+least squares.  The orthogonal-complement projector ``I - Q Q^T`` is never
+materialized as an n-by-n matrix; ``Projector.complement`` applies it as two
+skinny matrix products, which keeps storage at O(n p).  It is the package's
+one projection verb: vectors, matrices and tensors alike are projected along
+their leading (observation) axis, i.e. on their n-by-d matricization, which
+is the mode-1 product with ``I - Q Q^T``.  Projectors and
 ``least_squares`` work from pivoted QR, which carries the hard rank check.
 IRLS (``glm.fit_glm``) does use the normal equations: it solves each step by
 Cholesky on the weighted Gram matrix, guarded by a condition estimate, and
@@ -88,13 +91,18 @@ class Projector:
     n: int
     p: int
 
-    def onto(self, m: np.ndarray) -> np.ndarray:
-        """Project columns of ``m`` onto the protected span."""
-        return self.q @ (self.q.T @ m)
+    def complement(self, a: np.ndarray) -> np.ndarray:
+        """Project ``a`` along its leading axis onto the orthogonal complement.
 
-    def complement(self, m: np.ndarray) -> np.ndarray:
-        """Project columns of ``m`` onto the orthogonal complement."""
-        return m - self.q @ (self.q.T @ m)
+        ``a`` may be a vector, a matrix or a tensor with ``a.shape[0] == n``;
+        the result has the shape of ``a``.
+        """
+        if a.ndim < 1 or a.shape[0] != self.n:
+            raise DimensionMismatch(
+                f"shape {a.shape} does not lead with projector size {self.n}"
+            )
+        flat = a.reshape(self.n, -1)
+        return (flat - self.q @ (self.q.T @ flat)).reshape(a.shape)
 
 
 def build_projector(x) -> Projector:
@@ -111,46 +119,6 @@ def build_projector(x) -> Projector:
         raise DimensionMismatch(f"need n >= p, got n={n} < p={p}")
     q, _, _ = _pivoted_qr(xm)
     return Projector(q=q, n=n, p=p)
-
-
-def apply_complement(proj: Projector, m) -> np.ndarray:
-    """Apply the complement projector to each column of ``m``."""
-    mm = as_matrix(m, "matrix")
-    if mm.shape[0] != proj.n:
-        raise DimensionMismatch(
-            f"row count {mm.shape[0]} does not match projector size {proj.n}"
-        )
-    return proj.complement(mm)
-
-
-def mat_of_tensor(t: np.ndarray) -> np.ndarray:
-    """Row-major matricization: reshape (n, d1, ..., dR) to (n, d1*...*dR)."""
-    a = as_tensor(t)
-    return a.reshape(a.shape[0], -1)
-
-
-def tensor_of_mat(m: np.ndarray, dims) -> np.ndarray:
-    """Inverse of ``mat_of_tensor`` for the given full dims tuple."""
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != m.size:
-        raise DimensionMismatch(f"cannot reshape {m.size} entries into {dims}")
-    return np.asarray(m, dtype=np.float64).reshape(dims)
-
-
-def mode1_product(proj: Projector, t) -> np.ndarray:
-    """Multiply the complement projector into the first (observation) mode.
-
-    Equivalent to applying ``I_d (x) P`` to the stacked columns of the n-by-d
-    matricization; implemented directly as the projector acting on that
-    matricization, then reshaping back.
-    """
-    a = as_tensor(t)
-    if a.shape[0] != proj.n:
-        raise DimensionMismatch(
-            f"leading tensor dim {a.shape[0]} does not match projector size {proj.n}"
-        )
-    flat = a.reshape(a.shape[0], -1)
-    return proj.complement(flat).reshape(a.shape)
 
 
 def center_columns(x) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correct import augment_intercept
 from .errors import InvalidSpec, RankDeficient
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
@@ -128,10 +129,6 @@ def init_params(widths: tuple, rng: np.random.Generator) -> dict:
     return {"weights": weights, "biases": biases}
 
 
-def _aug(protected: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(protected.shape[0]), protected])
-
-
 def forward(
     params: dict,
     xb: np.ndarray,
@@ -153,7 +150,7 @@ def forward(
     for layer in range(n_layers - 1):
         h = act @ weights[layer] + biases[layer]
         if layer == ortho_layer and protected is not None:
-            xa = _aug(protected)
+            xa = augment_intercept(protected)
             if gamma_hat is not None:
                 h = h - xa @ gamma_hat
             else:
@@ -204,7 +201,7 @@ def _hidden_regression(params, x, protected, ortho_layer):
         h = act @ params["weights"][layer] + params["biases"][layer]
         act = np.maximum(h, 0.0)
     h = act @ params["weights"][ortho_layer] + params["biases"][ortho_layer]
-    return least_squares(_aug(protected), h)
+    return least_squares(augment_intercept(protected), h)
 
 
 @dataclass
@@ -281,15 +278,13 @@ def train_mlp(
                     f"non-finite loss at epoch {epoch}; last batch size {len(idx)}"
                 )
             if prot_b is not None:
-                h_c = cache["a"][ortho + 1]  # post-ReLU of corrected layer
                 # orthogonality of the corrected pre-activation itself
                 pre = cache["proj"].complement(
                     cache["a"][ortho] @ params["weights"][ortho]
                     + params["biases"][ortho]
                 )
-                batch_residuals.append(
-                    float(np.max(np.abs(_aug(prot_b).T @ pre)) / len(idx))
-                )
+                xa = augment_intercept(prot_b)
+                batch_residuals.append(float(np.max(np.abs(xa.T @ pre)) / len(idx)))
             grads_w, grads_b = backward(params, cache, yb, ortho)
             for layer in range(len(params["weights"])):
                 params["weights"][layer] -= cfg.learning_rate * grads_w[layer]

@@ -26,7 +26,7 @@ from .correct import (
     correct_features_linear,
     fit_constrained_glm,
 )
-from .errors import DidNotConverge, InvalidSpec, OrthokitError
+from .errors import InvalidSpec, OrthokitError
 from .evalmodel import evaluate_glm
 from .glm import family_by_name, fit_glm
 
@@ -133,6 +133,7 @@ STUDY_COLUMNS = (
 
 
 def _fmt(v) -> str:
+    """CSV cell text: empty for None, true/false, floats to 17 digits."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -140,6 +141,14 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
 
 
 @dataclass
@@ -150,11 +159,8 @@ class StudyTable:
     columns: tuple = STUDY_COLUMNS
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.columns)
-            for row in self.rows:
-                w.writerow([_fmt(row.get(c)) for c in self.columns])
+        _write_csv(path, self.columns,
+                   ([row.get(c) for c in self.columns] for row in self.rows))
 
     def summarize(self) -> list:
         """Per (cell, method) medians and significance fractions."""
@@ -207,36 +213,21 @@ def run_method(
     Returns ``(report, outcome, converged)``: ``outcome`` is the
     constrained-fit result for method ``ch`` and None otherwise, and
     ``converged`` is the method's own fit flag (IRLS or constrained), not
-    the evaluation fit's.  ``DidNotConverge`` from either fit is resolved to
-    its best iterate rather than raised.
+    the evaluation fit's.  An unconverged fit contributes its best iterate.
     """
     family = family_by_name(data.spec.family)
     if method == "uncorrected":
-        fit = _tolerant_fit(data.z, data.y, family)
+        fit = fit_glm(data.z, data.y, family, with_intercept=True)
         return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "cl":
         zc = correct_features_linear(augment_intercept(data.x), data.z)
-        fit = _tolerant_fit(zc, data.y, family)
+        fit = fit_glm(zc, data.y, family, with_intercept=True)
         return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "ch":
-        try:
-            out = fit_constrained_glm(data.z, data.y, data.x, family, cfg)
-        except DidNotConverge as exc:
-            if exc.result is None:
-                raise
-            out = exc.result
+        out = fit_constrained_glm(data.z, data.y, data.x, family, cfg)
         report = evaluate_glm(data.x, out.corrected_predictions, family)
         return report, out, out.converged
     raise InvalidSpec(f"unknown method {method!r}")
-
-
-def _tolerant_fit(z, y, family):
-    try:
-        return fit_glm(z, y, family, with_intercept=True)
-    except DidNotConverge as exc:
-        if exc.result is None:
-            raise
-        return exc.result
 
 
 def _study_cell(args):
@@ -344,11 +335,8 @@ class TrajectoryTable:
     columns: tuple = TRAJECTORY_COLUMNS
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.columns)
-            for row in self.rows:
-                w.writerow([_fmt(row.get(c)) for c in self.columns])
+        _write_csv(path, self.columns,
+                   ([row.get(c) for c in self.columns] for row in self.rows))
 
     def final(self, method: str) -> dict:
         rows = [r for r in self.rows if r["method"] == method]

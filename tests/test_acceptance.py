@@ -20,12 +20,10 @@ from orthokit.correct import (
     augment_intercept,
     correct_features_linear,
     correct_features_relu,
-    correct_tensor_prediction,
     fit_constrained_glm,
     relu,
     relu_dot_terms,
 )
-from orthokit.errors import DidNotConverge
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import BERNOULLI, GAUSSIAN, POISSON, fit_glm
 from orthokit.online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
@@ -240,7 +238,7 @@ class TestCriterion5TensorCorollaries:
             p = 1 + count % 2
             x = g.standard_normal((n, p))
             t = g.standard_normal(shape)
-            tc = correct_tensor_prediction(x, t)
+            tc = correct_features_linear(x, t)
             res = evaluate_tensor(x, tc)
             worst_frob = max(worst_frob, res.frobenius)
             big = np.kron(np.eye(d), np.eye(n) - x @ np.linalg.inv(x.T @ x) @ x.T)
@@ -373,10 +371,7 @@ class TestCriterion8PerformanceTradeOff:
             SyntheticSpec(n=2000, p=5, q=100, rho=2.0, family="bernoulli", seed=80)
         )
         unconstrained = fit_glm(data.z, data.y, BERNOULLI, with_intercept=True)
-        try:
-            out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
-        except DidNotConverge as exc:
-            out = exc.result
+        out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
         acc_u = float(np.mean((unconstrained.fitted_means > 0.5) == (data.y > 0.5)))
         acc_c = float(
             np.mean((out.corrected_predictions > 0.5) == (data.y > 0.5))

@@ -98,6 +98,7 @@ class TestCorrectCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["constraint_residual"] <= 1e-6
         assert report["converged"] is True
+        assert report["stop_reason"] == "converged"
         assert report["stationarity"] <= 1e-8
         assert "lambda_final" not in report
         with open(out / "corrected_predictions.csv") as fh:
@@ -155,6 +156,7 @@ class TestCorrectCommand:
         assert rc == 3
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
+        assert "quasi-separated" in report["stop_reason"]
         assert report["constraint_residual"] <= 1e-6
 
     def test_seventeen_digit_roundtrip(self, bernoulli_csv, tmp_path):
@@ -282,6 +284,35 @@ class TestEvaluateCommand:
         with open(out / "evaluation.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert all(float(r[4]) == 1.0 for r in rows)
+
+    def test_relu_prints_explained_share(self, gaussian_csv, tmp_path, capsys):
+        path, data = gaussian_csv
+        out = tmp_path / "out"
+        main([
+            "correct", "--data", str(path), "--outcome", "y",
+            "--protected", "x0,x1", "--family", "gaussian",
+            "--method", "relu", "--out", str(out),
+        ])
+        capsys.readouterr()
+        rc = main([
+            "evaluate", "--predictions", str(out / "corrected_predictions.csv"),
+            "--prediction-column", "y_hat_corrected",
+            "--protected-data", str(path), "--protected", "x0,x1",
+            "--relu", "--out", str(tmp_path / "ev"),
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert not lines[0].endswith(("PASS", "FAIL"))
+        fields = dict(f.split("=") for f in lines[0].split()[1:])
+        with open(out / "corrected_predictions.csv") as fh:
+            y_hat = [float(r[1]) for r in list(csv.reader(fh))[1:]]
+        res = evaluate_relu_l2(data.x, y_hat)
+        assert float(fields["objective"]) == res.objective
+        assert float(fields["objective_at_zero"]) == res.objective_at_zero
+        share = 1.0 - res.objective / res.objective_at_zero
+        assert float(fields["explained_share"]) == share
+        assert 0.0 < share < 1.0
 
 
 class TestSimulateCommand:

@@ -22,15 +22,14 @@ from orthokit.correct import (
     correct_features_relu,
     correct_predictions_glm,
     correct_tensor_preactivation,
-    correct_tensor_prediction,
     fit_constrained_glm,
     relu,
     relu_dot_terms,
 )
-from orthokit.errors import DidNotConverge, DimensionMismatch, RankDeficient
+from orthokit.errors import DimensionMismatch, RankDeficient
 from orthokit.evalmodel import evaluate_glm, evaluate_tensor
 from orthokit.glm import BERNOULLI, GAUSSIAN, MEAN_EPS, POISSON, fit_glm
-from orthokit.linalg import build_projector, center_columns, mode1_product
+from orthokit.linalg import build_projector, center_columns
 from orthokit.synth import SyntheticSpec, generate, stream
 
 
@@ -151,6 +150,7 @@ class TestFitConstrainedGlm:
     def test_bernoulli_confounded_design(self):
         data = appendix_design(seed=0)
         out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
+        assert out.converged and out.stop_reason == "converged"
         assert out.constraint_residual <= 1e-6
         rep = evaluate_glm(data.x, out.corrected_predictions, BERNOULLI)
         assert np.max(np.abs(rep.coefficients)) <= 1e-3
@@ -219,29 +219,47 @@ class TestFitConstrainedGlm:
     def test_did_not_converge_carries_best(self):
         data = appendix_design(seed=5, n=200)
         cfg = ConstrainedConfig(max_iter=1)
-        with pytest.raises(DidNotConverge) as exc:
-            fit_constrained_glm(data.z, data.y, data.x, BERNOULLI, cfg)
-        best = exc.value.result
+        best = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI, cfg)
         assert best is not None
         assert best.converged is False
         assert best.constraint_residual <= cfg.constraint_tol
         assert best.iterations == 1
+        assert best.stop_reason == "reached max_iter=1"
+
+    def test_stop_reason_names_quasi_separation(self):
+        data = generate(
+            SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli", seed=0)
+        )
+        out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
+        assert out.converged is False
+        assert "quasi-separated" in out.stop_reason
+        assert out.constraint_residual <= 1e-6
+
+    def test_no_feasible_iterate_returns_last_one(self):
+        # at constraint_tol = 0 not even gamma = 0 (residual at rounding
+        # level) is feasible: the last iterate comes back, unconverged
+        data = appendix_design(seed=5, n=200)
+        cfg = ConstrainedConfig(max_iter=3, constraint_tol=0.0)
+        out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI, cfg)
+        assert out.converged is False
+        assert out.stop_reason == "reached max_iter=3"
+        assert out.iterations == 3
+        assert out.constraint_residual > 0.0
+        assert np.any(out.gamma_c != 0.0)
 
     @pytest.mark.parametrize("p", [5, 10])
     def test_separated_designs_are_flagged_not_converged(self, p):
         # n = 200 rows against 101 coefficients: most of these logistic
         # designs are quasi-separated, so the fit must either converge to a
-        # finite KKT point or end in DidNotConverge with a feasible iterate.
+        # finite KKT point or return unconverged with a feasible iterate.
         for seed in range(10):
             data = generate(
                 SyntheticSpec(n=200, p=p, q=100, rho=2.0, family="bernoulli",
                               seed=seed)
             )
-            try:
-                out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
-            except DidNotConverge as exc:
-                out = exc.result
-                assert out is not None and out.converged is False
+            out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
+            assert out is not None
+            assert out.converged is (out.stop_reason == "converged")
             assert out.constraint_residual <= 1e-6
             if out.converged:
                 mu = out.corrected_predictions
@@ -350,14 +368,14 @@ class TestTensorCorrections:
         b = g.standard_normal((2, 12))
         t = (x @ b).reshape(6, 3, 4)
         np.testing.assert_allclose(
-            correct_tensor_prediction(x, t), 0.0, atol=1e-10
+            correct_features_linear(x, t), 0.0, atol=1e-10
         )
 
     def test_evaluation_null_after_correction(self):
         g = rng(41)
         x = g.standard_normal((4, 2))
         t = g.standard_normal((4, 2, 3))
-        tc = correct_tensor_prediction(x, t)
+        tc = correct_features_linear(x, t)
         res = evaluate_tensor(x, tc)
         assert res.frobenius <= 1e-8
         # Kronecker oracle: stacked least squares on (I_d kron X)
@@ -372,9 +390,9 @@ class TestTensorCorrections:
         g = rng(42)
         x = g.standard_normal((5, 1))
         t = g.standard_normal((5, 2, 2))
-        once = correct_tensor_prediction(x, t)
+        once = correct_features_linear(x, t)
         np.testing.assert_allclose(
-            correct_tensor_prediction(x, once), once, atol=1e-10
+            correct_features_linear(x, once), once, atol=1e-10
         )
 
     def test_preactivation_delegates_bitwise(self):
@@ -383,11 +401,11 @@ class TestTensorCorrections:
         t = g.standard_normal((6, 2, 2))
         np.testing.assert_array_equal(
             correct_tensor_preactivation(x, t),
-            correct_tensor_prediction(x, t),
+            correct_features_linear(x, t),
         )
         proj = build_projector(x)
         np.testing.assert_array_equal(
-            correct_tensor_preactivation(x, t), mode1_product(proj, t)
+            correct_tensor_preactivation(x, t), proj.complement(t)
         )
 
     def test_all_negative_preactivation_gives_null_evaluation(self):

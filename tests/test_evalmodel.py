@@ -15,7 +15,6 @@ from orthokit.correct import (
     augment_intercept,
     correct_features_linear,
     correct_features_relu,
-    correct_tensor_prediction,
     fit_constrained_glm,
     relu,
 )
@@ -158,7 +157,7 @@ class TestEvaluateTensor:
         g = rng(20)
         x = g.standard_normal((4, 2))
         t = g.standard_normal((4, 2, 3))
-        res = evaluate_tensor(x, correct_tensor_prediction(x, t))
+        res = evaluate_tensor(x, correct_features_linear(x, t))
         assert res.frobenius <= 1e-8
 
     def test_exact_recovery_of_span_tensor(self):

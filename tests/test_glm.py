@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 import orthokit.glm as glm_module
 from orthokit.correct import augment_intercept
-from orthokit.errors import (
-    DidNotConverge,
-    DomainError,
-    RankDeficient,
-    SingularInformation,
-)
+from orthokit.errors import DomainError, RankDeficient, SingularInformation
 from orthokit.glm import (
     BERNOULLI,
     GAUSSIAN,
@@ -55,6 +50,14 @@ def draw_problem(family, g, n=120, q=3):
     return z, y
 
 
+# h'(eta) per family, written out here rather than taken from the family
+H_PRIME = {
+    "gaussian": np.ones_like,
+    "bernoulli": lambda eta: BERNOULLI.h(eta) * (1.0 - BERNOULLI.h(eta)),
+    "poisson": np.exp,
+}
+
+
 def newton_oracle(z, y, family, iters=200):
     """Independent Newton on the exact NLL with dense Hessian solves."""
     beta = np.zeros(z.shape[1])
@@ -62,7 +65,7 @@ def newton_oracle(z, y, family, iters=200):
         eta = z @ beta
         mu = family.clip_mean(family.h(eta))
         grad = z.T @ (mu - y)
-        w = family.h_prime(eta)
+        w = H_PRIME[family.name](eta)
         hess = z.T @ (w[:, None] * z)
         step = np.linalg.solve(hess, grad)
         # crude safeguarding: shrink while the NLL worsens
@@ -212,9 +215,9 @@ class TestFitGlm:
     def test_did_not_converge_carries_result(self):
         g = rng(17)
         z, y = draw_problem(BERNOULLI, g)
-        with pytest.raises(DidNotConverge) as exc:
-            fit_glm(z, y, BERNOULLI, max_iter=1)
-        assert isinstance(exc.value.result, GlmFit)
+        fit = fit_glm(z, y, BERNOULLI, max_iter=1)
+        assert fit.converged is False
+        assert isinstance(fit, GlmFit)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_gradient_matches_finite_differences(self, family):
@@ -315,11 +318,10 @@ class TestIrlsStep:
             chol_step = _irls_solve(zd, w, resp)
             err = np.max(np.abs(chol_step - qr_step)) / np.max(np.abs(qr_step))
             assert err <= 1e-10, (m, err)
-            try:
-                fit_glm(data.z, data.y, fam, with_intercept=True, max_iter=m)
+            fit = fit_glm(data.z, data.y, fam, with_intercept=True, max_iter=m)
+            if fit.converged:
                 break
-            except DidNotConverge as exc:
-                beta = exc.result.coefficients
+            beta = fit.coefficients
 
 
 class TestWaldInference:

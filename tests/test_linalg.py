@@ -1,4 +1,4 @@
-"""Projector, centering, tensor mode-1, and least-squares tests.
+"""Projector (on matrices and tensors), centering, and least-squares tests.
 
 Derived expectations are computed from independent oracles: explicit
 normal-equations projectors, brute-force Kronecker products, and per-column
@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokit.errors import DimensionMismatch, RankDeficient
-from orthokit.linalg import (
-    apply_complement,
-    build_projector,
-    center_columns,
-    least_squares,
-    mode1_product,
-)
+from orthokit.linalg import build_projector, center_columns, least_squares
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -81,19 +75,19 @@ class TestApplyComplement:
     def test_own_span_maps_to_zero(self):
         x = rng(30).standard_normal((12, 2))
         proj = build_projector(x)
-        np.testing.assert_allclose(apply_complement(proj, x), 0.0, atol=1e-10)
+        np.testing.assert_allclose(proj.complement(x), 0.0, atol=1e-10)
 
     def test_orthogonal_input_is_fixed_point(self):
         g = rng(31)
         x = g.standard_normal((12, 2))
         proj = build_projector(x)
         m = proj.complement(g.standard_normal((12, 3)))
-        np.testing.assert_allclose(apply_complement(proj, m), m, atol=1e-10)
+        np.testing.assert_allclose(proj.complement(m), m, atol=1e-10)
 
     def test_row_mismatch(self):
         proj = build_projector(rng(32).standard_normal((10, 2)))
         with pytest.raises(DimensionMismatch):
-            apply_complement(proj, np.ones((9, 2)))
+            proj.complement(np.ones((9, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -108,8 +102,8 @@ class TestApplyComplement:
         x = g.standard_normal((n, p))
         proj = build_projector(x)
         m = g.standard_normal((n, k))
-        once = apply_complement(proj, m)
-        twice = apply_complement(proj, once)
+        once = proj.complement(m)
+        twice = proj.complement(once)
         np.testing.assert_allclose(twice, once, atol=1e-10)
         np.testing.assert_allclose(x.T @ once, 0.0, atol=1e-9)
 
@@ -130,7 +124,7 @@ class TestMode1Product:
     def test_zero_tensor(self):
         proj = build_projector(rng(40).standard_normal((4, 1)))
         t = np.zeros((4, 2, 2))
-        np.testing.assert_allclose(mode1_product(proj, t), 0.0, atol=0)
+        np.testing.assert_allclose(proj.complement(t), 0.0, atol=0)
 
     def test_matches_kronecker_oracle(self):
         g = rng(41)
@@ -144,7 +138,7 @@ class TestMode1Product:
         big = np.kron(np.eye(d), p_dense)
         flat = t.reshape(4, d)
         expected = (big @ flat.flatten(order="F")).reshape((d, 4)).T
-        got = mode1_product(proj, t)
+        got = proj.complement(t)
         np.testing.assert_allclose(got.reshape(4, d), expected, atol=1e-10)
 
     def test_fibers_in_span_annihilate(self):
@@ -153,7 +147,7 @@ class TestMode1Product:
         proj = build_projector(x)
         coeffs = g.standard_normal((2, 6))
         t = (x @ coeffs).reshape(5, 3, 2)
-        np.testing.assert_allclose(mode1_product(proj, t), 0.0, atol=1e-12)
+        np.testing.assert_allclose(proj.complement(t), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(4, 2), (4, 2, 2), (8, 2, 2, 2), (4, 4, 4)])
     def test_small_tensor_kronecker_agreement(self, shape):
@@ -167,13 +161,29 @@ class TestMode1Product:
         big = np.kron(np.eye(d), dense_complement(x))
         expected = (big @ t.reshape(n, d).flatten(order="F")).reshape((d, n)).T
         np.testing.assert_allclose(
-            mode1_product(proj, t).reshape(n, d), expected, atol=1e-10
+            proj.complement(t).reshape(n, d), expected, atol=1e-10
         )
 
     def test_leading_dim_mismatch(self):
         proj = build_projector(rng(43).standard_normal((4, 1)))
         with pytest.raises(DimensionMismatch):
-            mode1_product(proj, np.zeros((5, 2)))
+            proj.complement(np.zeros((5, 2)))
+
+    def test_four_way_tensor_equals_matricized_projection(self):
+        g = rng(44)
+        proj = build_projector(g.standard_normal((7, 2)))
+        t = g.standard_normal((7, 2, 3, 2))
+        got = proj.complement(t)
+        assert got.shape == t.shape
+        np.testing.assert_array_equal(
+            got.reshape(7, 12), proj.complement(t.reshape(7, 12))
+        )
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 3, 2), (3, 7)])
+    def test_wrong_leading_dim_raises_on_any_rank(self, shape):
+        proj = build_projector(rng(45).standard_normal((7, 2)))
+        with pytest.raises(DimensionMismatch):
+            proj.complement(np.ones(shape))
 
 
 class TestCenterColumns:

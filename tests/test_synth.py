@@ -8,7 +8,7 @@ schema stability, and the two-feature demonstration.
 import numpy as np
 import pytest
 
-from orthokit.errors import DidNotConverge, InvalidSpec
+from orthokit.errors import InvalidSpec
 from orthokit.glm import BERNOULLI, fit_glm
 from orthokit.synth import (
     METHODS,
@@ -150,8 +150,7 @@ class TestSimulationStudy:
         spec = SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli",
                              seed=6)
         data = generate(spec)
-        with pytest.raises(DidNotConverge):
-            fit_glm(data.z, data.y, BERNOULLI, with_intercept=True)
+        assert not fit_glm(data.z, data.y, BERNOULLI, with_intercept=True).converged
         table = simulation_study([spec], replicates=1)
         rows = [r for r in table.rows if r["method"] == "uncorrected"]
         assert len(rows) == spec.p
