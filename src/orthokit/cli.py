@@ -7,6 +7,12 @@ demonstrations).  All outputs are CSV/JSON, floats are rendered with 17
 significant digits, and every command is a pure function of its inputs,
 flags, and seed.
 
+Input files go through one CSV reader (every data row has the header's
+width) and one decoder that parses a column into float64 in one pass.  A
+column is numeric when its non-empty cells are all numbers, categorical
+(one-hot encoded) otherwise; an empty or non-finite cell where a number is
+required is an error naming its column (or file) and row.
+
 Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
 report is still written).
 """
@@ -15,8 +21,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
-import os
+import operator
 import sys
 from pathlib import Path
 
@@ -39,51 +46,75 @@ class CliError(Exception):
     """Usage or validation failure (exit code 2)."""
 
 
-def _threads() -> int:
-    raw = os.environ.get("ORTHOKIT_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise CliError(f"ORTHOKIT_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV and tensor files
+
+
+def _read_rows(path):
+    """Every row of a CSV file as a list of cells."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}")
+
+
+def _check_widths(path, body, width) -> None:
+    """Every data row (file row 2 onwards) must hold ``width`` cells."""
+    for i, row in enumerate(body):
+        if len(row) != width:
+            raise CliError(f"{path} row {i + 2} has {len(row)} cells, expected {width}")
+
+
+class _NonNumeric(CliError):
+    """A cell that is not a number: a categorical column to ``encode_columns``."""
+
+
+def _decode(cells, where, width=1):
+    """Parse ``cells`` (``width`` per data row) into float64 in one pass.
+
+    A cell that is not a finite number is an error naming ``where`` and the
+    cell's file row.  Empty cells parse as nan, so that a numeric column
+    with a hole is reported as one rather than read as categorical.
+    """
+    filled = [c or "nan" for c in cells] if "" in cells else cells
+    rest = iter(filled)
+    try:
+        values = np.fromiter(map(float, rest), float, len(filled))
+    except ValueError:
+        i = len(filled) - operator.length_hint(rest) - 1  # the cell float() refused
+        raise _NonNumeric(
+            f"{where} contains non-numeric cell {cells[i]!r} (row {i // width + 2})"
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        cell = f"non-finite cell {cells[i]!r}" if cells[i] else "an empty cell"
+        raise CliError(f"{where} contains {cell} (row {i // width + 2})")
+    return values
 
 
 def read_table(path: str):
     """Read a CSV with header; returns (column names, list of row lists)."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+    rows = _read_rows(path)
     if not rows:
         raise CliError(f"{path} is empty")
     header, body = rows[0], rows[1:]
     if not body:
         raise CliError(f"{path} has a header but no data rows")
-    width = len(header)
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise CliError(f"{path} row {i + 2} has {len(row)} cells, expected {width}")
+    _check_widths(path, body, len(header))
     return header, body
 
 
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+def _column(header, body, name):
+    return list(map(operator.itemgetter(header.index(name)), body))
 
 
 def encode_columns(header, body, wanted):
     """Numeric passthrough or one-hot encoding for the requested columns.
 
-    Categorical columns (any non-numeric cell) are one-hot encoded with the
+    A column is numeric when every cell is a number, empty cells aside;
+    otherwise it is categorical and one-hot encoded with the
     lexicographically first level dropped as the reference.  Returns
     ``(matrix, encoded names, reference levels dict)``.
     """
@@ -91,29 +122,24 @@ def encode_columns(header, body, wanted):
     for name in wanted:
         if name not in header:
             raise CliError(f"column {name!r} not found in input")
-        j = header.index(name)
-        cells = [row[j] for row in body]
-        if all(_is_float(c) for c in cells):
-            cols.append(np.array([float(c) for c in cells]))
-            names.append(name)
+        cells = _column(header, body, name)
+        try:
+            cols.append(_decode(cells, f"column {name!r}"))
+        except _NonNumeric:
+            levels, codes = np.unique(cells, return_inverse=True)
+            if len(levels) < 2:
+                raise CliError(f"categorical column {name!r} has a single level")
+            refs[name] = str(levels[0])
+            cols.append(np.eye(len(levels))[codes, 1:])
+            names.extend(f"{name}={level}" for level in levels[1:])
             continue
-        levels = sorted(set(cells))
-        if len(levels) < 2:
-            raise CliError(f"categorical column {name!r} has a single level")
-        refs[name] = levels[0]
-        for level in levels[1:]:
-            cols.append(np.array([1.0 if c == level else 0.0 for c in cells]))
-            names.append(f"{name}={level}")
+        names.append(name)
     return np.column_stack(cols), names, refs
 
 
 def read_tensor(path: str):
     """Read a tensor file: '#dims n d1 ... dR' then the n-by-d matricization."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+    rows = _read_rows(path)
     if not rows or not rows[0] or not rows[0][0].startswith("#dims"):
         raise CliError(f"{path}: first row must be '#dims n d1 ... dR'")
     head = " ".join(rows[0]).split()
@@ -124,26 +150,20 @@ def read_tensor(path: str):
     if len(dims) < 2:
         raise CliError(f"{path}: need at least two dims")
     body = rows[1:]
-    d = int(np.prod(dims[1:]))
     if len(body) != dims[0]:
         raise CliError(f"{path}: expected {dims[0]} data rows, got {len(body)}")
-    try:
-        mat = np.array([[float(c) for c in row] for row in body])
-    except ValueError:
-        raise CliError(f"{path}: non-numeric tensor cell")
-    if mat.shape[1] != d:
-        raise CliError(f"{path}: expected {d} columns, got {mat.shape[1]}")
-    return mat.reshape(dims)
+    d = int(np.prod(dims[1:]))
+    _check_widths(path, body, d)
+    cells = list(itertools.chain.from_iterable(body))
+    return _decode(cells, f"tensor file {path}", d).reshape(dims)
 
 
 def write_tensor(path, tensor) -> None:
-    dims = tensor.shape
-    flat = tensor.reshape(dims[0], -1)
+    """The '#dims' line, then one CRLF-terminated row per observation."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        fh.write("#dims " + " ".join(str(d) for d in dims) + "\n")
-        for row in flat:
-            w.writerow([_fmt(float(v)) for v in row])
+        fh.write("#dims " + " ".join(str(d) for d in tensor.shape) + "\n")
+        np.savetxt(fh, tensor.reshape(tensor.shape[0], -1), fmt="%.17g",
+                   delimiter=",", newline="\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +205,7 @@ def cmd_correct(args) -> int:
 
     if args.outcome not in header:
         raise CliError(f"outcome column {args.outcome!r} not found in input")
-    y = np.array([_parse_float(row[header.index(args.outcome)], args.outcome)
-                  for row in body])
+    y = _decode(_column(header, body, args.outcome), f"column {args.outcome!r}")
     feature_cols = [
         c for c in header if c != args.outcome and c not in protected_cols
     ]
@@ -238,22 +257,15 @@ def cmd_correct(args) -> int:
     _write_csv(
         out_dir / "corrected_predictions.csv",
         ("row_id", "y_hat_corrected"),
-        [(i, float(v)) for i, v in enumerate(y_hat)],
+        enumerate(y_hat.tolist()),
     )
     _write_csv(
         out_dir / "coefficients.csv",
         ("name", "gamma_c"),
-        list(zip(["(intercept)"] + z_names, (float(g) for g in gamma))),
+        zip(["(intercept)"] + z_names, gamma.tolist()),
     )
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0 if converged else 3
-
-
-def _parse_float(cell: str, col: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise CliError(f"column {col!r} contains non-numeric cell {cell!r}")
 
 
 def _fit_relu(zc, y, starts: int = 8, seed: int = 0):
@@ -278,12 +290,12 @@ def cmd_evaluate(args) -> int:
     pred_col = args.prediction_column
     if pred_col is None:
         candidates = [c for c in header if c != "row_id"]
+        if not candidates:
+            raise CliError(f"{args.predictions} has no column besides row_id")
         pred_col = candidates[-1]
     if pred_col not in header:
         raise CliError(f"prediction column {pred_col!r} not found")
-    y_hat = np.array(
-        [_parse_float(row[header.index(pred_col)], pred_col) for row in body]
-    )
+    y_hat = _decode(_column(header, body, pred_col), f"column {pred_col!r}")
 
     p_header, p_body = read_table(args.protected_data)
     cols = [c.strip() for c in args.protected.split(",") if c.strip()] if args.protected else p_header
@@ -296,7 +308,7 @@ def cmd_evaluate(args) -> int:
         _write_csv(
             out_dir / "evaluation.csv",
             ("coefficient", "estimate", "std_error", "z", "p_value"),
-            [(n, float(b), None, None, None) for n, b in zip(x_names, res.beta)],
+            [(n, b, None, None, None) for n, b in zip(x_names, res.beta.tolist())],
         )
         # zero is never the rectified minimizer once the mixed term is
         # positive, so report how much of the objective the fit explains
@@ -312,16 +324,8 @@ def cmd_evaluate(args) -> int:
     _write_csv(
         out_dir / "evaluation.csv",
         ("coefficient", "estimate", "std_error", "z", "p_value"),
-        [
-            (
-                n,
-                float(report.coefficients[j]),
-                float(report.std_errors[j]),
-                float(report.z_stats[j]),
-                float(report.p_values[j]),
-            )
-            for j, n in enumerate(x_names)
-        ],
+        zip(x_names, report.coefficients.tolist(), report.std_errors.tolist(),
+            report.z_stats.tolist(), report.p_values.tolist()),
     )
     for j, n in enumerate(x_names):
         mark = "PASS" if report.p_values[j] >= ALPHA else "FAIL"
@@ -335,6 +339,12 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+
+SUMMARY_COLUMNS = (
+    "family", "n", "p", "q", "rho", "method",
+    "median_abs_estimate", "median_p_value", "fraction_significant",
+    "max_constraint_residual", "rows",
+)
 
 PRESETS = {
     "appendix-g-bernoulli": "bernoulli",
@@ -386,24 +396,12 @@ def cmd_simulate(args) -> int:
             spec.validate()
         except OrthokitError as exc:
             raise CliError(str(exc))
-    table = simulation_study(grid, args.replicates, threads=_threads())
+    table = simulation_study(grid, args.replicates)
     table.write_csv(out_dir / "study.csv")
-    summary = table.summarize()
     _write_csv(
         out_dir / "summary.csv",
-        (
-            "family", "n", "p", "q", "rho", "method",
-            "median_abs_estimate", "median_p_value", "fraction_significant",
-            "max_constraint_residual", "rows",
-        ),
-        [
-            tuple(s[k] for k in (
-                "family", "n", "p", "q", "rho", "method",
-                "median_abs_estimate", "median_p_value", "fraction_significant",
-                "max_constraint_residual", "rows",
-            ))
-            for s in summary
-        ],
+        SUMMARY_COLUMNS,
+        [tuple(s[k] for k in SUMMARY_COLUMNS) for s in table.summarize()],
     )
     return 0
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from orthokit.cli import main
+from orthokit.cli import main, read_tensor, write_tensor
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
@@ -219,10 +219,127 @@ class TestCorrectCommand:
             "--out", str(out),
         ])
         assert rc == 0
-        from orthokit.cli import read_tensor
         corrected = read_tensor(out / "corrected_tensor.csv")
         assert corrected.shape == (n, d1, d2)
         np.testing.assert_allclose(x.T @ corrected.reshape(n, -1), 0.0, atol=1e-9)
+
+
+    def test_tensor_file_bytes(self, tmp_path):
+        # the '#dims' line ends in LF, every data row in CRLF, cells at 17 digits
+        rng = np.random.Generator(np.random.Philox(key=23))
+        n = 8
+        x = rng.standard_normal((n, 2))
+        tensor = rng.standard_normal((n, 2, 3))
+        data_path = tmp_path / "prot.csv"
+        data_path.write_text("x0,x1\n" + "".join(
+            f"{a:.17g},{b:.17g}\n" for a, b in x))
+        tensor_path = tmp_path / "tensor.csv"
+        write_tensor(tensor_path, tensor)
+        out = tmp_path / "out"
+        rc = main([
+            "correct", "--data", str(data_path), "--protected", "x0,x1",
+            "--method", "tensor", "--tensor", str(tensor_path),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        corrected = correct_features_linear(x, tensor).reshape(n, -1)
+        expected = f"#dims {n} 2 3\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in corrected)
+        assert (out / "corrected_tensor.csv").read_bytes() == expected.encode()
+
+    def test_write_read_tensor_bitwise(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(key=24))
+        tensor = rng.standard_normal((5, 3, 2)) * 10.0 ** rng.integers(-300, 300, (5, 3, 2))
+        tensor[0, 0] = [-0.0, 5e-324]
+        tensor[1, 2] = [np.finfo(float).max, 0.1]
+        write_tensor(tmp_path / "t.csv", tensor)
+        back = read_tensor(tmp_path / "t.csv")
+        assert back.shape == tensor.shape
+        assert back.tobytes() == tensor.tobytes()
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _bad_input(case, tmp_path):
+    """Files for one malformed-input case; returns (argv, words the
+    diagnostic must contain)."""
+    rng = np.random.Generator(np.random.Philox(key=25))
+    n = 40
+    # rows[k] is line k + 1 of its file
+    rows = [["z0", "z1", "x0", "y"]] + [
+        [f"{v:.17g}" for v in rng.standard_normal(3)] + [str(int(rng.random() < 0.5))]
+        for _ in range(n)
+    ]
+    tensor = [[f"#dims {n} 2 3"]] + [
+        [f"{v:.17g}" for v in rng.standard_normal(6)] for _ in range(n)
+    ]
+    preds = [["row_id", "y_hat"]] + [[str(i), "0.5"] for i in range(n)]
+    data, tfile, pfile = (tmp_path / f for f in ("data.csv", "tensor.csv", "preds.csv"))
+    correct = ["correct", "--data", str(data), "--outcome", "y", "--protected", "x0",
+               "--family", "gaussian", "--method", "linear", "--out", str(tmp_path / "o")]
+    tensor_argv = ["correct", "--data", str(data), "--protected", "x0",
+                   "--method", "tensor", "--tensor", str(tfile), "--out", str(tmp_path / "o")]
+    evaluate = ["evaluate", "--predictions", str(pfile), "--protected-data", str(data),
+                "--protected", "x0", "--out", str(tmp_path / "o")]
+    argv, words = {
+        "data_row_width": (correct, ["data.csv", "row 6", "expected 4"]),
+        "single_level_category": (correct, ["'x0'", "single level"]),
+        "malformed_dims": (tensor_argv, ["tensor.csv", "dims"]),
+        "tensor_row_count": (tensor_argv, ["tensor.csv", "40", "39"]),
+        "non_numeric_tensor_cell": (tensor_argv, ["tensor.csv", "'abc'", "row 4"]),
+        "ragged_tensor_row": (tensor_argv, ["tensor.csv", "row 7", "5 cells", "expected 6"]),
+        "non_finite_data_cell": (correct, ["'z1'", "'nan'", "row 9"]),
+        "non_finite_prediction_cell": (evaluate, ["'y_hat'", "'inf'", "row 12"]),
+        "non_finite_tensor_cell": (tensor_argv, ["tensor.csv", "'-inf'", "row 3"]),
+        "empty_numeric_cell": (correct, ["'z0'", "empty", "row 10"]),
+        "predictions_only_row_id": (evaluate, ["preds.csv", "row_id"]),
+    }[case]
+    if case == "data_row_width":
+        rows[5].append("1")
+    elif case == "single_level_category":
+        for row in rows[1:]:
+            row[2] = "a"
+    elif case == "malformed_dims":
+        tensor[0] = [f"#dims {n} two 3"]
+    elif case == "tensor_row_count":
+        del tensor[-1]
+    elif case == "non_numeric_tensor_cell":
+        tensor[3][4] = "abc"
+    elif case == "ragged_tensor_row":
+        del tensor[6][0]
+    elif case == "non_finite_data_cell":
+        rows[8][1] = "nan"
+    elif case == "non_finite_prediction_cell":
+        preds[11][1] = "inf"
+    elif case == "non_finite_tensor_cell":
+        tensor[2][5] = "-inf"
+    elif case == "empty_numeric_cell":
+        rows[9][0] = ""
+    elif case == "predictions_only_row_id":
+        preds = [[r[0]] for r in preds]
+    _write_rows(data, rows)
+    _write_rows(tfile, tensor)
+    _write_rows(pfile, preds)
+    return argv, words
+
+
+@pytest.mark.parametrize("case", [
+    "data_row_width", "single_level_category", "malformed_dims",
+    "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
+    "non_finite_data_cell", "non_finite_prediction_cell",
+    "non_finite_tensor_cell", "empty_numeric_cell", "predictions_only_row_id",
+])
+def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
+    argv, words = _bad_input(case, tmp_path)
+    rc = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(err) == 1, err
+    for word in words:
+        assert word in err[0], (word, err[0])
 
 
 class TestEvaluateCommand:
@@ -339,13 +456,11 @@ class TestSimulateCommand:
         assert len(rows) == 1 + 3 * (2 + 1)
         assert (out / "summary.csv").exists()
 
-    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         grid = self.grid_file(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("ORTHOKIT_THREADS", "1")
         main(["simulate", "--grid", str(grid), "--replicates", "2",
               "--seed", "5", "--out", str(out_a)])
-        monkeypatch.setenv("ORTHOKIT_THREADS", "4")
         main(["simulate", "--grid", str(grid), "--replicates", "2",
               "--seed", "5", "--out", str(out_b)])
         assert (out_a / "study.csv").read_bytes() == (out_b / "study.csv").read_bytes()
