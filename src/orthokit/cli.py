@@ -7,11 +7,15 @@ demonstrations).  All outputs are CSV/JSON, floats are rendered with 17
 significant digits, and every command is a pure function of its inputs,
 flags, and seed.
 
-Input files go through one CSV reader (every data row has the header's
-width) and one decoder that parses a column into float64 in one pass.  A
-column is numeric when its non-empty cells are all numbers, categorical
-(one-hot encoded) otherwise; an empty or non-finite cell where a number is
-required is an error naming its column (or file) and row.
+Input files are UTF-8 text, read whole into one flat list of cells (a
+column is a strided slice of it; every data row has the header's width).
+Text without quotes or bare carriage returns is split on line ends and
+commas directly; ``csv.reader`` parses only files that have them.  One
+decoder parses a column into float64 in one pass.  A column is numeric
+when its non-empty cells are all numbers, categorical (one-hot encoded)
+otherwise; an empty or non-finite cell where a number is required is an
+error naming its column (or file) and row.  Outputs are written as one
+string per file.
 
 Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
 report is still written).
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import operator
@@ -51,19 +56,44 @@ class CliError(Exception):
 
 
 def _read_rows(path):
-    """Every row of a CSV file as a list of cells."""
+    """A CSV file as ``(header cells, cell count of each data row, data cells)``.
+
+    The data cells are one flat list in row order; the header is None for
+    an empty file.  Text without quotes or bare carriage returns is split
+    on line ends and commas, which is all ``csv.reader`` would do with it;
+    any other file goes through ``csv.reader``.  A blank line has 0 cells.
+    """
     try:
-        with open(path, newline="") as fh:
-            return list(csv.reader(fh))
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")
+    cr = "\r" in text
+    if '"' in text or (cr and text.count("\r") != text.count("\r\n")):
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        if not rows:
+            return None, [], []
+        body = rows[1:]
+        return rows[0], list(map(len, body)), list(itertools.chain.from_iterable(body))
+    lines = (text.replace("\r\n", "\n") if cr else text).split("\n")
+    del text  # freed before the cells are built
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None, [], []
+    head = lines.pop(0)
+    widths = [line.count(",") + 1 if line else 0 for line in lines]
+    cells = ",".join(lines).split(",") if lines else []
+    return head.split(",") if head else [], widths, cells
 
 
-def _check_widths(path, body, width) -> None:
+def _check_widths(path, widths, width) -> None:
     """Every data row (file row 2 onwards) must hold ``width`` cells."""
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise CliError(f"{path} row {i + 2} has {len(row)} cells, expected {width}")
+    if widths.count(width) != len(widths):
+        i = next(i for i, n in enumerate(widths) if n != width)
+        raise CliError(f"{path} row {i + 2} has {widths[i]} cells, expected {width}")
 
 
 class _NonNumeric(CliError):
@@ -94,28 +124,42 @@ def _decode(cells, where, width=1):
     return values
 
 
+class Rows:
+    """The data rows of a table: one flat list of cells, ``width`` per row."""
+
+    __slots__ = ("cells", "width", "count")
+
+    def __init__(self, cells, width, count):
+        self.cells, self.width, self.count = cells, width, count
+
+    def __len__(self):
+        return self.count
+
+
 def read_table(path: str):
-    """Read a CSV with header; returns (column names, list of row lists)."""
-    rows = _read_rows(path)
-    if not rows:
+    """Read a CSV with header; returns (column names, ``Rows``)."""
+    header, widths, cells = _read_rows(path)
+    if header is None:
         raise CliError(f"{path} is empty")
-    header, body = rows[0], rows[1:]
-    if not body:
+    if len(set(header)) != len(header):
+        repeated = next(h for h in header if header.count(h) > 1)
+        raise CliError(f"{path} header repeats column {repeated!r}")
+    if not widths:
         raise CliError(f"{path} has a header but no data rows")
-    _check_widths(path, body, len(header))
-    return header, body
+    _check_widths(path, widths, len(header))
+    return header, Rows(cells, len(header), len(widths))
 
 
 def _column(header, body, name):
-    return list(map(operator.itemgetter(header.index(name)), body))
+    return body.cells[header.index(name)::body.width]
 
 
 def encode_columns(header, body, wanted):
     """Numeric passthrough or one-hot encoding for the requested columns.
 
     A column is numeric when every cell is a number, empty cells aside;
-    otherwise it is categorical and one-hot encoded with the
-    lexicographically first level dropped as the reference.  Returns
+    otherwise it is categorical and one-hot encoded with the first level
+    in code-point order dropped as the reference.  Returns
     ``(matrix, encoded names, reference levels dict)``.
     """
     cols, names, refs = [], [], {}
@@ -126,10 +170,12 @@ def encode_columns(header, body, wanted):
         try:
             cols.append(_decode(cells, f"column {name!r}"))
         except _NonNumeric:
-            levels, codes = np.unique(cells, return_inverse=True)
+            levels = sorted(set(cells))
             if len(levels) < 2:
                 raise CliError(f"categorical column {name!r} has a single level")
-            refs[name] = str(levels[0])
+            code = {level: k for k, level in enumerate(levels)}
+            codes = np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
+            refs[name] = levels[0]
             cols.append(np.eye(len(levels))[codes, 1:])
             names.extend(f"{name}={level}" for level in levels[1:])
             continue
@@ -139,31 +185,30 @@ def encode_columns(header, body, wanted):
 
 def read_tensor(path: str):
     """Read a tensor file: '#dims n d1 ... dR' then the n-by-d matricization."""
-    rows = _read_rows(path)
-    if not rows or not rows[0] or not rows[0][0].startswith("#dims"):
+    header, widths, cells = _read_rows(path)
+    if not header or not header[0].startswith("#dims"):
         raise CliError(f"{path}: first row must be '#dims n d1 ... dR'")
-    head = " ".join(rows[0]).split()
+    head = " ".join(header).split()
     try:
         dims = tuple(int(v) for v in head[1:])
     except ValueError:
         raise CliError(f"{path}: malformed dims line")
     if len(dims) < 2:
         raise CliError(f"{path}: need at least two dims")
-    body = rows[1:]
-    if len(body) != dims[0]:
-        raise CliError(f"{path}: expected {dims[0]} data rows, got {len(body)}")
+    if len(widths) != dims[0]:
+        raise CliError(f"{path}: expected {dims[0]} data rows, got {len(widths)}")
     d = int(np.prod(dims[1:]))
-    _check_widths(path, body, d)
-    cells = list(itertools.chain.from_iterable(body))
+    _check_widths(path, widths, d)
     return _decode(cells, f"tensor file {path}", d).reshape(dims)
 
 
 def write_tensor(path, tensor) -> None:
     """The '#dims' line, then one CRLF-terminated row per observation."""
-    with open(path, "w", newline="") as fh:
-        fh.write("#dims " + " ".join(str(d) for d in tensor.shape) + "\n")
-        np.savetxt(fh, tensor.reshape(tensor.shape[0], -1), fmt="%.17g",
-                   delimiter=",", newline="\r\n")
+    flat = tensor.reshape(tensor.shape[0], -1)
+    row = ",".join(["%.17g"] * flat.shape[1]) + "\r\n"
+    text = (row * flat.shape[0]) % tuple(flat.ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("#dims " + " ".join(str(d) for d in tensor.shape) + "\n" + text)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +245,7 @@ def cmd_correct(args) -> int:
             "reference_levels": refs,
             "dims": list(tensor.shape),
         }
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+        _write_report(out_dir, report)
         return 0
 
     if args.outcome not in header:
@@ -264,8 +309,13 @@ def cmd_correct(args) -> int:
         ("name", "gamma_c"),
         zip(["(intercept)"] + z_names, gamma.tolist()),
     )
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(out_dir, report)
     return 0 if converged else 3
+
+
+def _write_report(out_dir, report) -> None:
+    text = json.dumps(report, indent=2) + "\n"
+    (out_dir / "report.json").write_text(text, encoding="utf-8")
 
 
 def _fit_relu(zc, y, starts: int = 8, seed: int = 0):
@@ -362,8 +412,8 @@ def _grid_from_args(args) -> list:
             for n in (200, 1000, 5000)
         ]
     try:
-        cells = json.loads(Path(args.grid).read_text())
-    except OSError as exc:
+        cells = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read grid file {args.grid!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"grid file is not valid JSON: {exc}")

@@ -14,7 +14,7 @@ and every (cell, replicate) pair owns an independent, documented stream.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -143,12 +143,49 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _quote(cell: str) -> str:
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _quoted(cells: list, lone: bool) -> list:
+    """``csv.writer``'s minimal quoting of ``cells``.  With ``lone`` (each
+    cell is the only field of its row) an empty cell is written ``""``."""
+    text = "".join(cells)
+    if any(c in text for c in ',"\r\n'):
+        cells = list(map(_quote, cells))
+    return [c or '""' for c in cells] if lone else cells
+
+
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` writes
+    them after ``_fmt``: minimal quoting and CRLF row ends.  Every row has
+    the header's width.  The body is one ``%`` format of a per-row
+    template: it formats the all-float and all-int columns, and every
+    other column is rendered and quoted a column at a time beforehand."""
+    rows = list(rows)
+    n, width = len(rows), len(header)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"{path}: every row must have {width} fields")
+    cells = list(itertools.chain.from_iterable(rows))
+    specs = []
+    for j in range(width):
+        values = cells[j::width]
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            specs.append("%.17g")
+        elif kinds == {int}:
+            specs.append("%d")
+        else:
+            if kinds != {str}:
+                values = list(map(_fmt, values))
+            cells[j::width] = _quoted(values, width == 1)
+            specs.append("%s")
+    body = ((",".join(specs) + "\r\n") * n) % tuple(cells)
+    head = ",".join(_quoted(list(map(str, header)), width == 1))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head + "\r\n" + body)
 
 
 @dataclass

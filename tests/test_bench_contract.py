@@ -6,7 +6,9 @@ those wrappers by name, probes a few functions through their parameter
 names, and calls the others by attribute.  This test installs that tracing
 in a fresh interpreter and checks every name it pins, so that a refactor
 which renames, removes or re-binds one fails here rather than in a
-benchmark run.
+benchmark run.  It also checks the two facts the file counters rest on:
+``len(read_table(path)[1])`` is the number of data rows, and the writers
+take the output path first.
 """
 
 import subprocess
@@ -53,6 +55,19 @@ assert {"z", "y", "with_intercept", "tol"} <= set(params(synth.fit_glm))
 assert params(synth.fit_constrained_glm)[:5] == ["z", "y", "x", "family", "cfg"]
 assert params(synth.generate)[:2] == ["spec", "replicate"]
 assert "threads" in params(synth.simulation_study)
+
+# cli.rows_parsed is len(read_table(path)[1]); cli.bytes_written is the
+# size of the writers' first argument
+import os
+import tempfile
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "t.csv")
+    with open(path, "w") as fh:
+        fh.write("a,b\n1,x\n2,y\n3,x\n")
+    assert len(cli.read_table(path)[1]) == 3
+assert params(cli._write_csv)[0] == "path"
+assert params(cli.write_tensor)[0] == "path"
 print("ok")
 """
 

@@ -11,7 +11,7 @@ from orthokit.cli import main, read_tensor, write_tensor
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
-from orthokit.synth import SyntheticSpec, generate
+from orthokit.synth import SyntheticSpec, _fmt, _write_csv, generate
 
 
 def write_dataset(path, data):
@@ -258,6 +258,35 @@ class TestCorrectCommand:
         assert back.tobytes() == tensor.tobytes()
 
 
+def _reference_csv(path, header, rows):
+    """The writer ``_write_csv`` replaced: csv.writer over ``_fmt`` cells."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+
+
+@pytest.mark.parametrize("header, rows", [
+    (("id", "value", "mixed", "text", "flag"), [
+        (0, 0.1, 1, "plain", True),
+        (1, -0.0, np.float64(1e-300), "a,b", False),
+        (2, float("inf"), None, 'say "hi"', None),
+        (3, 5e-324, 2.5, "cr\rhere", True),
+        (4, 1.7976931348623157e308, "x", "line\nbreak", False),
+        (5, float("nan"), np.float64(-2.0), "", True),
+    ]),
+    (("value",), [(1.0,), (2.0,)]),
+    (("only",), [("",), ("a",), (None,), ("b,c",)]),
+    (("", "a,b", 'q"'), [("", "", "")]),
+    (("empty",), []),
+])
+def test_write_csv_matches_csv_writer(header, rows, tmp_path):
+    _write_csv(tmp_path / "new.csv", header, iter(rows))
+    _reference_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def _write_rows(path, rows):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -296,6 +325,8 @@ def _bad_input(case, tmp_path):
         "non_finite_tensor_cell": (tensor_argv, ["tensor.csv", "'-inf'", "row 3"]),
         "empty_numeric_cell": (correct, ["'z0'", "empty", "row 10"]),
         "predictions_only_row_id": (evaluate, ["preds.csv", "row_id"]),
+        "non_utf8_data": (correct, ["data.csv", "UTF-8"]),
+        "repeated_header_name": (correct, ["data.csv", "repeats", "'z1'"]),
     }[case]
     if case == "data_row_width":
         rows[5].append("1")
@@ -320,9 +351,14 @@ def _bad_input(case, tmp_path):
         rows[9][0] = ""
     elif case == "predictions_only_row_id":
         preds = [[r[0]] for r in preds]
+    elif case == "repeated_header_name":
+        rows[0][0] = "z1"
     _write_rows(data, rows)
     _write_rows(tfile, tensor)
     _write_rows(pfile, preds)
+    if case == "non_utf8_data":
+        raw = data.read_bytes()
+        data.write_bytes(raw[:60] + b"\xff" + raw[60:])
     return argv, words
 
 
@@ -331,6 +367,7 @@ def _bad_input(case, tmp_path):
     "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
     "non_finite_data_cell", "non_finite_prediction_cell",
     "non_finite_tensor_cell", "empty_numeric_cell", "predictions_only_row_id",
+    "non_utf8_data", "repeated_header_name",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     argv, words = _bad_input(case, tmp_path)
@@ -340,6 +377,81 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert len(err) == 1, err
     for word in words:
         assert word in err[0], (word, err[0])
+
+
+class TestReaderParity:
+    """Files without quotes or bare CRs are split directly; the others go
+    through csv.reader.  Both must read the same table."""
+
+    STYLES = ("lf", "crlf", "cr", "quote_all")
+
+    def table(self, levels):
+        rng = np.random.Generator(np.random.Philox(key=26))
+        rows = [["z0", "z1", "region", "sex", "y"]]
+        for i in range(90):
+            z = rng.standard_normal(2)
+            y = z[0] + rng.standard_normal()
+            rows.append([f"{z[0]:.17g}", f"{z[1]:.17g}", levels[i % 3],
+                         "FM"[int(rng.random() < 0.5)], f"{y:.17g}"])
+        return rows
+
+    def write(self, path, rows, style):
+        if style == "quote_all":
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        else:
+            end = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}[style]
+            path.write_text("".join(",".join(r) + end for r in rows), newline="")
+
+    def run(self, data, out):
+        assert main(["correct", "--data", str(data), "--outcome", "y",
+                     "--protected", "sex", "--family", "gaussian",
+                     "--method", "linear", "--out", str(out)]) == 0
+        assert main(["evaluate", "--predictions", str(out / "corrected_predictions.csv"),
+                     "--protected-data", str(data), "--protected", "sex,region",
+                     "--family", "gaussian", "--out", str(out / "eval")]) == 0
+        return {f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*.*"))}
+
+    def test_line_ends_and_quoting_give_identical_outputs(self, tmp_path, capsys):
+        rows = self.table(["Boston", "Chicago", "Denver"])
+        outputs = {}
+        for style in self.STYLES:
+            data = tmp_path / f"{style}.csv"
+            self.write(data, rows, style)
+            outputs[style] = (self.run(data, tmp_path / style), capsys.readouterr().out)
+        assert all(outputs[style] == outputs["lf"] for style in self.STYLES)
+        assert (tmp_path / "crlf.csv").read_bytes().count(b"\r\n") == len(rows)
+        assert b'"' in (tmp_path / "quote_all.csv").read_bytes()
+
+    def test_quoted_level_with_comma(self, tmp_path, capsys):
+        data = tmp_path / "quoted.csv"
+        self.write(data, self.table(["Boston", "New York, NY", "Chicago"]), "quote_all")
+        self.run(data, tmp_path / "out")
+        text = (tmp_path / "out" / "coefficients.csv").read_bytes()
+        assert b'\r\n"region=New York, NY",' in text
+        assert b"\r\nregion=Chicago," in text
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["reference_levels"] == {"sex": "F", "region": "Boston"}
+
+    @pytest.mark.parametrize("defect", ["ragged_row", "blank_line"])
+    def test_width_diagnostics_match(self, defect, tmp_path, capsys):
+        rows = self.table(["Boston", "Chicago", "Denver"])
+        if defect == "ragged_row":
+            rows[7].append("1.5")
+        else:
+            rows[11] = []
+        errors = {}
+        for style in self.STYLES:
+            data = tmp_path / f"{style}.csv"
+            self.write(data, rows, style)
+            assert main(["correct", "--data", str(data), "--outcome", "y",
+                         "--protected", "sex", "--method", "linear",
+                         "--out", str(tmp_path / "o")]) == 2
+            errors[style] = capsys.readouterr().err.replace(str(data), "DATA")
+        cells = 6 if defect == "ragged_row" else 0
+        row = 8 if defect == "ragged_row" else 12
+        expected = f"error: DATA row {row} has {cells} cells, expected 5\n"
+        assert errors == dict.fromkeys(errors, expected)
 
 
 class TestEvaluateCommand:
