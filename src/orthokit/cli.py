@@ -393,7 +393,7 @@ def cmd_evaluate(args) -> int:
 SUMMARY_COLUMNS = (
     "family", "n", "p", "q", "rho", "method",
     "median_abs_estimate", "median_p_value", "fraction_significant",
-    "max_constraint_residual", "rows",
+    "max_constraint_residual", "rows", "unconverged",
 )
 
 PRESETS = {

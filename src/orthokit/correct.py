@@ -11,8 +11,11 @@ Three ways to remove the linear influence of protected features:
 * ``fit_constrained_glm`` refits a GLM subject to the corrected predictions
   being empirically uncorrelated with every (centered) protected column,
   solved by equality-constrained Newton steps (SQP) on one constraint per
-  protected column, from the exactly feasible start ``gamma = 0``.  It
-  returns its best iterate whether or not it converged.
+  protected column, from the exactly feasible start ``gamma = 0``.  Each
+  step costs one weighted Gram product for the Lagrangian Hessian plus
+  small factorizations: a pivoted QR of the constraint Jacobian and a
+  Cholesky solve on its null space.  It returns its best iterate whether or
+  not it converged.
 """
 
 from __future__ import annotations
@@ -20,10 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, DomainError, RankDeficient
-from .glm import MEAN_EPS, GlmFamily
-from .linalg import as_matrix, as_tensor, as_vector, build_projector, center_columns
+from .glm import MEAN_EPS, GlmFamily, _weighted_gram
+from .linalg import (
+    RANK_RTOL,
+    as_matrix,
+    as_tensor,
+    as_vector,
+    build_projector,
+    center_columns,
+)
 
 
 def relu(x) -> np.ndarray:
@@ -134,6 +146,39 @@ class CorrectionOutcome:
     stop_reason: str = ""
 
 
+def _newton_step(hess, jac, grad, c):
+    """The SQP step ``d`` of the KKT system
+    ``[[H, J^T], [J, 0]] [d, lam] = -[grad, c]`` by the null-space method.
+
+    A pivoted QR of ``J^T`` (rank r by ``RANK_RTOL``) splits d into a range
+    part ``Y dy`` that solves the r independent linearized constraints and a
+    null-space part ``N dz`` from a Cholesky solve of the reduced Hessian
+    ``N^T H N``.  When that block's smallest eigenvalue is at most
+    ``1e-10 * scale`` (its shifted Cholesky fails) the Hessian gets a
+    Levenberg shift, so that d descends on the merit.  Returns ``(d, H)``
+    with the Hessian the step used, shifted or not.
+    """
+    k = hess.shape[0]
+    q, r, piv = scipy.linalg.qr(jac.T, pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size else 0
+    y, null = q[:, :rank], q[:, rank:]
+    dy = scipy.linalg.solve_triangular(r[:rank, :rank], -c[piv[:rank]], trans="T")
+    d = y @ dy
+    if rank == k:  # the linearized constraints alone determine d
+        return d, hess
+    reduced = null.T @ hess @ null
+    scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
+    eye = np.eye(k - rank)
+    if lapack.dpotrf(reduced - 1e-10 * scale * eye)[1] != 0:
+        shift = 1e-4 * scale - 2.0 * np.linalg.eigvalsh(reduced).min()
+        hess = hess + shift * np.eye(k)
+        reduced = reduced + shift * eye
+    factor = lapack.dpotrf(reduced)[0]
+    dz = lapack.dpotrs(factor, -null.T @ (grad + hess @ d))[0]
+    return d + null @ dz, hess
+
+
 def fit_constrained_glm(
     z,
     y,
@@ -148,15 +193,20 @@ def fit_constrained_glm(
     Minimizes f(gamma) = NLL / n subject to the p equations
     ``c(gamma) = Xc^T h(Z gamma) / n = 0`` (Xc column-centered, so the
     intercept stays unconstrained) by equality-constrained Newton steps
-    (SQP; Nocedal & Wright, ch. 18).  Each step solves the KKT system::
+    (SQP; Nocedal & Wright, ch. 18).  Each step d solves the KKT system::
 
         [ Z^T W Z / n   J^T ] [ d   ]     [ grad f ]
         [ J             0   ] [ lam ] = - [ c      ]
 
     with ``J = Xc^T diag(h') Z / n`` and ``W = h' + h'' * (Xc lam)`` at the
     least-squares multipliers ``lam``, so that ``Z^T W Z / n`` is the
-    Hessian of the Lagrangian; a Levenberg shift keeps its reduced
-    (null-space of J) block positive definite.  Steps are damped by a
+    Hessian of the Lagrangian.  W can be negative on some rows; the Hessian
+    is the difference of two symmetric rank-k products.  The system is
+    solved by the null-space method (Nocedal & Wright, sec. 16.2): a pivoted
+    QR of ``J^T`` gives the part of d that meets the linearized constraints
+    and a basis N of the null space of J, and a Cholesky solve with the
+    reduced Hessian ``N^T H N`` gives the rest.  A Levenberg shift keeps
+    that reduced block positive definite.  Steps are damped by a
     backtracking search on the l1 merit ``f + rho ||c||_1``, starting from
     ``gamma = 0``, which is exactly feasible.
 
@@ -182,7 +232,7 @@ def fit_constrained_glm(
     xc = center_columns(xm)
     if np.any(xc.std(axis=0) <= 0.0):
         raise DomainError("protected features must not be constant columns")
-    k, p = zd.shape[1], xc.shape[1]
+    k = zd.shape[1]
     if n < k:
         raise RankDeficient(n, f"{n}x{k} design cannot have full column rank")
 
@@ -217,16 +267,7 @@ def fit_constrained_glm(
             break
 
         w = hp * (1.0 + family.variance_prime(mu) * (xc @ lam))
-        hess = zd.T @ (w[:, None] * zd) / n
-        # Levenberg shift: the Hessian restricted to the null space of J
-        # must be positive definite for d to descend on the merit
-        null = np.linalg.qr(jac.T, mode="complete")[0][:, p:]
-        low = np.linalg.eigvalsh(null.T @ hess @ null).min(initial=np.inf)
-        scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
-        if low <= 1e-10 * scale:
-            hess[np.diag_indices(k)] += 1e-4 * scale - 2.0 * low
-        kkt = np.block([[hess, jac.T], [jac, np.zeros((p, p))]])
-        d = np.linalg.lstsq(kkt, -np.concatenate([grad, c]), rcond=None)[0][:k]
+        d, hess = _newton_step(_weighted_gram(zd, w) / n, jac, grad, c)
 
         # l1 merit f + rho ||c||_1 with rho from Nocedal & Wright eq. 18.36
         # (sigma = 1, rho-bar = 1/2), so that d is a descent direction

@@ -11,8 +11,10 @@ score reduces to ``Z^T (y - mu)``, which is also the convergence criterion.
 Each weighted least-squares step is solved by Cholesky on the Gram matrix
 ``Z^T W Z``, with pivoted QR as the fallback for ill-conditioned or
 rank-deficient steps; Wald standard errors come from a Cholesky factor of
-the same information matrix.  Fits that stop short of the tolerance return
-their best iterate with ``converged=False``; nothing here raises on
+the same information matrix.  ``_weighted_gram`` forms every such Gram
+matrix in the package, the constrained fit's Lagrangian Hessian included.
+Fits that stop short of the tolerance return their best iterate with
+``converged=False`` and a ``stop_reason``; nothing here raises on
 non-convergence.
 """
 
@@ -196,7 +198,11 @@ def working_response(family: GlmFamily, y, mu) -> np.ndarray:
 
 @dataclass
 class GlmFit:
-    """Result of an IRLS fit."""
+    """Result of an IRLS fit.
+
+    ``stop_reason`` says why IRLS stopped: ``"converged"``,
+    ``"reached max_iter=N"`` or ``"step halving found no decrease"``.
+    """
 
     coefficients: np.ndarray
     fitted_means: np.ndarray
@@ -206,6 +212,7 @@ class GlmFit:
     weight_diag: np.ndarray
     family: GlmFamily
     with_intercept: bool = False
+    stop_reason: str = ""
 
 
 @dataclass
@@ -253,6 +260,19 @@ def _cholesky(gram: np.ndarray):
     return c, lapack.dpocon(c, anorm)[0]
 
 
+def _weighted_gram(zm: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``Z^T diag(w) Z`` for weights of either sign, as symmetric rank-k
+    products: the rows scaled by ``sqrt(max(w, 0))``, minus the rows of
+    negative weight scaled by ``sqrt(-w)``."""
+    a = zm * np.sqrt(np.maximum(w, 0.0))[:, None]
+    gram = a.T @ a
+    neg = np.flatnonzero(w < 0.0)
+    if neg.size:
+        b = zm[neg] * np.sqrt(-w[neg])[:, None]
+        gram -= b.T @ b
+    return gram
+
+
 def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
     """Weighted least squares ``argmin_b ||sqrt(W) (Z b - resp)||``.
 
@@ -262,14 +282,12 @@ def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
     pivoted-QR ``least_squares`` on the weighted design, which raises
     ``RankDeficient`` for a rank-deficient design.
     """
-    sw = np.sqrt(w)
-    a = zm * sw[:, None]
-    b = resp * sw
-    if a.shape[0] >= a.shape[1] > 0:
-        c, rcond = _cholesky(a.T @ a)
+    if zm.shape[0] >= zm.shape[1] > 0:
+        c, rcond = _cholesky(_weighted_gram(zm, w))
         if rcond >= GRAM_RCOND_MIN:
-            return lapack.dpotrs(c, a.T @ b)[0]
-    return least_squares(a, b)
+            return lapack.dpotrs(c, zm.T @ (w * resp))[0]
+    sw = np.sqrt(w)
+    return least_squares(zm * sw[:, None], resp * sw)
 
 
 def fit_glm(
@@ -295,7 +313,7 @@ def fit_glm(
     ``tol``.  The deviance is non-increasing across accepted steps; if a full
     IRLS step increases it, the step is halved (up to 30 times).  After
     ``max_iter`` steps, or when no halving decreases it, the fit so far is
-    returned with ``converged=False``.
+    returned with ``converged=False``; ``stop_reason`` names which.
 
     ``check_domain=False`` skips the response-domain check, which evaluation
     models need when regressing corrected predictions that can leave the
@@ -322,10 +340,11 @@ def fit_glm(
 
     iterations = 0
     converged = False
+    reason = f"reached max_iter={max_iter}"
     for iterations in range(1, max_iter + 1):
-        w = fisher_weights(family, mu)
-        resp = eta + working_response(family, yv, mu)
-        beta_new = _irls_solve(zm, w, resp)
+        # mu is clipped into the family's open domain, so V(mu) > 0
+        w = family.variance(mu)
+        beta_new = _irls_solve(zm, w, eta + (yv - mu) / w)
 
         step = beta_new - beta
         accepted = False
@@ -343,10 +362,11 @@ def fit_glm(
             trace.append(family.deviance(yv, mu))
         score = zm.T @ (yv - mu)
         if np.max(np.abs(score)) <= tol:
-            converged = True
+            converged, reason = True, "converged"
             break
         if not accepted:
             # No descent direction left at floating-point resolution.
+            reason = "step halving found no decrease"
             break
 
     return GlmFit(
@@ -355,9 +375,10 @@ def fit_glm(
         iterations=iterations,
         converged=converged,
         final_deviance=family.deviance(yv, mu),
-        weight_diag=fisher_weights(family, mu),
+        weight_diag=family.variance(mu),
         family=family,
         with_intercept=with_intercept,
+        stop_reason=reason,
     )
 
 
@@ -379,8 +400,7 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
         raise DomainError("design width does not match coefficient length")
     n, k = zm.shape
 
-    info = zm.T @ (fit.weight_diag[:, None] * zm)
-    c, rcond = _cholesky(info)
+    c, rcond = _cholesky(_weighted_gram(zm, fit.weight_diag))
     if rcond < k * np.finfo(np.float64).eps:
         raise SingularInformation(
             f"information matrix is numerically singular (rcond={rcond:.3g})"

@@ -9,8 +9,11 @@ their leading (observation) axis, i.e. on their n-by-d matricization, which
 is the mode-1 product with ``I - Q Q^T``.  Projectors and
 ``least_squares`` work from pivoted QR, which carries the hard rank check.
 IRLS (``glm.fit_glm``) does use the normal equations: it solves each step by
-Cholesky on the weighted Gram matrix, guarded by a condition estimate, and
-falls back to ``least_squares`` when that estimate is poor.
+Cholesky on the weighted Gram matrix ``Z^T W Z`` (formed, like every
+weighted Gram in the package, by ``glm._weighted_gram``), guarded by a
+condition estimate, and falls back to ``least_squares`` when that estimate
+is poor.  The constrained fit's Newton steps use ``RANK_RTOL`` to cut the
+numerical rank of the constraint Jacobian's pivoted QR.
 """
 
 from __future__ import annotations

@@ -200,7 +200,14 @@ class StudyTable:
                    ([row.get(c) for c in self.columns] for row in self.rows))
 
     def summarize(self) -> list:
-        """Per (cell, method) medians and significance fractions."""
+        """Per (cell, method) medians and significance fractions.
+
+        Only rows whose own fit converged are pooled: an unconverged fit's
+        best iterate is no estimate (an unconverged ``ch`` fit is often
+        ``gamma = 0``, whose constant predictions evaluate as p = 1).
+        ``rows`` counts the pooled rows and ``unconverged`` the others; a
+        group with no converged row has None statistics.
+        """
         groups: dict = {}
         for row in self.rows:
             if row.get("error"):
@@ -212,9 +219,19 @@ class StudyTable:
             groups.setdefault(key, []).append(row)
         out = []
         for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-            rows = groups[key]
-            est = np.array([abs(r["estimate"]) for r in rows])
-            pv = np.array([r["p_value"] for r in rows])
+            rows = [r for r in groups[key] if r["converged"]]
+            stats = dict.fromkeys(
+                ("median_abs_estimate", "median_p_value", "fraction_significant")
+            )
+            if rows:
+                pv = np.array([r["p_value"] for r in rows])
+                stats = {
+                    "median_abs_estimate": float(
+                        np.median([abs(r["estimate"]) for r in rows])
+                    ),
+                    "median_p_value": float(np.median(pv)),
+                    "fraction_significant": float(np.mean(pv < 0.05)),
+                }
             res = [
                 r["constraint_residual"]
                 for r in rows
@@ -228,13 +245,12 @@ class StudyTable:
                     "q": key[3],
                     "rho": key[4],
                     "method": key[5],
-                    "median_abs_estimate": float(np.median(est)),
-                    "median_p_value": float(np.median(pv)),
-                    "fraction_significant": float(np.mean(pv < 0.05)),
+                    **stats,
                     "max_constraint_residual": (
                         float(np.max(res)) if res else None
                     ),
                     "rows": len(rows),
+                    "unconverged": len(groups[key]) - len(rows),
                 }
             )
         return out

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from orthokit.cli import main, read_tensor, write_tensor
+from orthokit.cli import SUMMARY_COLUMNS, main, read_tensor, write_tensor
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
@@ -567,6 +567,23 @@ class TestSimulateCommand:
         # header + 3 methods * (p1 + p2) coefficients
         assert len(rows) == 1 + 3 * (2 + 1)
         assert (out / "summary.csv").exists()
+
+    def test_summary_reports_unconverged_rows(self, tmp_path):
+        # a quasi-separated cell: the five constrained rows are not pooled
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            [{"family": "bernoulli", "n": 200, "p": 5, "q": 100, "seed": 0}]
+        ))
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--grid", str(grid), "--replicates", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            summary = {r["method"]: r for r in csv.DictReader(fh)}
+        assert list(summary["ch"]) == list(SUMMARY_COLUMNS)
+        assert summary["ch"]["median_p_value"] == ""
+        assert (summary["ch"]["rows"], summary["ch"]["unconverged"]) == ("0", "5")
+        assert summary["uncorrected"]["unconverged"] == "0"
 
     def test_byte_identical_reruns(self, tmp_path):
         grid = self.grid_file(tmp_path)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthokit.correct as correct_module
 from orthokit.correct import (
     ConstrainedConfig,
     augment_intercept,
@@ -28,7 +29,14 @@ from orthokit.correct import (
 )
 from orthokit.errors import DimensionMismatch, RankDeficient
 from orthokit.evalmodel import evaluate_glm, evaluate_tensor
-from orthokit.glm import BERNOULLI, GAUSSIAN, MEAN_EPS, POISSON, fit_glm
+from orthokit.glm import (
+    BERNOULLI,
+    GAUSSIAN,
+    MEAN_EPS,
+    POISSON,
+    family_by_name,
+    fit_glm,
+)
 from orthokit.linalg import build_projector, center_columns
 from orthokit.synth import SyntheticSpec, generate, stream
 
@@ -281,6 +289,95 @@ class TestFitConstrainedGlm:
         y = (g.random(n) < BERNOULLI.h(-2.0 + z @ gamma)).astype(np.float64)
         out = fit_constrained_glm(z, y, x, BERNOULLI)
         assert evaluate_glm(x, out.corrected_predictions, BERNOULLI).null_certified
+
+
+def record_newton_steps(monkeypatch):
+    """Record ``(hessian in, hessian used, jac, grad, c, d)`` of every
+    Newton step ``fit_constrained_glm`` takes."""
+    steps = []
+    solve = correct_module._newton_step
+
+    def recording(hess, jac, grad, c):
+        d, used = solve(hess, jac, grad, c)
+        steps.append((hess, used, jac, grad, c, d))
+        return d, used
+
+    monkeypatch.setattr(correct_module, "_newton_step", recording)
+    return steps
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("family", ("bernoulli", "poisson"))
+    @pytest.mark.parametrize("q", (10, 100))
+    @pytest.mark.parametrize("n", (200, 5000))
+    def test_null_space_step_matches_dense_kkt_on_appendix_g_shapes(
+        self, n, q, family, monkeypatch
+    ):
+        # every step of the fit equals the dense least-squares solve of the
+        # KKT system with the Hessian it used, and that Hessian is shifted
+        # exactly when the smallest eigenvalue of its block on the null
+        # space of J is at most 1e-10 * scale; seed 2's bernoulli n=200,
+        # q=100 fit takes a shifted step
+        steps = record_newton_steps(monkeypatch)
+        for seed in (0, 2):
+            data = generate(
+                SyntheticSpec(n=n, p=5, q=q, rho=2.0, family=family, seed=seed)
+            )
+            fit_constrained_glm(data.z, data.y, data.x, family_by_name(family))
+        assert steps
+        shifted = 0
+        for hess, used, jac, grad, c, d in steps:
+            p, k = jac.shape
+            kkt = np.block([[used, jac.T], [jac, np.zeros((p, p))]])
+            dense = np.linalg.lstsq(kkt, -np.concatenate([grad, c]), rcond=None)[0]
+            err = np.max(np.abs(d - dense[:k])) / np.max(np.abs(dense))
+            assert err <= 1e-10, err
+            null = np.linalg.qr(jac.T, mode="complete")[0][:, p:]
+            low = np.linalg.eigvalsh(null.T @ hess @ null).min()
+            scale = max(1.0, np.max(np.abs(np.diag(hess))))
+            is_shifted = used is not hess
+            assert is_shifted == bool(low <= 1e-10 * scale)
+            if is_shifted:
+                np.testing.assert_allclose(
+                    used - hess, (1e-4 * scale - 2.0 * low) * np.eye(k),
+                    rtol=1e-9, atol=1e-12,
+                )
+            shifted += is_shifted
+        if (family, n, q) == ("bernoulli", 200, 100):
+            assert shifted >= 1
+
+    def test_duplicated_protected_column_adds_no_constraint(self):
+        # x3 = x1 + x2 makes J rank deficient; the rank cut drops the
+        # implied constraint, so the fit takes the same 4 steps to the same
+        # gamma as the fit on (x1, x2)
+        data = generate(
+            SyntheticSpec(n=500, p=2, q=6, rho=2.0, family="bernoulli", seed=3)
+        )
+        x = np.column_stack([data.x, data.x[:, 0] + data.x[:, 1]])
+        out = fit_constrained_glm(data.z, data.y, x, BERNOULLI)
+        ref = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
+        assert out.converged and ref.converged
+        assert out.iterations == ref.iterations == 4
+        assert np.max(np.abs(out.gamma_c - ref.gamma_c)) <= 1e-8
+
+    @pytest.mark.parametrize("family", (BERNOULLI, POISSON), ids=lambda f: f.name)
+    def test_empty_null_space(self, family, monkeypatch):
+        # without an intercept and with q = p, J is square: the constraints
+        # alone fix each step.  At constraint_tol = 0 the fit keeps stepping
+        # from gamma = 0, whose residual is at rounding level.
+        steps = record_newton_steps(monkeypatch)
+        data = generate(
+            SyntheticSpec(n=300, p=5, q=5, rho=2.0, family=family.name, seed=1)
+        )
+        cfg = ConstrainedConfig(max_iter=3, constraint_tol=0.0)
+        out = fit_constrained_glm(
+            data.z, data.y, data.x, family, cfg, with_intercept=False
+        )
+        assert out.iterations == 3 and len(steps) == 3
+        for hess, used, jac, grad, c, d in steps:
+            assert used is hess
+            np.testing.assert_allclose(jac @ d, -c, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(out.gamma_c)) <= 1e-12
 
 
 class TestProjectionFailsAfterActivation:

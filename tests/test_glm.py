@@ -20,6 +20,7 @@ from orthokit.glm import (
     POISSON,
     GlmFit,
     _irls_solve,
+    _weighted_gram,
     family_by_name,
     fisher_weights,
     fit_glm,
@@ -219,6 +220,34 @@ class TestFitGlm:
         assert fit.converged is False
         assert isinstance(fit, GlmFit)
 
+    def test_stop_reason_converged(self):
+        z, y = draw_problem(BERNOULLI, rng(19))
+        fit = fit_glm(z, y, BERNOULLI)
+        assert fit.converged and fit.stop_reason == "converged"
+
+    def test_stop_reason_names_the_iteration_budget(self):
+        data = generate(
+            SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli", seed=0)
+        )
+        fit = fit_glm(data.z, data.y, BERNOULLI, with_intercept=True, max_iter=3)
+        assert fit.converged is False
+        assert fit.iterations == 3
+        assert fit.stop_reason == "reached max_iter=3"
+
+    def test_stop_reason_names_failed_step_halving(self, monkeypatch):
+        # a solver that returns the reflected Newton step: from beta = 0 it
+        # points uphill, so no halving of it decreases the deviance
+        solve = glm_module._irls_solve
+        monkeypatch.setattr(
+            glm_module, "_irls_solve", lambda zm, w, resp: -solve(zm, w, resp)
+        )
+        z, y = draw_problem(BERNOULLI, rng(19))
+        fit = fit_glm(z, y, BERNOULLI)
+        assert fit.converged is False
+        assert fit.iterations == 1
+        assert fit.stop_reason == "step halving found no decrease"
+        np.testing.assert_array_equal(fit.coefficients, 0.0)
+
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_gradient_matches_finite_differences(self, family):
         g = rng(18)
@@ -322,6 +351,21 @@ class TestIrlsStep:
             if fit.converged:
                 break
             beta = fit.coefficients
+
+
+@pytest.mark.parametrize("sign", ("positive", "mixed", "negative"))
+@pytest.mark.parametrize("n, k", ((300, 12), (5, 8)))
+def test_weighted_gram_matches_dense_product(sign, n, k):
+    g = rng(40)
+    z = g.standard_normal((n, k))
+    w = g.uniform(0.1, 2.0, n)
+    if sign == "negative":
+        w = -w
+    elif sign == "mixed":
+        w[::3] *= -1.0
+    dense = z.T @ (w[:, None] * z)
+    err = np.max(np.abs(_weighted_gram(z, w) - dense)) / np.max(np.abs(dense))
+    assert err <= 1e-12
 
 
 class TestWaldInference:

@@ -13,6 +13,7 @@ from orthokit.glm import BERNOULLI, fit_glm
 from orthokit.synth import (
     METHODS,
     STUDY_COLUMNS,
+    StudyTable,
     SyntheticSpec,
     TrajectoryTable,
     figure1_demo,
@@ -130,6 +131,38 @@ class TestSimulationStudy:
         assert summary["ch"]["fraction_significant"] == 0.0
         assert summary["ch"]["median_abs_estimate"] <= 1e-2
         assert summary["ch"]["median_p_value"] >= 0.9
+
+    def test_summary_pools_only_converged_fits(self):
+        # quasi-separated: the constrained fit stops at the clamp with
+        # gamma = 0, whose constant predictions evaluate as p = 1
+        spec = SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli",
+                             seed=0)
+        table = simulation_study([spec], replicates=1)
+        ch = [r for r in table.rows if r["method"] == "ch"]
+        assert len(ch) == 5
+        assert all(r["converged"] is False and r["p_value"] == 1.0 for r in ch)
+        summary = {s["method"]: s for s in table.summarize()}
+        assert summary["ch"]["rows"] == 0
+        assert summary["ch"]["unconverged"] == 5
+        for stat in ("median_abs_estimate", "median_p_value",
+                     "fraction_significant", "max_constraint_residual"):
+            assert summary["ch"][stat] is None
+        assert summary["uncorrected"]["unconverged"] == 0
+
+    def test_summary_medians_skip_unconverged_rows(self):
+        base = dict(family="bernoulli", n=10, p=1, q=2, rho=2.0, method="ch",
+                    estimate=0.1, constraint_residual=1e-20, error=None)
+        table = StudyTable(rows=[
+            dict(base, p_value=0.5, converged=True),
+            dict(base, p_value=0.7, converged=True),
+            dict(base, p_value=1.0, estimate=0.0, converged=False,
+                 constraint_residual=1e-3),
+        ])
+        (summary,) = table.summarize()
+        assert summary["median_p_value"] == pytest.approx(0.6)
+        assert summary["median_abs_estimate"] == pytest.approx(0.1)
+        assert summary["max_constraint_residual"] == 1e-20
+        assert (summary["rows"], summary["unconverged"]) == (2, 1)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidSpec):
