@@ -7,15 +7,16 @@ demonstrations).  All outputs are CSV/JSON, floats are rendered with 17
 significant digits, and every command is a pure function of its inputs,
 flags, and seed.
 
-Input files are UTF-8 text, read whole into one flat list of cells (a
-column is a strided slice of it; every data row has the header's width).
+Input files are UTF-8 text (a leading byte-order mark is dropped), read
+whole into one flat list of cells (a column is a strided slice of it;
+every data row has the header's width).
 Text without quotes or bare carriage returns is split on line ends and
 commas directly; ``csv.reader`` parses only files that have them.  One
 decoder parses a column into float64 in one pass.  A column is numeric
 when its non-empty cells are all numbers, categorical (one-hot encoded)
-otherwise; an empty or non-finite cell where a number is required is an
-error naming its column (or file) and row.  Outputs are written as one
-string per file.
+otherwise.  An empty cell in either kind of column, and a non-finite cell
+where a number is required, is an error naming its column (or file) and
+row.  Outputs are written as one string per file.
 
 Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
 report is still written).
@@ -65,7 +66,8 @@ def _read_rows(path):
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+            # not "utf-8-sig", which counts error offsets from after the mark
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -159,7 +161,8 @@ def encode_columns(header, body, wanted):
 
     A column is numeric when every cell is a number, empty cells aside;
     otherwise it is categorical and one-hot encoded with the first level
-    in code-point order dropped as the reference.  Returns
+    in code-point order dropped as the reference.  An empty cell is an
+    error in either kind of column.  Returns
     ``(matrix, encoded names, reference levels dict)``.
     """
     cols, names, refs = [], [], {}
@@ -171,6 +174,9 @@ def encode_columns(header, body, wanted):
             cols.append(_decode(cells, f"column {name!r}"))
         except _NonNumeric:
             levels = sorted(set(cells))
+            if levels[0] == "":  # the empty string sorts first
+                row = cells.index("") + 2
+                raise CliError(f"column {name!r} contains an empty cell (row {row})")
             if len(levels) < 2:
                 raise CliError(f"categorical column {name!r} has a single level")
             code = {level: k for k, level in enumerate(levels)}
@@ -282,10 +288,12 @@ def cmd_correct(args) -> int:
             gamma, y_hat, converged = fit.coefficients, fit.fitted_means, fit.converged
             loss = family.nll(y, y_hat)
             iterations = fit.iterations
-        else:
-            gamma, y_hat, loss, iterations, converged = _fit_relu(
-                augment_intercept(zc), y
-            )
+        else:  # least-squares ReLU prediction model on the corrected features
+            zc = augment_intercept(zc)
+            best = evaluate_relu_l2(zc, y, starts=8)
+            gamma, iterations, converged = best.beta, best.iterations, best.converged
+            y_hat = np.maximum(zc @ gamma, 0.0)
+            loss = float(np.sum((y - y_hat) ** 2))
         report = {
             "method": args.method,
             "family": family.name,
@@ -316,15 +324,6 @@ def cmd_correct(args) -> int:
 def _write_report(out_dir, report) -> None:
     text = json.dumps(report, indent=2) + "\n"
     (out_dir / "report.json").write_text(text, encoding="utf-8")
-
-
-def _fit_relu(zc, y, starts: int = 8, seed: int = 0):
-    """Least-squares ReLU prediction model on corrected features."""
-    best = evaluate_relu_l2(zc, y, starts=starts, seed=seed)
-    gamma = best.beta
-    y_hat = np.maximum(zc @ gamma, 0.0)
-    loss = float(np.sum((y - y_hat) ** 2))
-    return gamma, y_hat, loss, best.iterations, best.converged
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,6 @@ class CorrectionOutcome:
     iterations: int
     converged: bool
     stationarity: float = float("nan")
-    with_intercept: bool = True
     stop_reason: str = ""
 
 
@@ -250,9 +249,7 @@ def fit_constrained_glm(
         jac = (xc * hp[:, None]).T @ zd / n
         lam = np.linalg.lstsq(jac.T, -grad, rcond=None)[0]
         stat = float(np.max(np.abs(grad + jac.T @ lam)))
-        out = CorrectionOutcome(
-            gamma, mu, float(c @ c), loss * n, it, False, stat, with_intercept
-        )
+        out = CorrectionOutcome(gamma, mu, float(c @ c), loss * n, it, False, stat)
         feasible = out.constraint_residual <= cfg.constraint_tol
         if feasible and (best is None or out.loss < best.loss):
             best = out

@@ -62,9 +62,13 @@ class ReluEvaluation:
     objective_at_zero: float
     start_index: int
     # accepted descent steps of the winning start, and whether it stopped
-    # on ``grad_tol`` (not on ``max_iter`` or a failed line search)
+    # on ``GRAD_SQ_TOL`` (not on ``max_iter`` or a failed line search)
     iterations: int
     converged: bool
+
+
+# Squared gradient norm at which a ReLU-evaluation start counts as converged
+GRAD_SQ_TOL = 1e-18
 
 
 def _relu_objective(xm: np.ndarray, yv: np.ndarray, beta: np.ndarray) -> float:
@@ -85,7 +89,6 @@ def evaluate_relu_l2(
     starts: int = 16,
     seed: int = 0,
     max_iter: int = 500,
-    grad_tol: float = 1e-18,
 ) -> ReluEvaluation:
     """Minimize ``||y_c - relu(X beta)||^2 / n`` from several seeded starts.
 
@@ -93,7 +96,7 @@ def evaluate_relu_l2(
     Each start runs gradient descent with Armijo backtracking.  The lowest
     objective wins; ties break toward the smaller start index.  The result
     carries the winning start's accepted steps and whether its squared
-    gradient norm reached ``grad_tol``.
+    gradient norm reached ``GRAD_SQ_TOL``.
     """
     xm = as_matrix(x, "protected features")
     yv = as_vector(y_corrected, "corrected predictions")
@@ -111,7 +114,7 @@ def evaluate_relu_l2(
         for _ in range(max_iter):
             g = _relu_grad(xm, yv, beta)
             gn = float(g @ g)
-            if gn <= grad_tol:
+            if gn <= GRAD_SQ_TOL:
                 converged = True
                 break
             step = 1.0

@@ -6,8 +6,9 @@ the activation is the variance function, ``h'(eta) = V(mu)``, and the link
 derivative is ``g'(mu) = 1 / V(mu)``, so a family is defined by ``h`` and
 ``V`` alone.  Fitting uses Fisher scoring (expected Hessian), for which the
 weight of observation i is ``1 / (g'(mu_i)^2 V(mu_i)) = V(mu_i)`` and the
-working response is ``g'(mu_i) (y_i - mu_i) = (y_i - mu_i) / V(mu_i)``; the
-score reduces to ``Z^T (y - mu)``, which is also the convergence criterion.
+working response is ``g'(mu_i) (y_i - mu_i) = (y_i - mu_i) / V(mu_i)``, both
+formed inside ``fit_glm`` from ``family.variance``; the score reduces to
+``Z^T (y - mu)``, which is also the convergence criterion.
 Each weighted least-squares step is solved by Cholesky on the Gram matrix
 ``Z^T W Z``, with pivoted QR as the fallback for ill-conditioned or
 rank-deficient steps; Wald standard errors come from a Cholesky factor of
@@ -21,7 +22,7 @@ non-convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -172,30 +173,6 @@ def family_by_name(name: str) -> GlmFamily:
         ) from None
 
 
-def fisher_weights(family: GlmFamily, mu) -> np.ndarray:
-    """Expected-Hessian IRLS weights ``1 / (g'(mu)^2 V(mu)) = V(mu)``."""
-    m = as_vector(mu, "mean vector")
-    if family.name == "bernoulli" and (np.any(m <= 0.0) or np.any(m >= 1.0)):
-        raise DomainError("bernoulli means must lie strictly in (0, 1)")
-    if family.name == "poisson" and np.any(m <= 0.0):
-        raise DomainError("poisson means must be strictly positive")
-    return family.variance(m)
-
-
-def working_response(family: GlmFamily, y, mu) -> np.ndarray:
-    """Linearized pseudo-response ``g'(mu) (y - mu) = (y - mu) / V(mu)``
-    used in each IRLS step."""
-    yv = as_vector(y, "response")
-    m = as_vector(mu, "mean vector")
-    if yv.shape != m.shape:
-        raise DomainError("response and mean vectors must have equal length")
-    if family.name == "bernoulli" and (np.any(m <= 0.0) or np.any(m >= 1.0)):
-        raise DomainError("bernoulli means must lie strictly in (0, 1)")
-    if family.name == "poisson" and np.any(m <= 0.0):
-        raise DomainError("poisson means must be strictly positive")
-    return (yv - m) / family.variance(m)
-
-
 @dataclass
 class GlmFit:
     """Result of an IRLS fit.
@@ -229,7 +206,6 @@ class EvaluationReport:
     p_values: np.ndarray
     converged: bool
     null_certified: bool
-    names: list = field(default_factory=list)
 
 
 def null_certified(converged: bool, coefficients, p_values) -> bool:

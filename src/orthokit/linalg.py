@@ -92,7 +92,6 @@ class Projector:
 
     q: np.ndarray
     n: int
-    p: int
 
     def complement(self, a: np.ndarray) -> np.ndarray:
         """Project ``a`` along its leading axis onto the orthogonal complement.
@@ -121,7 +120,7 @@ def build_projector(x) -> Projector:
     if n < p:
         raise DimensionMismatch(f"need n >= p, got n={n} < p={p}")
     q, _, _ = _pivoted_qr(xm)
-    return Projector(q=q, n=n, p=p)
+    return Projector(q=q, n=n)
 
 
 def center_columns(x) -> np.ndarray:

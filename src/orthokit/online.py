@@ -33,6 +33,9 @@ logger = logging.getLogger(__name__)
 # Label-flip rate of the signal channel; Bayes accuracy is 1 - DEFAULT_NOISE.
 DEFAULT_NOISE = 0.15
 CONFOUNDER_MAGNITUDE = 5.0
+# Minibatch SGD settings of ``train_mlp``
+LEARNING_RATE = 0.3
+BATCH_SIZE = 128
 
 
 @dataclass
@@ -101,11 +104,9 @@ def make_confounded_data(
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Architecture and SGD settings; widths default to [input, 16, 8, 1]."""
+    """Architecture, epochs and seed; widths default to [input, 16, 8, 1]."""
 
     layer_widths: tuple | None = None
-    learning_rate: float = 0.3
-    batch_size: int = 128
     epochs: int = 60
     ortho_layer_index: int = 0
     seed: int = 0
@@ -142,10 +143,12 @@ def forward(
     ``ortho_layer`` is orthogonalized: per batch through the exact projector,
     or, when ``gamma_hat`` (the training-set regression of H on
     [1, protected]) is supplied, by subtracting ``[1, protected] @ gamma_hat``.
+    The cache keeps each hidden layer's input ``a``, its pre-activation
+    ``h`` after any correction, and its ReLU mask.
     """
     weights, biases = params["weights"], params["biases"]
     n_layers = len(weights)
-    cache = {"a": [xb], "mask": [], "proj": None}
+    cache = {"a": [xb], "h": [], "mask": [], "proj": None}
     act = xb
     for layer in range(n_layers - 1):
         h = act @ weights[layer] + biases[layer]
@@ -159,6 +162,7 @@ def forward(
                 cache["proj"] = proj
         mask = h > 0.0
         act = h * mask
+        cache["h"].append(h)
         cache["mask"].append(mask)
         cache["a"].append(act)
     out = act @ weights[-1] + biases[-1]
@@ -196,11 +200,7 @@ def bce_loss(prob: np.ndarray, yb: np.ndarray) -> float:
 
 def _hidden_regression(params, x, protected, ortho_layer):
     """Training-set regression of the hidden pre-activation on [1, protected]."""
-    act = x
-    for layer in range(ortho_layer):
-        h = act @ params["weights"][layer] + params["biases"][layer]
-        act = np.maximum(h, 0.0)
-    h = act @ params["weights"][ortho_layer] + params["biases"][ortho_layer]
+    h = forward(params, x)[1]["h"][ortho_layer]
     return least_squares(augment_intercept(protected), h)
 
 
@@ -220,7 +220,7 @@ class TrainingResult:
             self.params,
             features,
             protected=prot,
-            ortho_layer=self.config.ortho_layer_index if self.config else 0,
+            ortho_layer=self.config.ortho_layer_index,
             gamma_hat=self.gamma_hat if self.with_correction else None,
         )
         return prob
@@ -253,8 +253,8 @@ def train_mlp(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         batch_residuals = []
-        for start in range(0, n_tr, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n_tr, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             xb, yb = x_tr[idx], y_tr[idx]
             prot_b = None
             if with_correction:
@@ -271,6 +271,7 @@ def train_mlp(
                 prob, cache = forward(params, xb, prot_b, ortho)
             except RankDeficient:
                 result.skipped_batches += 1
+                prot_b = None
                 prob, cache = forward(params, xb, None, ortho)
             loss = bce_loss(prob, yb)
             if not np.isfinite(loss):
@@ -279,16 +280,13 @@ def train_mlp(
                 )
             if prot_b is not None:
                 # orthogonality of the corrected pre-activation itself
-                pre = cache["proj"].complement(
-                    cache["a"][ortho] @ params["weights"][ortho]
-                    + params["biases"][ortho]
-                )
                 xa = augment_intercept(prot_b)
+                pre = cache["h"][ortho]
                 batch_residuals.append(float(np.max(np.abs(xa.T @ pre)) / len(idx)))
             grads_w, grads_b = backward(params, cache, yb, ortho)
             for layer in range(len(params["weights"])):
-                params["weights"][layer] -= cfg.learning_rate * grads_w[layer]
-                params["biases"][layer] -= cfg.learning_rate * grads_b[layer]
+                params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
+                params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
 
         gamma_hat = (
             _hidden_regression(params, x_tr, prot_tr, ortho)
@@ -322,13 +320,6 @@ def train_mlp(
     return result
 
 
-def accuracy_by_split(result: TrainingResult, epoch: int | None = None) -> dict:
-    rows = [
-        r
-        for r in result.metrics
-        if epoch is None or r["epoch"] == epoch
-    ]
-    last = {}
-    for r in rows:
-        last[r["split"]] = r["accuracy"]
-    return last
+def accuracy_by_split(result: TrainingResult) -> dict:
+    """Final-epoch accuracy per split."""
+    return {r["split"]: r["accuracy"] for r in result.metrics}

@@ -20,12 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .correct import (
-    ConstrainedConfig,
-    augment_intercept,
-    correct_features_linear,
-    fit_constrained_glm,
-)
+from .correct import augment_intercept, correct_features_linear, fit_constrained_glm
 from .errors import InvalidSpec, OrthokitError
 from .evalmodel import evaluate_glm
 from .glm import family_by_name, fit_glm
@@ -193,7 +188,7 @@ class StudyTable:
     """Long-format simulation results with a fixed column set."""
 
     rows: list = field(default_factory=list)
-    columns: tuple = STUDY_COLUMNS
+    columns = STUDY_COLUMNS
 
     def write_csv(self, path) -> None:
         _write_csv(path, self.columns,
@@ -256,11 +251,7 @@ class StudyTable:
         return out
 
 
-def run_method(
-    data: SyntheticDataset,
-    method: str,
-    cfg: ConstrainedConfig | None = None,
-):
+def run_method(data: SyntheticDataset, method: str):
     """Fit one method on a dataset and evaluate the protected influence.
 
     Returns ``(report, outcome, converged)``: ``outcome`` is the
@@ -277,14 +268,14 @@ def run_method(
         fit = fit_glm(zc, data.y, family, with_intercept=True)
         return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "ch":
-        out = fit_constrained_glm(data.z, data.y, data.x, family, cfg)
+        out = fit_constrained_glm(data.z, data.y, data.x, family)
         report = evaluate_glm(data.x, out.corrected_predictions, family)
         return report, out, out.converged
     raise InvalidSpec(f"unknown method {method!r}")
 
 
-def _study_cell(args):
-    cell_idx, spec, replicate, cfg = args
+def _study_cell(job):
+    spec, replicate = job
     rows = []
     base = {
         "family": spec.family,
@@ -306,10 +297,10 @@ def _study_cell(args):
                     error=f"generate: {exc}",
                 )
             )
-        return cell_idx, replicate, rows
+        return rows
     for method in METHODS:
         try:
-            report, outcome, converged = run_method(data, method, cfg)
+            report, outcome, converged = run_method(data, method)
         except OrthokitError as exc:
             rows.append(
                 dict(
@@ -338,13 +329,12 @@ def _study_cell(args):
                     error=None,
                 )
             )
-    return cell_idx, replicate, rows
+    return rows
 
 
 def simulation_study(
     grid: Iterable[SyntheticSpec],
     replicates: int,
-    cfg: ConstrainedConfig | None = None,
     threads: int | None = None,
 ) -> StudyTable:
     """Run uncorrected, feature-projection, and constrained fits per cell.
@@ -358,24 +348,15 @@ def simulation_study(
         raise InvalidSpec("grid must contain at least one cell")
     if replicates < 1:
         raise InvalidSpec("replicates must be >= 1")
-    jobs = [
-        (ci, spec, r, cfg)
-        for ci, spec in enumerate(grid)
-        for r in range(replicates)
-    ]
-    results = {}
+    jobs = [(spec, r) for spec in grid for r in range(replicates)]
+    table = StudyTable()
     if threads and threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            for ci, r, rows in ex.map(_study_cell, jobs):
-                results[(ci, r)] = rows
+            for rows in ex.map(_study_cell, jobs):
+                table.rows.extend(rows)
     else:
         for job in jobs:
-            ci, r, rows = _study_cell(job)
-            results[(ci, r)] = rows
-    table = StudyTable()
-    for ci in range(len(grid)):
-        for r in range(replicates):
-            table.rows.extend(results[(ci, r)])
+            table.rows.extend(_study_cell(job))
     return table
 
 
@@ -385,7 +366,7 @@ TRAJECTORY_COLUMNS = ("iteration", "method", "loss", "corr_with_protected")
 @dataclass
 class TrajectoryTable:
     rows: list = field(default_factory=list)
-    columns: tuple = TRAJECTORY_COLUMNS
+    columns = TRAJECTORY_COLUMNS
 
     def write_csv(self, path) -> None:
         _write_csv(path, self.columns,
@@ -403,13 +384,7 @@ def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
-def figure1_demo(
-    seed: int = 0,
-    n: int = 400,
-    iterations: int = 4000,
-    learning_rate: float = 0.1,
-    record_every: int = 10,
-) -> TrajectoryTable:
+def figure1_demo(seed: int = 0) -> TrajectoryTable:
     """Two-feature logistic demonstration of the three corrections.
 
     One protected feature is correlated with the first of two prediction
@@ -418,6 +393,7 @@ def figure1_demo(
     table records, per method and iteration, the loss and the Pearson
     correlation between the activated predictions and the protected feature.
     """
+    n, iterations, learning_rate, record_every = 400, 4000, 0.1, 10
     rng = stream(seed, 0xF1D)
     z = rng.standard_normal((n, 2))
     e = rng.standard_normal(n)

@@ -324,6 +324,7 @@ def _bad_input(case, tmp_path):
         "non_finite_prediction_cell": (evaluate, ["'y_hat'", "'inf'", "row 12"]),
         "non_finite_tensor_cell": (tensor_argv, ["tensor.csv", "'-inf'", "row 3"]),
         "empty_numeric_cell": (correct, ["'z0'", "empty", "row 10"]),
+        "empty_categorical_cell": (correct, ["'x0'", "an empty cell", "row 6"]),
         "predictions_only_row_id": (evaluate, ["preds.csv", "row_id"]),
         "non_utf8_data": (correct, ["data.csv", "UTF-8"]),
         "repeated_header_name": (correct, ["data.csv", "repeats", "'z1'"]),
@@ -349,6 +350,11 @@ def _bad_input(case, tmp_path):
         tensor[2][5] = "-inf"
     elif case == "empty_numeric_cell":
         rows[9][0] = ""
+    elif case == "empty_categorical_cell":
+        # "" sorts first, so it would otherwise become the reference level
+        for k, row in enumerate(rows[1:]):
+            row[2] = "ab"[k % 2]
+        rows[5][2] = rows[30][2] = ""
     elif case == "predictions_only_row_id":
         preds = [[r[0]] for r in preds]
     elif case == "repeated_header_name":
@@ -366,7 +372,8 @@ def _bad_input(case, tmp_path):
     "data_row_width", "single_level_category", "malformed_dims",
     "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
     "non_finite_data_cell", "non_finite_prediction_cell",
-    "non_finite_tensor_cell", "empty_numeric_cell", "predictions_only_row_id",
+    "non_finite_tensor_cell", "empty_numeric_cell", "empty_categorical_cell",
+    "predictions_only_row_id",
     "non_utf8_data", "repeated_header_name",
 ])
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
@@ -422,6 +429,32 @@ class TestReaderParity:
         assert all(outputs[style] == outputs["lf"] for style in self.STYLES)
         assert (tmp_path / "crlf.csv").read_bytes().count(b"\r\n") == len(rows)
         assert b'"' in (tmp_path / "quote_all.csv").read_bytes()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        rows = self.table(["Boston", "Chicago", "Denver"])
+        rng = np.random.Generator(np.random.Philox(key=27))
+        tensor = rng.standard_normal((len(rows) - 1, 2, 3))
+        outputs = {}
+        for bom in (b"", b"\xef\xbb\xbf"):
+            tag = "bom" if bom else "plain"
+            data, tfile = tmp_path / f"{tag}.csv", tmp_path / f"{tag}_t.csv"
+            self.write(data, rows, "lf")
+            write_tensor(tfile, tensor)
+            for path in (data, tfile):
+                path.write_bytes(bom + path.read_bytes())
+            out = tmp_path / tag
+            assert main(["correct", "--data", str(data), "--protected", "z0,sex",
+                         "--method", "tensor", "--tensor", str(tfile),
+                         "--out", str(out / "tensor")]) == 0
+            outputs[tag] = (self.run(data, out), capsys.readouterr().out)
+        assert outputs["bom"] == outputs["plain"]
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbfz0,")
+        # a decoding error still names the file's own byte offset
+        data.write_bytes(b"\xef\xbb\xbfz0,y\n1,\xff\n")
+        assert main(["correct", "--data", str(data), "--outcome", "y",
+                     "--protected", "z0", "--out", str(tmp_path / "o")]) == 2
+        assert "(byte 10:" in capsys.readouterr().err
 
     def test_quoted_level_with_comma(self, tmp_path, capsys):
         data = tmp_path / "quoted.csv"

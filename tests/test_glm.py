@@ -22,11 +22,9 @@ from orthokit.glm import (
     _irls_solve,
     _weighted_gram,
     family_by_name,
-    fisher_weights,
     fit_glm,
     normal_sf2,
     wald_inference,
-    working_response,
 )
 from orthokit.linalg import least_squares
 from orthokit.synth import SyntheticSpec, generate
@@ -82,52 +80,6 @@ def newton_oracle(z, y, family, iters=200):
         if np.max(np.abs(grad)) < 1e-12:
             break
     return beta
-
-
-class TestFisherWeights:
-    def test_bernoulli_half(self):
-        np.testing.assert_allclose(
-            fisher_weights(BERNOULLI, [0.5]), [0.25]
-        )
-
-    def test_poisson_unit_mean(self):
-        np.testing.assert_allclose(fisher_weights(POISSON, [1.0]), [1.0])
-
-    def test_gaussian_constant(self):
-        np.testing.assert_allclose(
-            fisher_weights(GAUSSIAN, [-3.0, 0.0, 7.0]), [1.0, 1.0, 1.0]
-        )
-
-    def test_boundary_means_rejected(self):
-        with pytest.raises(DomainError):
-            fisher_weights(BERNOULLI, [0.0, 0.5])
-        with pytest.raises(DomainError):
-            fisher_weights(POISSON, [0.0])
-
-    def test_strictly_positive(self):
-        mu = rng(1).uniform(0.01, 0.99, size=50)
-        assert np.all(fisher_weights(BERNOULLI, mu) > 0)
-
-
-class TestWorkingResponse:
-    def test_zero_at_fitted_mean(self):
-        mu = np.array([0.2, 0.7])
-        np.testing.assert_allclose(
-            working_response(BERNOULLI, mu, mu), [0.0, 0.0]
-        )
-
-    def test_gaussian_is_raw_residual(self):
-        y = np.array([1.0, 2.0])
-        mu = np.array([0.5, 2.5])
-        np.testing.assert_allclose(
-            working_response(GAUSSIAN, y, mu), y - mu
-        )
-
-    def test_bernoulli_half_mean(self):
-        # g'(1/2) = 4, so a correct positive case contributes 4 * 0.5
-        np.testing.assert_allclose(
-            working_response(BERNOULLI, [1.0], [0.5]), [2.0]
-        )
 
 
 class TestFitGlm:
@@ -318,7 +270,7 @@ class TestIrlsStep:
         # ratio ~1e-6) but puts cond(Z^T W Z) near 1e12
         z, y = draw_problem(family, rng(33), n=200, q=3)
         z[:, 1] *= 2.0**-20
-        sw = np.sqrt(fisher_weights(family, family.clip_mean(family.h(np.zeros(200)))))
+        sw = np.sqrt(family.variance(family.clip_mean(family.h(np.zeros(200)))))
         a = z * sw[:, None]
         assert 1.0 / np.linalg.cond(a.T @ a, 1) < GRAM_RCOND_MIN
         fit = fit_glm(z, y, family)
@@ -340,8 +292,8 @@ class TestIrlsStep:
         for m in range(1, 31):
             eta = zd @ beta
             mu = fam.clip_mean(fam.h(eta))
-            w = fisher_weights(fam, mu)
-            resp = eta + working_response(fam, data.y, mu)
+            w = fam.variance(mu)
+            resp = eta + (data.y - mu) / w
             sw = np.sqrt(w)
             qr_step = least_squares(zd * sw[:, None], resp * sw)
             chol_step = _irls_solve(zd, w, resp)
