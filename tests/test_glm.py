@@ -82,6 +82,71 @@ def newton_oracle(z, y, family, iters=200):
     return beta
 
 
+class TestFisherWeights:
+    """The IRLS weight of a canonical link is ``V(mu)`` on clipped means."""
+
+    def test_bernoulli_half(self):
+        np.testing.assert_allclose(BERNOULLI.variance(np.array([0.5])), [0.25])
+
+    def test_poisson_unit_mean(self):
+        np.testing.assert_allclose(POISSON.variance(np.array([1.0])), [1.0])
+
+    def test_gaussian_constant(self):
+        np.testing.assert_allclose(
+            GAUSSIAN.variance(np.array([-3.0, 0.0, 7.0])), [1.0, 1.0, 1.0]
+        )
+
+    def test_boundary_means_clipped(self):
+        # saturated activations would give zero weight and an infinite
+        # working response; clip_mean keeps both finite
+        for family, eta in ((BERNOULLI, [-800.0, 800.0]), (POISSON, [-800.0])):
+            w = family.variance(family.clip_mean(family.h(np.array(eta))))
+            assert np.all(w > 0.0) and np.all(np.isfinite(1.0 / w))
+
+    def test_strictly_positive(self):
+        for family in FAMILIES:
+            z, y = draw_problem(family, rng(1))
+            fit = fit_glm(z, y, family)
+            np.testing.assert_array_equal(
+                fit.weight_diag, family.variance(fit.fitted_means)
+            )
+            assert np.all(fit.weight_diag > 0.0)
+
+
+class TestWorkingResponse:
+    """The IRLS response is ``eta + (y - mu) / V(mu)``."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_zero_at_fitted_mean(self, family):
+        # at convergence a further weighted step leaves beta where it is
+        z, y = draw_problem(family, rng(2))
+        fit = fit_glm(z, y, family)
+        eta = z @ fit.coefficients
+        w = fit.weight_diag
+        step = _irls_solve(z, w, eta + (y - fit.fitted_means) / w)
+        np.testing.assert_allclose(step, fit.coefficients, atol=1e-7)
+
+    def test_gaussian_is_raw_residual(self):
+        # with unit weights the first step is least squares, so it is final
+        z, y = draw_problem(GAUSSIAN, rng(3))
+        fit = fit_glm(z, y, GAUSSIAN)
+        assert fit.converged and fit.iterations == 1
+
+    @pytest.mark.parametrize(
+        "family, y, first_step",
+        [
+            # g'(1/2) = 4, so each case contributes 4 (y_i - 1/2)
+            (BERNOULLI, [1.0, 1.0, 1.0, 0.0, 0.0], 0.4),
+            # g'(1) = 1, so the step is the raw mean residual
+            (POISSON, [1.0, 2.0, 3.0, 2.0], 1.0),
+        ],
+        ids=["bernoulli_half_mean", "poisson_unit_mean"],
+    )
+    def test_first_step_from_zero(self, family, y, first_step):
+        fit = fit_glm(np.ones((len(y), 1)), y, family, max_iter=1)
+        np.testing.assert_allclose(fit.coefficients, [first_step], atol=1e-12)
+
+
 class TestFitGlm:
     def test_gaussian_equals_least_squares(self):
         g = rng(10)
