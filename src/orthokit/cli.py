@@ -25,6 +25,7 @@ report is still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -41,7 +42,7 @@ from .correct import (
     correct_features_linear,
     fit_constrained_glm,
 )
-from .errors import OrthokitError
+from .errors import OrthokitError, RankDeficient
 from .evalmodel import evaluate_glm, evaluate_relu_l2
 from .glm import ALPHA, family_by_name, fit_glm
 from .online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
@@ -217,6 +218,25 @@ def write_tensor(path, tensor) -> None:
         fh.write("#dims " + " ".join(str(d) for d in tensor.shape) + "\n" + text)
 
 
+@contextlib.contextmanager
+def _naming_dependent_column(kind, columns, earlier, rows):
+    """Re-raise ``RankDeficient`` from a design whose columns are
+    ``columns`` as a ``CliError`` naming the first dependent column, which
+    is a combination of ``earlier``.  With fewer ``rows`` than columns the
+    error's index is the row count, and it passes through unchanged."""
+    try:
+        yield
+    except RankDeficient as exc:
+        if rows < len(columns):
+            raise
+        j = exc.col_index
+        if j == 0:
+            raise CliError(f"column {columns[0]!r} is numerically zero next to "
+                           f"the largest {kind} column") from None
+        raise CliError(f"{kind} column {columns[j]!r} is a linear combination "
+                       f"of {earlier}") from None
+
+
 # ---------------------------------------------------------------------------
 # correct
 
@@ -243,7 +263,10 @@ def cmd_correct(args) -> int:
         tensor = read_tensor(args.tensor)
         if tensor.shape[0] != x.shape[0]:
             raise CliError("tensor rows do not match data rows")
-        corrected = correct_features_linear(x, tensor)
+        with _naming_dependent_column(
+            "protected", x_names, "earlier protected columns", x.shape[0]
+        ):
+            corrected = correct_features_linear(x, tensor)
         write_tensor(out_dir / "corrected_tensor.csv", corrected)
         report = {
             "method": "tensor",
@@ -282,9 +305,18 @@ def cmd_correct(args) -> int:
             "reference_levels": refs,
         }
     elif args.method in ("linear", "relu"):
-        zc = correct_features_linear(augment_intercept(x), z)
+        with _naming_dependent_column(
+            "protected", ["(intercept)"] + x_names,
+            "the intercept and earlier protected columns", x.shape[0],
+        ):
+            zc = correct_features_linear(augment_intercept(x), z)
         if args.method == "linear":
-            fit = fit_glm(zc, y, family, with_intercept=True)
+            with _naming_dependent_column(
+                "feature", ["(intercept)"] + z_names,
+                "the intercept, the protected columns and earlier feature columns",
+                z.shape[0],
+            ):
+                fit = fit_glm(zc, y, family, with_intercept=True)
             gamma, y_hat, converged = fit.coefficients, fit.fitted_means, fit.converged
             loss = family.nll(y, y_hat)
             iterations = fit.iterations
@@ -369,7 +401,11 @@ def cmd_evaluate(args) -> int:
         )
         return 0
 
-    report = evaluate_glm(x, y_hat, family)
+    with _naming_dependent_column(
+        "protected", ["(intercept)"] + x_names,
+        "the intercept and earlier protected columns", x.shape[0],
+    ):
+        report = evaluate_glm(x, y_hat, family)
     _write_csv(
         out_dir / "evaluation.csv",
         ("coefficient", "estimate", "std_error", "z", "p_value"),

@@ -13,9 +13,9 @@ Three ways to remove the linear influence of protected features:
   solved by equality-constrained Newton steps (SQP) on one constraint per
   protected column, from the exactly feasible start ``gamma = 0``.  Each
   step costs one weighted Gram product for the Lagrangian Hessian plus
-  small factorizations: a pivoted QR of the constraint Jacobian and a
-  Cholesky solve on its null space.  It returns its best iterate whether or
-  not it converged.
+  small factorizations: an SVD of the constraint Jacobian and a solve with
+  the Hessian on its null space, both from ``numpy.linalg``.  It returns its
+  best iterate whether or not it converged.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, DomainError, RankDeficient
 from .glm import MEAN_EPS, GlmFamily, _weighted_gram
@@ -120,6 +118,13 @@ class ConstrainedConfig:
 # feasible iterate is accepted as the constrained optimum
 STATIONARITY_TOL = 1e-8
 
+# Relative rounding allowance of the line search: a trial whose merit
+# exceeds the Armijo bound by at most MERIT_RTOL * (|merit0| + 1) is
+# accepted, so that a step whose merit change is below the rounding of a
+# sum over thousands of rows is not halved on noise in the last digits
+# (``fit_glm`` accepts its steps on the same rule)
+MERIT_RTOL = 1e-12
+
 
 @dataclass
 class CorrectionOutcome:
@@ -149,32 +154,33 @@ def _newton_step(hess, jac, grad, c):
     """The SQP step ``d`` of the KKT system
     ``[[H, J^T], [J, 0]] [d, lam] = -[grad, c]`` by the null-space method.
 
-    A pivoted QR of ``J^T`` (rank r by ``RANK_RTOL``) splits d into a range
-    part ``Y dy`` that solves the r independent linearized constraints and a
-    null-space part ``N dz`` from a Cholesky solve of the reduced Hessian
-    ``N^T H N``.  When that block's smallest eigenvalue is at most
-    ``1e-10 * scale`` (its shifted Cholesky fails) the Hessian gets a
-    Levenberg shift, so that d descends on the merit.  Returns ``(d, H)``
-    with the Hessian the step used, shifted or not.
+    One SVD ``J^T = U S V^T``, cut at rank r where the singular values fall
+    to ``RANK_RTOL * s_0``, splits d into a range part ``Y dy`` (Y the first
+    r columns of U) that solves the r independent linearized constraints
+    and a null-space part ``N dz`` (N the other columns) from a solve with
+    the reduced Hessian ``N^T H N``.  When that block's smallest eigenvalue
+    is at most ``1e-10 * scale`` (the Cholesky factorization of the block
+    less that much fails) the Hessian gets a Levenberg shift, so that d
+    descends on the merit.  Returns ``(d, H)`` with the Hessian the step
+    used, shifted or not.
     """
     k = hess.shape[0]
-    q, r, piv = scipy.linalg.qr(jac.T, pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size else 0
-    y, null = q[:, :rank], q[:, rank:]
-    dy = scipy.linalg.solve_triangular(r[:rank, :rank], -c[piv[:rank]], trans="T")
-    d = y @ dy
+    u, s, vt = np.linalg.svd(jac.T)
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    y, null = u[:, :rank], u[:, rank:]
+    d = y @ (-(vt[:rank] @ c) / s[:rank])
     if rank == k:  # the linearized constraints alone determine d
         return d, hess
     reduced = null.T @ hess @ null
     scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
     eye = np.eye(k - rank)
-    if lapack.dpotrf(reduced - 1e-10 * scale * eye)[1] != 0:
+    try:
+        np.linalg.cholesky(reduced - 1e-10 * scale * eye)
+    except np.linalg.LinAlgError:
         shift = 1e-4 * scale - 2.0 * np.linalg.eigvalsh(reduced).min()
         hess = hess + shift * np.eye(k)
         reduced = reduced + shift * eye
-    factor = lapack.dpotrf(reduced)[0]
-    dz = lapack.dpotrs(factor, -null.T @ (grad + hess @ d))[0]
+    dz = np.linalg.solve(reduced, -null.T @ (grad + hess @ d))
     return d + null @ dz, hess
 
 
@@ -201,10 +207,10 @@ def fit_constrained_glm(
     least-squares multipliers ``lam``, so that ``Z^T W Z / n`` is the
     Hessian of the Lagrangian.  W can be negative on some rows; the Hessian
     is the difference of two symmetric rank-k products.  The system is
-    solved by the null-space method (Nocedal & Wright, sec. 16.2): a pivoted
-    QR of ``J^T`` gives the part of d that meets the linearized constraints
-    and a basis N of the null space of J, and a Cholesky solve with the
-    reduced Hessian ``N^T H N`` gives the rest.  A Levenberg shift keeps
+    solved by the null-space method (Nocedal & Wright, sec. 16.2): an SVD
+    of ``J^T`` gives the part of d that meets the linearized constraints
+    and a basis N of the null space of J, and a solve with the reduced
+    Hessian ``N^T H N`` gives the rest.  A Levenberg shift keeps
     that reduced block positive definite.  Steps are damped by a
     backtracking search on the l1 merit ``f + rho ||c||_1``, starting from
     ``gamma = 0``, which is exactly feasible.
@@ -273,12 +279,13 @@ def fit_constrained_glm(
             curv = max(float(d @ hess @ d), 0.0)
             rho = max(rho, (slope + 0.5 * curv) / (0.5 * c1))
         merit0, descent = loss + rho * c1, slope - rho * c1
+        bound = merit0 + MERIT_RTOL * (abs(merit0) + 1.0)
         step = 1.0
         for _ in range(34):  # Armijo backtracking down to a step of ~1e-10
             trial = gamma + step * d
             mu_t, c_t, loss_t = evaluate(trial)
             merit = loss_t + rho * float(np.sum(np.abs(c_t)))
-            if merit <= merit0 + 1e-4 * step * descent:
+            if merit <= bound + 1e-4 * step * descent:
                 break
             step *= 0.5
         else:

@@ -14,8 +14,10 @@ class DimensionMismatch(OrthokitError):
 class RankDeficient(OrthokitError):
     """A matrix that must have full column rank does not.
 
-    ``col_index`` is the index (in the original column order) of the first
-    column whose pivoted-QR diagonal fell below the relative tolerance.
+    ``col_index`` is the index, in input order, of the first column whose
+    QR diagonal (its distance from the span of the columns before it) is
+    at most ``linalg.RANK_RTOL`` times the largest column norm.  When a
+    design has fewer rows than columns it is the row count instead.
     """
 
     def __init__(self, col_index: int, message: str | None = None):

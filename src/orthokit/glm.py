@@ -9,11 +9,13 @@ weight of observation i is ``1 / (g'(mu_i)^2 V(mu_i)) = V(mu_i)`` and the
 working response is ``g'(mu_i) (y_i - mu_i) = (y_i - mu_i) / V(mu_i)``, both
 formed inside ``fit_glm`` from ``family.variance``; the score reduces to
 ``Z^T (y - mu)``, which is also the convergence criterion.
-Each weighted least-squares step is solved by Cholesky on the Gram matrix
-``Z^T W Z``, with pivoted QR as the fallback for ill-conditioned or
-rank-deficient steps; Wald standard errors come from a Cholesky factor of
-the same information matrix.  ``_weighted_gram`` forms every such Gram
-matrix in the package, the constrained fit's Lagrangian Hessian included.
+Each weighted least-squares step is solved on the Gram matrix ``Z^T W Z``
+once its Cholesky factor shows it positive definite and well conditioned,
+with Householder QR as the fallback for ill-conditioned or rank-deficient
+steps; Wald standard errors come from the inverse of a Cholesky factor of
+the same information matrix.  Only ``numpy.linalg`` is used.
+``_weighted_gram`` forms every such Gram matrix in the package, the
+constrained fit's Lagrangian Hessian included.
 Fits that stop short of the tolerance return their best iterate with
 ``converged=False`` and a ``stop_reason``; nothing here raises on
 non-convergence.
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DomainError, SingularInformation
 from .linalg import as_matrix, as_vector, least_squares
@@ -36,13 +37,16 @@ from .linalg import as_matrix, as_vector, least_squares
 # singularities.
 MEAN_EPS = 1e-10
 
-# Smallest reciprocal condition estimate (LAPACK ``dpocon``, 1-norm) of the
-# weighted Gram matrix ``Z^T W Z`` at which an IRLS step is solved by
-# Cholesky.  Below it the step goes to pivoted-QR least squares, which also
-# owns the rank check.  cond(Z^T W Z) <= 1e10 means cond(sqrt(W) Z) <= 1e5,
-# so every pivoted-QR diagonal of an accepted design is at least 1e-5 times
-# the largest: five orders of magnitude clear of ``linalg.RANK_RTOL``
-# (1e-10), which absorbs the slack of the condition estimate.
+# Smallest reciprocal condition estimate ``(min L_jj / max L_jj)^2`` of the
+# weighted Gram matrix ``Z^T W Z = L L^T`` at which an IRLS step is solved
+# from the normal equations.  Below it the step goes to QR least squares,
+# which also owns the rank check.  ``L_jj`` is ``|R_jj|`` of the QR of
+# ``sqrt(W) Z``, so every QR diagonal of an accepted design is at least
+# 1e-5 times the largest: five orders of magnitude clear of
+# ``linalg.RANK_RTOL`` (1e-10).  The diagonal ratio bounds cond(R) from
+# below, so it can pass a matrix whose ill-conditioning no diagonal shows;
+# an exact rcond needs an inverse, about four times the cost of the solve
+# at k = 101.
 GRAM_RCOND_MIN = 1e-10
 
 # Default certification thresholds: a report is null-certified when every
@@ -52,12 +56,9 @@ COEF_NULL_THRESHOLD = 1e-2
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|eta|) never overflows, and equals exp(eta) exactly for eta < 0
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -226,14 +227,15 @@ def normal_sf2(z: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(gram: np.ndarray):
-    """Upper Cholesky factor of a symmetric matrix with its reciprocal
-    1-norm condition estimate; ``(None, 0.0)`` if it is not positive
-    definite."""
-    anorm = float(np.max(np.sum(np.abs(gram), axis=0)))
-    c, info = lapack.dpotrf(gram)
-    if info != 0:
+    """Lower Cholesky factor of a symmetric matrix with the reciprocal
+    condition estimate ``(min L_jj / max L_jj)^2``; ``(None, 0.0)`` if it
+    is not positive definite."""
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         return None, 0.0
-    return c, lapack.dpocon(c, anorm)[0]
+    diag = np.diag(factor)
+    return factor, float((diag.min() / diag.max()) ** 2)
 
 
 def _weighted_gram(zm: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -252,16 +254,18 @@ def _weighted_gram(zm: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
     """Weighted least squares ``argmin_b ||sqrt(W) (Z b - resp)||``.
 
-    Solves the normal equations ``Z^T W Z b = Z^T W resp`` by Cholesky when
-    the Gram matrix factors with a reciprocal condition estimate of at least
-    ``GRAM_RCOND_MIN``.  Otherwise, and when n < k or k = 0, the step is
-    pivoted-QR ``least_squares`` on the weighted design, which raises
+    Solves the normal equations ``Z^T W Z b = Z^T W resp`` when the Gram
+    matrix has a Cholesky factor with a reciprocal condition estimate of at
+    least ``GRAM_RCOND_MIN``.  Otherwise, and when n < k or k = 0, the step
+    is QR ``least_squares`` on the weighted design, which raises
     ``RankDeficient`` for a rank-deficient design.
     """
     if zm.shape[0] >= zm.shape[1] > 0:
-        c, rcond = _cholesky(_weighted_gram(zm, w))
-        if rcond >= GRAM_RCOND_MIN:
-            return lapack.dpotrs(c, zm.T @ (w * resp))[0]
+        gram = _weighted_gram(zm, w)
+        if _cholesky(gram)[1] >= GRAM_RCOND_MIN:
+            # numpy has no triangular solver: one LU of the Gram matrix
+            # costs less than two LU-based solves with its factor
+            return np.linalg.solve(gram, zm.T @ (w * resp))
     sw = np.sqrt(w)
     return least_squares(zm * sw[:, None], resp * sw)
 
@@ -278,12 +282,12 @@ def fit_glm(
 ) -> GlmFit:
     """Fit a canonical GLM by Fisher-scoring IRLS with step-halving.
 
-    Each step solves the weighted normal equations ``Z^T W Z b = Z^T W r``
-    by Cholesky.  When the Gram matrix is not positive definite, its
-    condition estimate falls below ``GRAM_RCOND_MIN``, or n < k, the step
-    falls back to pivoted-QR least squares on ``sqrt(W) Z``, which raises
-    ``RankDeficient`` naming the first dependent column (or, for n < k, the
-    row count).
+    Each step solves the weighted normal equations ``Z^T W Z b = Z^T W r``.
+    When the Gram matrix has no Cholesky factor (it is not positive
+    definite), the factor's condition estimate falls below
+    ``GRAM_RCOND_MIN``, or n < k, the step falls back to QR least squares
+    on ``sqrt(W) Z``, which raises ``RankDeficient`` naming the first
+    dependent column in input order (or, for n < k, the row count).
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
     ``tol``.  The deviance is non-increasing across accepted steps; if a full
@@ -364,10 +368,12 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     Standard errors are the square roots of the diagonal of
     ``(Z^T W Z)^{-1}`` with W the Fisher weights at the fitted means; for the
     gaussian family this is scaled by the residual variance estimate.  The
-    inverse is taken from a Cholesky factor of the information matrix
-    (``dpotri``).  Raises ``SingularInformation`` when the matrix is not
-    positive definite or its reciprocal condition estimate is below k times
-    machine epsilon, the tolerance ``numpy.linalg.matrix_rank`` uses.
+    diagonal is the column sums of squares of ``L^{-1}`` for the Cholesky
+    factor ``L`` of the information matrix, which is never inverted itself.
+    Raises ``SingularInformation`` when the matrix is not positive definite
+    or the factor's reciprocal condition estimate (as in ``_irls_solve``)
+    is below k times machine epsilon, the tolerance
+    ``numpy.linalg.matrix_rank`` uses.
     """
     zm = as_matrix(z, "design matrix")
     if fit.with_intercept:
@@ -376,12 +382,12 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
         raise DomainError("design width does not match coefficient length")
     n, k = zm.shape
 
-    c, rcond = _cholesky(_weighted_gram(zm, fit.weight_diag))
+    factor, rcond = _cholesky(_weighted_gram(zm, fit.weight_diag))
     if rcond < k * np.finfo(np.float64).eps:
         raise SingularInformation(
             f"information matrix is numerically singular (rcond={rcond:.3g})"
         )
-    diag = np.diag(lapack.dpotri(c)[0])
+    diag = np.sum(np.linalg.inv(factor) ** 2, axis=0)
     if fit.family.name == "gaussian":
         # gaussian deviance is the residual sum of squares
         dof = max(n - k, 1)

@@ -7,13 +7,14 @@ skinny matrix products, which keeps storage at O(n p).  It is the package's
 one projection verb: vectors, matrices and tensors alike are projected along
 their leading (observation) axis, i.e. on their n-by-d matricization, which
 is the mode-1 product with ``I - Q Q^T``.  Projectors and
-``least_squares`` work from pivoted QR, which carries the hard rank check.
-IRLS (``glm.fit_glm``) does use the normal equations: it solves each step by
-Cholesky on the weighted Gram matrix ``Z^T W Z`` (formed, like every
-weighted Gram in the package, by ``glm._weighted_gram``), guarded by a
-condition estimate, and falls back to ``least_squares`` when that estimate
-is poor.  The constrained fit's Newton steps use ``RANK_RTOL`` to cut the
-numerical rank of the constraint Jacobian's pivoted QR.
+``least_squares`` work from a Householder QR, which carries the hard rank
+check.  IRLS (``glm.fit_glm``) does use the normal equations: it solves each
+step on the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted
+Gram in the package, by ``glm._weighted_gram``), guarded by its Cholesky
+factor, and falls back to ``least_squares`` when that factor shows a poor
+condition.  The constrained fit's Newton steps use ``RANK_RTOL`` to cut the
+numerical rank of the constraint Jacobian's singular values.  Everything
+here runs on ``numpy.linalg`` alone.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, RankDeficient
 
-# Relative tolerance on pivoted-QR diagonals below which a column is
-# declared linearly dependent.  Rank deficiency is a hard error, not a
+# Relative tolerance below which a column is declared linearly dependent:
+# its QR diagonal against the largest column norm (what a column-pivoted QR
+# puts first on its diagonal).  Rank deficiency is a hard error, not a
 # pseudo-inverse fallback.
 RANK_RTOL = 1e-10
 
@@ -61,23 +62,22 @@ def as_tensor(t, name: str = "tensor") -> np.ndarray:
     return a
 
 
-def _pivoted_qr(a: np.ndarray):
-    """Pivoted QR with a hard rank check.
+def _qr(a: np.ndarray):
+    """Thin Householder QR with a hard rank check.
 
-    Returns ``(q, r, piv)``.  Raises ``RankDeficient`` naming the first
-    original column whose pivot diagonal falls below ``RANK_RTOL`` times the
-    largest diagonal.
+    Returns ``(q, r)``.  Raises ``RankDeficient`` naming the first column,
+    in input order, whose diagonal ``|r_jj|`` (its distance from the span
+    of the columns before it) is at most ``RANK_RTOL`` times the largest
+    column norm.
     """
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0:
+    if a.shape[1] == 0:
         raise RankDeficient(0, "matrix has no columns")
-    thresh = RANK_RTOL * diag[0]
-    bad = np.nonzero(diag <= thresh)[0]
-    if diag[0] == 0.0 or bad.size:
-        first_bad = int(piv[bad[0]]) if bad.size else int(piv[0])
-        raise RankDeficient(first_bad)
-    return q, r, piv
+    q, r = np.linalg.qr(a)
+    thresh = RANK_RTOL * np.max(np.linalg.norm(a, axis=0))
+    bad = np.flatnonzero(np.abs(np.diag(r)) <= thresh)
+    if bad.size:
+        raise RankDeficient(int(bad[0]))
+    return q, r
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def build_projector(x) -> Projector:
         raise DimensionMismatch("need at least one column")
     if n < p:
         raise DimensionMismatch(f"need n >= p, got n={n} < p={p}")
-    q, _, _ = _pivoted_qr(xm)
-    return Projector(q=q, n=n)
+    return Projector(q=_qr(xm)[0], n=n)
 
 
 def center_columns(x) -> np.ndarray:
@@ -130,7 +129,7 @@ def center_columns(x) -> np.ndarray:
 
 
 def least_squares(a, b) -> np.ndarray:
-    """Minimum-residual solution of ``a @ x = b`` via pivoted QR.
+    """Minimum-residual solution of ``a @ x = b`` via Householder QR.
 
     ``a`` must have full column rank; the residual is orthogonal to its
     column span.  ``b`` may be a vector or a matrix of right-hand sides;
@@ -149,9 +148,8 @@ def least_squares(a, b) -> np.ndarray:
             am.shape[0],
             f"{am.shape[0]}x{am.shape[1]} design cannot have full column rank",
         )
-    q, r, piv = _pivoted_qr(am)
-    k = am.shape[1]
-    y = scipy.linalg.solve_triangular(r[:k, :k], q.T @ bm, lower=False)
-    x = np.empty_like(y)
-    x[piv] = y
+    q, r = _qr(am)
+    # numpy has no triangular solver; LU of an upper-triangular r pivots on
+    # its own diagonal and eliminates nothing, so this is back substitution
+    x = np.linalg.solve(r, q.T @ bm)
     return x[:, 0] if vector_rhs else x

@@ -577,6 +577,93 @@ class TestEvaluateCommand:
         assert 0.0 < share < 1.0
 
 
+def _collinear_files(tmp_path):
+    """A CSV whose numeric 'male' is the indicator of level 'M' of the
+    categorical 'sex', whose 'age2' repeats 'age' and whose 'zero' is 0,
+    with a predictions file and a tensor file of the same rows."""
+    rng = np.random.Generator(np.random.Philox(key=26))
+    n = 80
+    sex = rng.choice(["F", "M"], size=n)
+    age = rng.integers(20, 70, size=n)
+    rows = [["z0", "z1", "sex", "male", "age", "age2", "zero", "y"]] + [
+        [f"{v:.17g}" for v in rng.standard_normal(2)]
+        + [sex[i], str(int(sex[i] == "M")), str(age[i]), str(age[i]), "0",
+           str(int(rng.random() < 0.5))]
+        for i in range(n)
+    ]
+    preds = [["row_id", "y_hat"]] + [[str(i), f"{rng.uniform(0.2, 0.8):.17g}"]
+                                     for i in range(n)]
+    tensor = [[f"#dims {n} 2"]] + [[f"{v:.17g}" for v in rng.standard_normal(2)]
+                                   for _ in range(n)]
+    paths = [tmp_path / f for f in ("data.csv", "preds.csv", "tensor.csv")]
+    for path, content in zip(paths, (rows, preds, tensor)):
+        _write_rows(path, content)
+    return paths
+
+
+class TestDependentColumnNamed:
+    """A protected (or feature) column that is a linear combination of the
+    columns before it exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("command, protected, message", [
+        ("linear", "sex,male,age", "protected column 'male' is a linear "
+         "combination of the intercept and earlier protected columns"),
+        ("relu", "sex,male,age", "protected column 'male'"),
+        ("evaluate", "sex,male,age", "protected column 'male' is a linear "
+         "combination of the intercept and earlier protected columns"),
+        ("evaluate", "male,age,sex", "protected column 'sex=M'"),
+        ("linear", "age,age2", "protected column 'age2'"),
+        ("evaluate", "age,age2", "protected column 'age2'"),
+        ("tensor", "sex,male", "protected column 'male' is a linear "
+         "combination of earlier protected columns"),
+        # the features sex=M and male coincide after projection
+        ("linear", "age", "feature column 'male' is a linear combination of "
+         "the intercept, the protected columns and earlier feature columns"),
+        ("tensor", "zero,age", "column 'zero' is numerically zero next to "
+         "the largest protected column"),
+    ])
+    def test_exits_2_naming_the_column(self, command, protected, message,
+                                       tmp_path, capsys):
+        data, preds, tensor = _collinear_files(tmp_path)
+        out = str(tmp_path / "o")
+        if command == "evaluate":
+            argv = ["evaluate", "--predictions", str(preds),
+                    "--protected-data", str(data), "--protected", protected,
+                    "--family", "bernoulli", "--out", out]
+        else:
+            argv = ["correct", "--data", str(data), "--protected", protected,
+                    "--method", command, "--out", out]
+            argv += (["--tensor", str(tensor)] if command == "tensor"
+                     else ["--outcome", "y", "--family", "bernoulli"])
+        rc = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1, err
+        assert message in err[0], err[0]
+
+    def test_too_few_rows_name_no_column(self, tmp_path, capsys):
+        # with 3 rows and 5 feature columns the error's index is the row
+        # count, not a column
+        rows = [["z0", "z1", "z2", "z3", "x0", "y"], ["1", "2", "3", "4", "1", "0.5"],
+                ["2", "1", "5", "3", "0", "0.1"], ["4", "3", "2", "8", "1", "0.9"]]
+        _write_rows(tmp_path / "data.csv", rows)
+        rc = main(["correct", "--data", str(tmp_path / "data.csv"), "--outcome", "y",
+                   "--protected", "x0", "--family", "gaussian", "--method", "linear",
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip()
+        assert rc == 2
+        assert err == "error: RankDeficient: 3x5 design cannot have full column rank"
+
+    def test_constrained_fit_drops_the_implied_constraint(self, tmp_path):
+        data, _, _ = _collinear_files(tmp_path)
+        rc = main([
+            "correct", "--data", str(data), "--outcome", "y",
+            "--protected", "sex,male,age", "--family", "bernoulli",
+            "--method", "glm-constrained", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+
+
 class TestSimulateCommand:
     def grid_file(self, tmp_path):
         cells = [

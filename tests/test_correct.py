@@ -9,6 +9,8 @@ alternating sum of the four rectified dot products, and the mixed term of
 sample-orthogonal vectors is generally positive, not zero.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,6 +380,58 @@ class TestNewtonStep:
             assert used is hess
             np.testing.assert_allclose(jac @ d, -c, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(out.gamma_c)) <= 1e-12
+
+
+class TestLineSearch:
+    """The SQP line search halves a step only on a merit increase larger
+    than rounding (``MERIT_RTOL``)."""
+
+    @staticmethod
+    def one_step(monkeypatch, growth):
+        """One gaussian SQP step from gamma = 0 along a column orthogonal to
+        y, sized so that the loss grows by ``growth`` times its value.
+        Returns the loss at gamma = 0 and at the full step, the Armijo
+        bound of the full step without rounding allowance, and the linear
+        predictors the fit evaluated."""
+        g = rng(70)
+        n = 200
+        z = g.standard_normal((n, 3))
+        x = g.standard_normal((n, 1)) + z[:, :1]
+        y = g.standard_normal(n)
+        y -= z[:, 1] * (z[:, 1] @ y) / (z[:, 1] @ z[:, 1])
+        zd = augment_intercept(z)
+        loss0 = GAUSSIAN.nll(y, np.zeros(n)) / n
+        # loss(t e_2) - loss0 = t^2 ||z_1||^2 / (2n) when z_1 is orthogonal to y
+        d = np.zeros(4)
+        d[2] = np.sqrt(2.0 * n * growth * loss0) / np.linalg.norm(z[:, 1])
+        monkeypatch.setattr(correct_module, "_newton_step",
+                            lambda hess, jac, grad, c: (d, hess))
+        etas = []
+
+        def h(eta):
+            etas.append(eta)
+            return np.asarray(eta, dtype=np.float64)
+
+        family = dataclasses.replace(GAUSSIAN, h=h)
+        fit_constrained_glm(z, y, x, family, ConstrainedConfig(max_iter=1))
+        # at gamma = 0 the means and constraints are exactly 0, so rho = 0
+        # and the merit is the loss
+        loss_full = GAUSSIAN.nll(y, zd @ d) / n
+        armijo = loss0 + 1e-4 * float((zd.T @ -y / n) @ d)
+        return loss0, loss_full, armijo, etas, zd @ d
+
+    def test_rounding_level_increase_takes_the_full_step(self, monkeypatch):
+        loss0, loss_full, armijo, etas, eta_full = self.one_step(monkeypatch, 1e-14)
+        # the full step fails the plain Armijo test by a rounding-level margin
+        assert armijo < loss_full
+        assert loss_full - loss0 <= correct_module.MERIT_RTOL * (abs(loss0) + 1.0)
+        assert len(etas) == 2  # gamma = 0, then the full step only
+        np.testing.assert_array_equal(etas[1], eta_full)
+
+    def test_larger_increase_is_halved(self, monkeypatch):
+        loss0, loss_full, armijo, etas, _ = self.one_step(monkeypatch, 1e-9)
+        assert loss_full - loss0 > correct_module.MERIT_RTOL * (abs(loss0) + 1.0)
+        assert len(etas) > 2
 
 
 class TestProjectionFailsAfterActivation:

@@ -464,3 +464,30 @@ class TestFamilies:
         np.testing.assert_allclose(
             family.h_inv(family.h(eta)), eta, atol=1e-9
         )
+
+
+def masked_sigmoid(eta):
+    """The two-branch logistic function ``_sigmoid`` replaced: exp(-eta)
+    on the non-negative entries, exp(eta) on the others."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_formula(self):
+        g = rng(50)
+        eta = np.concatenate([
+            [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300,
+             36.7, -36.7, 709.8, -709.8],
+            g.standard_normal(5000) * 10.0,
+            g.uniform(-800.0, 800.0, 5000),
+        ])
+        # exp(-|eta|) <= 1 never overflows (it may underflow to 0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = BERNOULLI.h(eta)
+        np.testing.assert_array_equal(got, masked_sigmoid(eta))
+        assert np.all((got >= 0.0) & (got <= 1.0))

@@ -60,6 +60,31 @@ class TestBuildProjector:
             build_projector(x)
         assert exc.value.col_index in (0, 1)
 
+    def test_sum_column_named_in_input_order(self):
+        # [a, b, a + b, c]: column 2 is the first that depends on the ones
+        # before it, whatever order a pivoted QR would visit them in
+        g = rng(23)
+        a, b, c = g.standard_normal((3, 30))
+        with pytest.raises(RankDeficient) as exc:
+            build_projector(np.column_stack([a, b, a + b, c]))
+        assert exc.value.col_index == 2
+
+    def test_small_column_scale_is_not_rank_deficiency(self):
+        # a column scaled by 2^-20 sits ~1e-6 below the largest column norm,
+        # four orders of magnitude above RANK_RTOL
+        x = rng(24).standard_normal((40, 3))
+        x[:, 1] *= 2.0**-20
+        proj = build_projector(x)
+        assert np.max(np.abs(proj.complement(x))) <= 1e-12
+        np.testing.assert_allclose(
+            proj.complement(np.eye(40)), dense_complement(x), atol=1e-10
+        )
+
+    def test_zero_matrix_named_at_column_zero(self):
+        with pytest.raises(RankDeficient) as exc:
+            build_projector(np.zeros((5, 2)))
+        assert exc.value.col_index == 0
+
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionMismatch):
             build_projector(np.ones((2, 3)))
@@ -241,6 +266,13 @@ class TestLeastSquares:
         a = np.ones((6, 2))
         with pytest.raises(RankDeficient):
             least_squares(a, np.ones(6))
+
+    def test_sum_column_named_in_input_order(self):
+        g = rng(65)
+        a, b, c = g.standard_normal((3, 30))
+        with pytest.raises(RankDeficient) as exc:
+            least_squares(np.column_stack([a, b, a + b, c]), g.standard_normal(30))
+        assert exc.value.col_index == 2
 
     def test_matrix_rhs(self):
         g = rng(64)
