@@ -11,7 +11,11 @@ gradient.
 
 At evaluation time the training-set regression of H on [1, protected] is
 subtracted instead, which is the row-wise applicable form of the full
-training-set projector.
+training-set projector.  Each epoch ends with one cache-free inference pass
+per split: the training split's pass fits that regression (``gamma_hat``) on
+its uncorrected pre-activation at the projected layer, and every split's
+pass subtracts ``[1, protected] @ gamma_hat`` there before finishing the
+network.  The last test-split pass also feeds the confounder report.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correct import augment_intercept
-from .errors import InvalidSpec, RankDeficient
+from .errors import DimensionMismatch, InvalidSpec, RankDeficient
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
 from .linalg import build_projector, least_squares
@@ -135,31 +139,28 @@ def forward(
     xb: np.ndarray,
     protected: np.ndarray | None = None,
     ortho_layer: int = 0,
-    gamma_hat: np.ndarray | None = None,
 ):
-    """Forward pass; returns (probabilities, cache for backprop).
+    """Training forward pass; returns (probabilities, cache for backprop).
 
     When ``protected`` is given, the pre-activation of hidden layer
-    ``ortho_layer`` is orthogonalized: per batch through the exact projector,
-    or, when ``gamma_hat`` (the training-set regression of H on
-    [1, protected]) is supplied, by subtracting ``[1, protected] @ gamma_hat``.
-    The cache keeps each hidden layer's input ``a``, its pre-activation
-    ``h`` after any correction, and its ReLU mask.
+    ``ortho_layer`` is orthogonalized through the exact projector onto the
+    complement of span([1, protected]) of this batch.  The cache keeps each
+    hidden layer's input ``a``, its pre-activation ``h`` after any
+    correction, and its ReLU mask, plus the projector ``proj`` and the
+    ``[1, protected]`` block ``xa`` (both None without correction).
     """
     weights, biases = params["weights"], params["biases"]
     n_layers = len(weights)
-    cache = {"a": [xb], "h": [], "mask": [], "proj": None}
+    cache = {"a": [xb], "h": [], "mask": [], "proj": None, "xa": None}
     act = xb
     for layer in range(n_layers - 1):
         h = act @ weights[layer] + biases[layer]
         if layer == ortho_layer and protected is not None:
             xa = augment_intercept(protected)
-            if gamma_hat is not None:
-                h = h - xa @ gamma_hat
-            else:
-                proj = build_projector(xa)
-                h = proj.complement(h)
-                cache["proj"] = proj
+            proj = build_projector(xa)
+            h = proj.complement(h)
+            cache["proj"] = proj
+            cache["xa"] = xa
         mask = h > 0.0
         act = h * mask
         cache["h"].append(h)
@@ -169,6 +170,32 @@ def forward(
     prob = _sigmoid(out[:, 0])
     cache["prob"] = prob
     return prob, cache
+
+
+def _infer(params, x, xa, ortho_layer, gamma_hat=None):
+    """Cache-free forward pass; returns (probabilities, gamma_hat).
+
+    With ``xa`` (``[1, protected]`` of these rows) given, hidden layer
+    ``ortho_layer`` subtracts ``xa @ gamma_hat`` from its pre-activation;
+    when ``gamma_hat`` is None it is first fitted here, as the least-squares
+    regression of that uncorrected pre-activation on ``xa``.  Each layer
+    works in place on the one array its matrix product returns, with the
+    same floating-point operations as ``forward``.
+    """
+    weights, biases = params["weights"], params["biases"]
+    act = x
+    for layer in range(len(weights) - 1):
+        h = act @ weights[layer]
+        h += biases[layer]
+        if layer == ortho_layer and xa is not None:
+            if gamma_hat is None:
+                gamma_hat = least_squares(xa, h)
+            h -= xa @ gamma_hat
+        h *= h > 0.0
+        act = h
+    out = act @ weights[-1]
+    out += biases[-1]
+    return _sigmoid(out[:, 0]), gamma_hat
 
 
 def backward(params: dict, cache: dict, yb: np.ndarray, ortho_layer: int = 0):
@@ -198,12 +225,6 @@ def bce_loss(prob: np.ndarray, yb: np.ndarray) -> float:
     return float(-np.mean(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
 
 
-def _hidden_regression(params, x, protected, ortho_layer):
-    """Training-set regression of the hidden pre-activation on [1, protected]."""
-    h = forward(params, x)[1]["h"][ortho_layer]
-    return least_squares(augment_intercept(protected), h)
-
-
 @dataclass
 class TrainingResult:
     params: dict
@@ -215,15 +236,12 @@ class TrainingResult:
     confounder_report: object = None
 
     def predict(self, features: np.ndarray, protected: np.ndarray | None = None):
-        prot = protected if self.with_correction else None
-        prob, _ = forward(
-            self.params,
-            features,
-            protected=prot,
-            ortho_layer=self.config.ortho_layer_index,
-            gamma_hat=self.gamma_hat if self.with_correction else None,
-        )
-        return prob
+        ortho = self.config.ortho_layer_index
+        if self.with_correction and self.gamma_hat is None:
+            # no epoch has run: project these rows exactly
+            return forward(self.params, features, protected, ortho)[0]
+        xa = augment_intercept(protected) if self.with_correction else None
+        return _infer(self.params, features, xa, ortho, self.gamma_hat)[0]
 
 
 def train_mlp(
@@ -235,9 +253,14 @@ def train_mlp(
 
     Metrics rows carry, per epoch and split, the accuracy and the constraint
     residual ``max |[1, X]^T H| / rows`` of the (possibly corrected) hidden
-    pre-activation.  Batches whose protected submatrix is rank deficient
-    (all-0 or all-1 confounder) skip the correction with a logged warning.
-    Training always completes; a non-finite loss aborts with diagnostics.
+    pre-activation.  A batch whose ``[1, protected]`` block has a dependent
+    column (an all-0 or all-1 confounder, say) or fewer rows than columns
+    skips the correction, is counted in ``skipped_batches`` and logs a
+    warning.  Each epoch ends with one cache-free pass per split, training
+    split first: its pass fits ``gamma_hat`` and all three subtract it (see
+    the module docstring); the last test-split pass also gives the
+    confounder report.  Training always completes; a non-finite loss aborts
+    with diagnostics.
     """
     cfg = cfg or MlpConfig()
     x_tr, prot_tr, y_tr = data.rows(data.train_mask)
@@ -256,31 +279,24 @@ def train_mlp(
         for start in range(0, n_tr, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             xb, yb = x_tr[idx], y_tr[idx]
-            prot_b = None
-            if with_correction:
-                pb = prot_tr[idx]
-                if np.ptp(pb[:, 0]) > 0:
-                    prot_b = pb
-                else:
-                    result.skipped_batches += 1
-                    logger.warning(
-                        "epoch %d: batch protected column is constant; "
-                        "skipping correction for this batch", epoch,
-                    )
+            prot_b = prot_tr[idx] if with_correction else None
             try:
                 prob, cache = forward(params, xb, prot_b, ortho)
-            except RankDeficient:
+            except (RankDeficient, DimensionMismatch) as exc:
                 result.skipped_batches += 1
-                prot_b = None
+                logger.warning(
+                    "epoch %d: skipping the correction of a %d-row batch: %s",
+                    epoch, len(idx), exc,
+                )
                 prob, cache = forward(params, xb, None, ortho)
             loss = bce_loss(prob, yb)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}; last batch size {len(idx)}"
                 )
-            if prot_b is not None:
+            xa = cache["xa"]
+            if xa is not None:
                 # orthogonality of the corrected pre-activation itself
-                xa = augment_intercept(prot_b)
                 pre = cache["h"][ortho]
                 batch_residuals.append(float(np.max(np.abs(xa.T @ pre)) / len(idx)))
             grads_w, grads_b = backward(params, cache, yb, ortho)
@@ -288,20 +304,16 @@ def train_mlp(
                 params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
                 params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
 
-        gamma_hat = (
-            _hidden_regression(params, x_tr, prot_tr, ortho)
-            if with_correction
-            else None
-        )
-        result.gamma_hat = gamma_hat
         epoch_residual = float(np.mean(batch_residuals)) if batch_residuals else None
+        gamma_hat = None
         for split, mask in (
-            ("train", data.train_mask),
+            ("train", None),
             ("val", data.val_mask),
             ("test", data.test_mask),
         ):
-            xs, ps, ys = data.rows(mask)
-            prob = result.predict(xs, ps)
+            xs, ps, ys = (x_tr, prot_tr, y_tr) if mask is None else data.rows(mask)
+            xa = augment_intercept(ps) if with_correction else None
+            prob, gamma_hat = _infer(params, xs, xa, ortho, gamma_hat)
             acc = float(np.mean((prob > 0.5) == (ys > 0.5)))
             result.metrics.append(
                 {
@@ -312,10 +324,14 @@ def train_mlp(
                     "constraint_residual": epoch_residual,
                 }
             )
+        result.gamma_hat = gamma_hat
 
     # Final check: does the confounder explain the test-split predictions?
-    x_te, p_te, y_te = data.rows(data.test_mask)
-    prob_te = result.predict(x_te, p_te)
+    if cfg.epochs:  # the last pass above was the test split's
+        p_te, prob_te = ps, prob
+    else:
+        x_te, p_te, _ = data.rows(data.test_mask)
+        prob_te = result.predict(x_te, p_te)
     result.confounder_report = evaluate_glm(p_te, prob_te, BERNOULLI)
     return result
 

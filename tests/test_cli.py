@@ -733,6 +733,20 @@ class TestDemoCommand:
         corr = float(final_line.strip().split()[-1])
         assert abs(corr) <= 0.01
 
+    def test_online_demo_reruns_byte_identical(self, tmp_path, capsys):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            rc = main(["demo", "--which", "online", "--seed", "0", "--out", str(out)])
+            assert rc == 0
+            outputs.append(((out / "metrics.csv").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        metrics, stdout = outputs[0]
+        lines = metrics.decode().splitlines()
+        assert lines[0] == "model,epoch,split,accuracy,constraint_residual"
+        assert len(lines) == 1 + 2 * 60 * 3
+        assert stdout.startswith("test accuracy: uncorrected=")
+
     def test_unknown_demo_exits_2(self, tmp_path, capsys):
         rc = main(["demo", "--which", "nope", "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -5,12 +5,17 @@ with and without the projection layer; the behavioural claims (shortcut
 collapse without correction, recovery with it) are pinned on seeded data.
 """
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from orthokit.correct import augment_intercept
 from orthokit.errors import InvalidSpec
-from orthokit.linalg import build_projector
+from orthokit.evalmodel import evaluate_glm
+from orthokit.glm import BERNOULLI
+from orthokit.linalg import build_projector, least_squares
 from orthokit.online import (
     MlpConfig,
     accuracy_by_split,
@@ -182,3 +187,98 @@ class TestTraining:
             train_mlp(data, MlpConfig(ortho_layer_index=5), True)
         with pytest.raises(InvalidSpec):
             train_mlp(data, MlpConfig(layer_widths=(3, 16, 8, 1)), True)
+
+
+@pytest.fixture(scope="module")
+def small_data():
+    return make_confounded_data(400, 300, seed=2)
+
+
+class TestEpochPass:
+    """The per-epoch inference pass is the same computation as the public
+    entry points it replaced: ``predict``, the training-set regression of the
+    uncorrected pre-activation, and ``evaluate_glm`` on the test split."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(c, o) for c in (False, True) for o in (0, 1)],
+        ids=lambda p: f"{'corrected' if p[0] else 'plain'}-layer{p[1]}",
+    )
+    def run(self, request, small_data):
+        with_correction, ortho = request.param
+        cfg = MlpConfig(layer_widths=(9, 16, 8, 1), epochs=3, ortho_layer_index=ortho, seed=4)
+        return train_mlp(small_data, cfg, with_correction), with_correction, ortho
+
+    def test_last_epoch_metrics_match_predict(self, run, small_data):
+        result, _, _ = run
+        last = [m for m in result.metrics if m["epoch"] == 2]
+        masks = {"train": small_data.train_mask, "val": small_data.val_mask,
+                 "test": small_data.test_mask}
+        assert [m["split"] for m in last] == ["train", "val", "test"]
+        for m in last:
+            x, prot, y = small_data.rows(masks[m["split"]])
+            prob = result.predict(x, prot)
+            assert m["accuracy"] == float(np.mean((prob > 0.5) == (y > 0.5)))
+            assert m["loss"] == bce_loss(prob, y)
+
+    def test_gamma_hat_is_training_regression(self, run, small_data):
+        result, with_correction, ortho = run
+        if not with_correction:
+            assert result.gamma_hat is None
+            return
+        x, prot, _ = small_data.rows(small_data.train_mask)
+        h = forward(result.params, x)[1]["h"][ortho]
+        np.testing.assert_array_equal(
+            result.gamma_hat, least_squares(augment_intercept(prot), h))
+
+    def test_confounder_report_matches_test_predictions(self, run, small_data):
+        result, _, _ = run
+        x, prot, _ = small_data.rows(small_data.test_mask)
+        expected = evaluate_glm(prot, result.predict(x, prot), BERNOULLI)
+        for f in dataclasses.fields(expected):
+            np.testing.assert_array_equal(
+                getattr(result.confounder_report, f.name), getattr(expected, f.name))
+
+    @pytest.mark.parametrize("with_correction", [False, True])
+    def test_zero_epochs_still_reports(self, small_data, with_correction):
+        result = train_mlp(small_data, MlpConfig(epochs=0), with_correction)
+        assert result.metrics == [] and result.gamma_hat is None
+        assert result.confounder_report.p_values.shape == (1,)
+        x, prot, _ = small_data.rows(small_data.test_mask)
+        prob, _ = forward(result.params, x, prot if with_correction else None, 0)
+        np.testing.assert_array_equal(result.predict(x, prot), prob)
+
+
+class TestSkippedBatches:
+    EPOCHS = 3
+
+    def _train(self, data, caplog):
+        with caplog.at_level(logging.WARNING, logger="orthokit.online"):
+            result = train_mlp(data, MlpConfig(epochs=self.EPOCHS, seed=6), True)
+        warned = [r for r in caplog.records if "skipping the correction" in r.getMessage()]
+        return result, warned
+
+    def test_rank_deficient_batches_are_counted_and_logged(self, small_data, caplog):
+        # a second protected column that is non-zero on one training row (and
+        # a few test rows): the training split's [1, P] has full rank, but the
+        # column is all zero on every batch except the one holding that row
+        extra = np.zeros(small_data.labels.shape[0])
+        extra[7] = 1.0
+        extra[np.flatnonzero(small_data.test_mask)[:20:4]] = 1.0
+        data = dataclasses.replace(
+            small_data, protected=np.column_stack([small_data.protected[:, 0], extra]))
+        result, warned = self._train(data, caplog)
+        # 320 training rows make batches of 128, 128 and 64 rows
+        assert result.skipped_batches == 2 * self.EPOCHS
+        assert len(warned) == result.skipped_batches
+        assert all("rank deficient at column 2" in r.getMessage() for r in warned)
+        residuals = [m["constraint_residual"] for m in result.metrics]
+        assert None not in residuals and max(residuals) <= 1e-6
+
+    def test_batch_with_fewer_rows_than_columns_is_counted_and_logged(self, caplog):
+        # 161 - 161 // 5 = 129 training rows: every epoch ends on a 1-row batch
+        data = make_confounded_data(161, 50, seed=3)
+        result, warned = self._train(data, caplog)
+        assert result.skipped_batches == self.EPOCHS
+        assert len(warned) == self.EPOCHS
+        assert all("1-row batch" in r.getMessage() for r in warned)
