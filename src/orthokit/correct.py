@@ -190,15 +190,15 @@ def fit_constrained_glm(
     x,
     family: GlmFamily,
     cfg: ConstrainedConfig | None = None,
-    with_intercept: bool = True,
 ) -> CorrectionOutcome:
     """Fit a GLM whose activated predictions are uncorrelated with protected
     features.
 
     Minimizes f(gamma) = NLL / n subject to the p equations
-    ``c(gamma) = Xc^T h(Z gamma) / n = 0`` (Xc column-centered, so the
-    intercept stays unconstrained) by equality-constrained Newton steps
-    (SQP; Nocedal & Wright, ch. 18).  Each step d solves the KKT system::
+    ``c(gamma) = Xc^T h(Z gamma) / n = 0``, where Z has an intercept column
+    prepended (Xc column-centered, so the intercept stays unconstrained),
+    by equality-constrained Newton steps (SQP; Nocedal & Wright, ch. 18).
+    Each step d solves the KKT system::
 
         [ Z^T W Z / n   J^T ] [ d   ]     [ grad f ]
         [ J             0   ] [ lam ] = - [ c      ]
@@ -233,7 +233,7 @@ def fit_constrained_glm(
         raise DimensionMismatch("Z, y, and X must share the row count")
     family.check_y(yv)
 
-    zd = np.column_stack([np.ones(n), zm]) if with_intercept else zm
+    zd = np.column_stack([np.ones(n), zm])
     xc = center_columns(xm)
     if np.any(xc.std(axis=0) <= 0.0):
         raise DomainError("protected features must not be constant columns")

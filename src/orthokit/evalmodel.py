@@ -62,13 +62,15 @@ class ReluEvaluation:
     objective_at_zero: float
     start_index: int
     # accepted descent steps of the winning start, and whether it stopped
-    # on ``GRAD_SQ_TOL`` (not on ``max_iter`` or a failed line search)
+    # on ``GRAD_SQ_TOL`` (not on ``RELU_MAX_ITER`` or a failed line search)
     iterations: int
     converged: bool
 
 
 # Squared gradient norm at which a ReLU-evaluation start counts as converged
 GRAD_SQ_TOL = 1e-18
+# Descent steps each ReLU-evaluation start may take
+RELU_MAX_ITER = 500
 
 
 def _relu_objective(xm: np.ndarray, yv: np.ndarray, beta: np.ndarray) -> float:
@@ -88,15 +90,14 @@ def evaluate_relu_l2(
     y_corrected,
     starts: int = 16,
     seed: int = 0,
-    max_iter: int = 500,
 ) -> ReluEvaluation:
     """Minimize ``||y_c - relu(X beta)||^2 / n`` from several seeded starts.
 
     Starts are drawn from N(0, 0.1^2) with a per-start substream of ``seed``.
-    Each start runs gradient descent with Armijo backtracking.  The lowest
-    objective wins; ties break toward the smaller start index.  The result
-    carries the winning start's accepted steps and whether its squared
-    gradient norm reached ``GRAD_SQ_TOL``.
+    Each start runs up to ``RELU_MAX_ITER`` steps of gradient descent with
+    Armijo backtracking.  The lowest objective wins; ties break toward the
+    smaller start index.  The result carries the winning start's accepted
+    steps and whether its squared gradient norm reached ``GRAD_SQ_TOL``.
     """
     xm = as_matrix(x, "protected features")
     yv = as_vector(y_corrected, "corrected predictions")
@@ -111,7 +112,7 @@ def evaluate_relu_l2(
         obj = _relu_objective(xm, yv, beta)
         steps = 0
         converged = False
-        for _ in range(max_iter):
+        for _ in range(RELU_MAX_ITER):
             g = _relu_grad(xm, yv, beta)
             gn = float(g @ g)
             if gn <= GRAD_SQ_TOL:

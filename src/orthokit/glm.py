@@ -73,7 +73,6 @@ class GlmFamily:
 
     name: str
     h: Callable[[np.ndarray], np.ndarray]
-    h_inv: Callable[[np.ndarray], np.ndarray]
     variance: Callable[[np.ndarray], np.ndarray]
     clip_mean: Callable[[np.ndarray], np.ndarray]
     check_y: Callable[[np.ndarray], None]
@@ -99,24 +98,6 @@ class GlmFamily:
             return float(-np.sum(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
         return float(np.sum(mu - y * np.log(mu)))
 
-    def deviance(self, y: np.ndarray, mu: np.ndarray) -> float:
-        """Scaled deviance; falls back to 2*NLL when the saturated part is
-        undefined for out-of-domain responses."""
-        mu = self.clip_mean(mu)
-        if self.name == "gaussian":
-            return float(np.sum((y - mu) ** 2))
-        if self.name == "bernoulli":
-            if np.any(y < 0.0) or np.any(y > 1.0):
-                return 2.0 * self.nll(y, mu)
-            yc = np.clip(y, MEAN_EPS, 1.0 - MEAN_EPS)
-            dev = y * np.log(yc / mu) + (1.0 - y) * np.log((1.0 - yc) / (1.0 - mu))
-            return float(2.0 * np.sum(dev))
-        if np.any(y < 0.0):
-            return 2.0 * self.nll(y, mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(y > 0.0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
-        return float(2.0 * np.sum(term - (y - mu)))
-
 
 def _check_gaussian(y: np.ndarray) -> None:
     return None
@@ -135,7 +116,6 @@ def _check_poisson(y: np.ndarray) -> None:
 GAUSSIAN = GlmFamily(
     name="gaussian",
     h=lambda eta: np.asarray(eta, dtype=np.float64),
-    h_inv=lambda mu: np.asarray(mu, dtype=np.float64),
     variance=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
     clip_mean=lambda mu: np.asarray(mu, dtype=np.float64),
     check_y=_check_gaussian,
@@ -145,7 +125,6 @@ GAUSSIAN = GlmFamily(
 BERNOULLI = GlmFamily(
     name="bernoulli",
     h=_sigmoid,
-    h_inv=lambda mu: np.log(mu) - np.log1p(-mu),
     variance=lambda mu: mu * (1.0 - mu),
     clip_mean=lambda mu: np.clip(mu, MEAN_EPS, 1.0 - MEAN_EPS),
     check_y=_check_bernoulli,
@@ -155,7 +134,6 @@ BERNOULLI = GlmFamily(
 POISSON = GlmFamily(
     name="poisson",
     h=np.exp,
-    h_inv=np.log,
     variance=lambda mu: np.asarray(mu, dtype=np.float64),
     clip_mean=lambda mu: np.clip(mu, MEAN_EPS, None),
     check_y=_check_poisson,
@@ -180,13 +158,15 @@ class GlmFit:
 
     ``stop_reason`` says why IRLS stopped: ``"converged"``,
     ``"reached max_iter=N"`` or ``"step halving found no decrease"``.
+    ``loss`` is the negative log-likelihood (``GlmFamily.nll``) of the
+    returned iterate, the quantity IRLS minimized.
     """
 
     coefficients: np.ndarray
     fitted_means: np.ndarray
     iterations: int
     converged: bool
-    final_deviance: float
+    loss: float
     weight_diag: np.ndarray
     family: GlmFamily
     with_intercept: bool = False
@@ -278,7 +258,6 @@ def fit_glm(
     tol: float = 1e-8,
     with_intercept: bool = False,
     check_domain: bool = True,
-    trace: list | None = None,
 ) -> GlmFit:
     """Fit a canonical GLM by Fisher-scoring IRLS with step-halving.
 
@@ -290,10 +269,11 @@ def fit_glm(
     dependent column in input order (or, for n < k, the row count).
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
-    ``tol``.  The deviance is non-increasing across accepted steps; if a full
-    IRLS step increases it, the step is halved (up to 30 times).  After
-    ``max_iter`` steps, or when no halving decreases it, the fit so far is
-    returned with ``converged=False``; ``stop_reason`` names which.
+    ``tol``.  The loss (``family.nll``) does not increase across accepted
+    steps beyond a rounding allowance; if a full IRLS step increases it,
+    the step is halved (up to 30 times).  After ``max_iter`` steps, or when
+    no halving decreases it, the fit so far is returned with
+    ``converged=False``; ``stop_reason`` names which.
 
     ``check_domain=False`` skips the response-domain check, which evaluation
     models need when regressing corrected predictions that can leave the
@@ -315,8 +295,6 @@ def fit_glm(
     eta = zm @ beta
     mu = family.clip_mean(family.h(eta))
     nll = family.nll(yv, mu)
-    if trace is not None:
-        trace.append(family.deviance(yv, mu))
 
     iterations = 0
     converged = False
@@ -338,8 +316,6 @@ def fit_glm(
                 accepted = True
                 break
             step *= 0.5
-        if trace is not None:
-            trace.append(family.deviance(yv, mu))
         score = zm.T @ (yv - mu)
         if np.max(np.abs(score)) <= tol:
             converged, reason = True, "converged"
@@ -354,7 +330,7 @@ def fit_glm(
         fitted_means=mu,
         iterations=iterations,
         converged=converged,
-        final_deviance=family.deviance(yv, mu),
+        loss=nll,
         weight_diag=family.variance(mu),
         family=family,
         with_intercept=with_intercept,
@@ -389,9 +365,9 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
         )
     diag = np.sum(np.linalg.inv(factor) ** 2, axis=0)
     if fit.family.name == "gaussian":
-        # gaussian deviance is the residual sum of squares
+        # the gaussian NLL is half the residual sum of squares
         dof = max(n - k, 1)
-        sigma2 = fit.final_deviance / dof
+        sigma2 = 2.0 * fit.loss / dof
         diag = diag * sigma2
 
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):

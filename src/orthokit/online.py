@@ -9,13 +9,16 @@ complement of span([1, protected rows]) before the ReLU; the backward pass
 applies the same (symmetric, batch-constant) projector to the upstream
 gradient.
 
-At evaluation time the training-set regression of H on [1, protected] is
+``forward`` is the one pass through the network, for training and inference
+alike: it takes the correction to apply at the projected layer as a
+callable.  Training passes the batch projector's ``complement``.  At
+evaluation time the training-set regression of H on [1, protected] is
 subtracted instead, which is the row-wise applicable form of the full
-training-set projector.  Each epoch ends with one cache-free inference pass
-per split: the training split's pass fits that regression (``gamma_hat``) on
-its uncorrected pre-activation at the projected layer, and every split's
-pass subtracts ``[1, protected] @ gamma_hat`` there before finishing the
-network.  The last test-split pass also feeds the confounder report.
+training-set projector.  Each epoch ends with one pass per split: the
+training split's pass fits that regression (``gamma_hat``) on its
+uncorrected pre-activation at the projected layer, and every split's pass
+subtracts ``[1, protected] @ gamma_hat`` there.  The last test-split pass
+also feeds the confounder report.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .synth import stream
 
 logger = logging.getLogger(__name__)
 
+# Signal columns of ``make_confounded_data``; the first two carry the label
+SIGNAL_DIM = 8
 # Label-flip rate of the signal channel; Bayes accuracy is 1 - DEFAULT_NOISE.
 DEFAULT_NOISE = 0.15
 CONFOUNDER_MAGNITUDE = 5.0
@@ -58,33 +63,27 @@ class ConfoundedDataset:
 
 
 def make_confounded_data(
-    n_train: int,
-    n_test: int,
-    signal_dim: int = 8,
-    noise: float = DEFAULT_NOISE,
-    seed: int = 0,
+    n_train: int, n_test: int, seed: int = 0
 ) -> ConfoundedDataset:
     """Generate the confounded classification problem.
 
-    The label is the quadrant sign of the first two (standard normal) signal
-    columns, flipped with probability ``noise`` (so the signal-only Bayes
-    accuracy is ``1 - noise``, 0.85 by default); remaining signal columns are
-    pure noise.  This makes the label linearly neutral in the signal (no
-    class mean shift) but nonlinearly decodable -- the tabular analogue of
-    shape-versus-color structure.  The binary confounder equals the label on
-    train/val rows and is an independent coin flip on test rows; it enters
-    the feature matrix as a dominant-magnitude column, making it the
-    preferred shortcut for an uncorrected model.
+    The label is the quadrant sign of the first two of ``SIGNAL_DIM``
+    (standard normal) signal columns, flipped with probability
+    ``DEFAULT_NOISE`` (so the signal-only Bayes accuracy is 0.85); remaining
+    signal columns are pure noise.  This makes the label linearly neutral in
+    the signal (no class mean shift) but nonlinearly decodable -- the
+    tabular analogue of shape-versus-color structure.  The binary confounder
+    equals the label on train/val rows and is an independent coin flip on
+    test rows; it enters the feature matrix as a dominant-magnitude column,
+    making it the preferred shortcut for an uncorrected model.
     """
     if n_train < 10 or n_test < 1:
         raise InvalidSpec("need n_train >= 10 and n_test >= 1")
-    if signal_dim < 2 or not 0.0 <= noise < 0.5:
-        raise InvalidSpec("signal_dim must be >= 2 and noise in [0, 0.5)")
     rng = stream(seed, 0xC0F)
     n = n_train + n_test
-    signal = rng.standard_normal((n, signal_dim))
+    signal = rng.standard_normal((n, SIGNAL_DIM))
     quadrant = (signal[:, 0] * signal[:, 1] > 0.0).astype(np.float64)
-    flips = (rng.random(n) < noise).astype(np.float64)
+    flips = (rng.random(n) < DEFAULT_NOISE).astype(np.float64)
     labels = np.abs(quadrant - flips)
     confounder = labels.copy()
     confounder[n_train:] = (rng.random(n_test) < 0.5).astype(np.float64)
@@ -135,89 +134,81 @@ def init_params(widths: tuple, rng: np.random.Generator) -> dict:
 
 
 def forward(
-    params: dict,
-    xb: np.ndarray,
-    protected: np.ndarray | None = None,
-    ortho_layer: int = 0,
+    params: dict, x: np.ndarray, correct=None, ortho_layer: int = 0, inputs=None
 ):
-    """Training forward pass; returns (probabilities, cache for backprop).
+    """Run the network on rows ``x``; returns the output probabilities.
 
-    When ``protected`` is given, the pre-activation of hidden layer
-    ``ortho_layer`` is orthogonalized through the exact projector onto the
-    complement of span([1, protected]) of this batch.  The cache keeps each
-    hidden layer's input ``a``, its pre-activation ``h`` after any
-    correction, and its ReLU mask, plus the projector ``proj`` and the
-    ``[1, protected]`` block ``xa`` (both None without correction).
-    """
-    weights, biases = params["weights"], params["biases"]
-    n_layers = len(weights)
-    cache = {"a": [xb], "h": [], "mask": [], "proj": None, "xa": None}
-    act = xb
-    for layer in range(n_layers - 1):
-        h = act @ weights[layer] + biases[layer]
-        if layer == ortho_layer and protected is not None:
-            xa = augment_intercept(protected)
-            proj = build_projector(xa)
-            h = proj.complement(h)
-            cache["proj"] = proj
-            cache["xa"] = xa
-        mask = h > 0.0
-        act = h * mask
-        cache["h"].append(h)
-        cache["mask"].append(mask)
-        cache["a"].append(act)
-    out = act @ weights[-1] + biases[-1]
-    prob = _sigmoid(out[:, 0])
-    cache["prob"] = prob
-    return prob, cache
-
-
-def _infer(params, x, xa, ortho_layer, gamma_hat=None):
-    """Cache-free forward pass; returns (probabilities, gamma_hat).
-
-    With ``xa`` (``[1, protected]`` of these rows) given, hidden layer
-    ``ortho_layer`` subtracts ``xa @ gamma_hat`` from its pre-activation;
-    when ``gamma_hat`` is None it is first fitted here, as the least-squares
-    regression of that uncorrected pre-activation on ``xa``.  Each layer
-    works in place on the one array its matrix product returns, with the
-    same floating-point operations as ``forward``.
+    Each layer works in place on the array its matrix product returns.  When
+    ``correct`` is given, the pre-activation of hidden layer ``ortho_layer``
+    is replaced by ``correct(h)`` before the ReLU; it may modify ``h`` in
+    place and return it.  When ``inputs`` is a list, each layer's input is
+    appended to it for ``backward``.
     """
     weights, biases = params["weights"], params["biases"]
     act = x
     for layer in range(len(weights) - 1):
+        if inputs is not None:
+            inputs.append(act)
         h = act @ weights[layer]
         h += biases[layer]
-        if layer == ortho_layer and xa is not None:
-            if gamma_hat is None:
-                gamma_hat = least_squares(xa, h)
-            h -= xa @ gamma_hat
+        if layer == ortho_layer and correct is not None:
+            h = correct(h)
         h *= h > 0.0
         act = h
+    if inputs is not None:
+        inputs.append(act)
     out = act @ weights[-1]
     out += biases[-1]
-    return _sigmoid(out[:, 0]), gamma_hat
+    return _sigmoid(out[:, 0])
 
 
-def backward(params: dict, cache: dict, yb: np.ndarray, ortho_layer: int = 0):
-    """Mean binary cross-entropy gradients for all weights and biases."""
+def backward(params: dict, inputs: list, prob, yb, correct=None, ortho_layer: int = 0):
+    """Mean binary cross-entropy gradients for all weights and biases.
+
+    ``inputs`` and ``prob`` are what ``forward`` recorded and returned for
+    the batch.  A hidden layer's ReLU mask is its output ``> 0``, which is
+    the next layer's input.  ``correct`` is the correction ``forward``
+    applied at ``ortho_layer``; it must be linear and symmetric (a
+    projector's ``complement``), so it also maps the upstream gradient.
+    """
     weights = params["weights"]
     n_layers = len(weights)
-    b = yb.shape[0]
     grads_w = [None] * n_layers
     grads_b = [None] * n_layers
-    delta = ((cache["prob"] - yb) / b)[:, None]
-    grads_w[-1] = cache["a"][-1].T @ delta
+    delta = ((prob - yb) / yb.shape[0])[:, None]
+    grads_w[-1] = inputs[-1].T @ delta
     grads_b[-1] = delta.sum(axis=0)
     upstream = delta @ weights[-1].T
     for layer in range(n_layers - 2, -1, -1):
-        dh = upstream * cache["mask"][layer]
-        if layer == ortho_layer and cache["proj"] is not None:
-            dh = cache["proj"].complement(dh)
-        grads_w[layer] = cache["a"][layer].T @ dh
+        dh = upstream * (inputs[layer + 1] > 0.0)
+        if layer == ortho_layer and correct is not None:
+            dh = correct(dh)
+        grads_w[layer] = inputs[layer].T @ dh
         grads_b[layer] = dh.sum(axis=0)
         if layer > 0:
             upstream = dh @ weights[layer].T
     return grads_w, grads_b
+
+
+def _regressed(params, x, protected, ortho_layer, gamma_hat=None):
+    """``forward`` with ``[1, protected] @ gamma_hat`` subtracted from the
+    pre-activation of hidden layer ``ortho_layer``, after first fitting
+    ``gamma_hat`` on these rows if it is None (the least-squares regression
+    of the uncorrected pre-activation on ``[1, protected]``).  Returns
+    (probabilities, gamma_hat); without ``protected`` nothing is subtracted.
+    """
+    if protected is None:
+        return forward(params, x), gamma_hat
+    xa = augment_intercept(protected)
+
+    def subtract(h):
+        nonlocal gamma_hat
+        if gamma_hat is None:
+            gamma_hat = least_squares(xa, h)
+        h -= xa @ gamma_hat
+        return h
+
+    return forward(params, x, subtract, ortho_layer), gamma_hat
 
 
 def bce_loss(prob: np.ndarray, yb: np.ndarray) -> float:
@@ -236,12 +227,12 @@ class TrainingResult:
     confounder_report: object = None
 
     def predict(self, features: np.ndarray, protected: np.ndarray | None = None):
+        """Probabilities; a corrected model subtracts ``[1, protected] @
+        gamma_hat`` at its projected layer, with ``gamma_hat`` fitted on
+        these rows if no epoch has run."""
+        prot = protected if self.with_correction else None
         ortho = self.config.ortho_layer_index
-        if self.with_correction and self.gamma_hat is None:
-            # no epoch has run: project these rows exactly
-            return forward(self.params, features, protected, ortho)[0]
-        xa = augment_intercept(protected) if self.with_correction else None
-        return _infer(self.params, features, xa, ortho, self.gamma_hat)[0]
+        return _regressed(self.params, features, prot, ortho, self.gamma_hat)[0]
 
 
 def train_mlp(
@@ -252,15 +243,16 @@ def train_mlp(
     """Minibatch SGD training with optional in-training orthogonalization.
 
     Metrics rows carry, per epoch and split, the accuracy and the constraint
-    residual ``max |[1, X]^T H| / rows`` of the (possibly corrected) hidden
-    pre-activation.  A batch whose ``[1, protected]`` block has a dependent
-    column (an all-0 or all-1 confounder, say) or fewer rows than columns
-    skips the correction, is counted in ``skipped_batches`` and logs a
-    warning.  Each epoch ends with one cache-free pass per split, training
-    split first: its pass fits ``gamma_hat`` and all three subtract it (see
-    the module docstring); the last test-split pass also gives the
-    confounder report.  Training always completes; a non-finite loss aborts
-    with diagnostics.
+    residual ``max |[1, X]^T H| / rows`` of the corrected hidden
+    pre-activation, taken per batch before the ReLU and averaged over the
+    epoch.  A batch whose ``[1, protected]`` block has a dependent column
+    (an all-0 or all-1 confounder, say) or fewer rows than columns skips the
+    correction, is counted in ``skipped_batches`` and logs a warning.  Each
+    epoch ends with one ``forward`` pass per split, training split first:
+    its pass fits ``gamma_hat`` and all three subtract it (see the module
+    docstring); the last test-split pass also gives the confounder report.
+    Training always completes; a NaN output, which makes the loss
+    non-finite, aborts with diagnostics.
     """
     cfg = cfg or MlpConfig()
     x_tr, prot_tr, y_tr = data.rows(data.train_mask)
@@ -279,27 +271,31 @@ def train_mlp(
         for start in range(0, n_tr, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             xb, yb = x_tr[idx], y_tr[idx]
-            prot_b = prot_tr[idx] if with_correction else None
-            try:
-                prob, cache = forward(params, xb, prot_b, ortho)
-            except (RankDeficient, DimensionMismatch) as exc:
-                result.skipped_batches += 1
-                logger.warning(
-                    "epoch %d: skipping the correction of a %d-row batch: %s",
-                    epoch, len(idx), exc,
-                )
-                prob, cache = forward(params, xb, None, ortho)
-            loss = bce_loss(prob, yb)
-            if not np.isfinite(loss):
+            complement = None
+            if with_correction:
+                xa = augment_intercept(prot_tr[idx])
+                try:
+                    complement = build_projector(xa).complement
+                except (RankDeficient, DimensionMismatch) as exc:
+                    result.skipped_batches += 1
+                    logger.warning(
+                        "epoch %d: skipping the correction of a %d-row batch: %s",
+                        epoch, len(idx), exc,
+                    )
+
+            def certified(h):
+                # orthogonality of the corrected pre-activation itself
+                h = complement(h)
+                batch_residuals.append(float(np.max(np.abs(xa.T @ h)) / len(idx)))
+                return h
+
+            inputs = []
+            prob = forward(params, xb, certified if complement else None, ortho, inputs)
+            if np.isnan(prob).any():
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}; last batch size {len(idx)}"
                 )
-            xa = cache["xa"]
-            if xa is not None:
-                # orthogonality of the corrected pre-activation itself
-                pre = cache["h"][ortho]
-                batch_residuals.append(float(np.max(np.abs(xa.T @ pre)) / len(idx)))
-            grads_w, grads_b = backward(params, cache, yb, ortho)
+            grads_w, grads_b = backward(params, inputs, prob, yb, complement, ortho)
             for layer in range(len(params["weights"])):
                 params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
                 params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
@@ -312,8 +308,8 @@ def train_mlp(
             ("test", data.test_mask),
         ):
             xs, ps, ys = (x_tr, prot_tr, y_tr) if mask is None else data.rows(mask)
-            xa = augment_intercept(ps) if with_correction else None
-            prob, gamma_hat = _infer(params, xs, xa, ortho, gamma_hat)
+            prot = ps if with_correction else None
+            prob, gamma_hat = _regressed(params, xs, prot, ortho, gamma_hat)
             acc = float(np.mean((prob > 0.5) == (ys > 0.5)))
             result.metrics.append(
                 {

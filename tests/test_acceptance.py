@@ -26,6 +26,7 @@ from orthokit.correct import (
 )
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import BERNOULLI, GAUSSIAN, POISSON, fit_glm
+from orthokit.linalg import build_projector
 from orthokit.online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
 from orthokit.synth import SyntheticSpec, generate, simulation_study, stream
 
@@ -260,7 +261,7 @@ class TestCriterion5TensorCorollaries:
 
 class TestCriterion6GlmEngine:
     def test_irls_against_newton_oracle(self):
-        from test_glm import draw_problem, newton_oracle
+        from test_glm import LINK, draw_problem, newton_oracle
 
         t0 = time.monotonic()
         worst_coef = 0.0
@@ -297,7 +298,7 @@ class TestCriterion6GlmEngine:
             g = np.random.Generator(np.random.Philox(key=2601))
             y = draw_problem(family, g, n=100, q=2)[1]
             fit = fit_glm(np.ones((100, 1)), y, family)
-            expected = family.h_inv(np.array([y.mean()]))[0]
+            expected = LINK[family.name](np.array([y.mean()]))[0]
             worst_icept = max(worst_icept, abs(fit.coefficients[0] - expected))
         dt = elapsed_guard(t0, 30.0, "6")
         ok = worst_coef <= 1e-6 and worst_grad <= 1e-4 and worst_icept <= 1e-10
@@ -330,16 +331,20 @@ class TestCriterion7OnlineDemo:
         params = init_params((x.shape[1], 6, 4, 1), stream(7, 0))
         worst = 0.0
         for prot_b in (None, pb if np.ptp(pb[:, 0]) > 0 else None):
-            prob, cache = forward(params, xb, prot_b, 0)
-            grads_w, _ = backward(params, cache, yb, 0)
+            complement = None
+            if prot_b is not None:
+                complement = build_projector(augment_intercept(prot_b)).complement
+            inputs = []
+            prob = forward(params, xb, complement, 0, inputs)
+            grads_w, _ = backward(params, inputs, prob, yb, complement, 0)
             for layer, grad in enumerate(grads_w):
                 w = params["weights"][layer]
                 idx = (0, 0)
                 h = 1e-6
                 w[idx] += h
-                lp = bce_loss(forward(params, xb, prot_b, 0)[0], yb)
+                lp = bce_loss(forward(params, xb, complement, 0), yb)
                 w[idx] -= 2 * h
-                lm = bce_loss(forward(params, xb, prot_b, 0)[0], yb)
+                lm = bce_loss(forward(params, xb, complement, 0), yb)
                 w[idx] += h
                 numeric = (lp - lm) / (2 * h)
                 worst = max(

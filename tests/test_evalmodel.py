@@ -11,6 +11,7 @@ than the zero coefficient, so certification hinges on the reported
 import numpy as np
 import pytest
 
+import orthokit.evalmodel as evalmodel_module
 from orthokit.correct import (
     augment_intercept,
     correct_features_linear,
@@ -143,11 +144,12 @@ class TestEvaluateReluL2:
         np.testing.assert_array_equal(a.beta, b.beta)
         assert a.start_index == b.start_index
 
-    def test_iteration_budget_reported_as_not_converged(self):
+    def test_iteration_budget_reported_as_not_converged(self, monkeypatch):
         g = rng(16)
         x = g.standard_normal((50, 2))
         yc = relu(x @ np.array([1.0, -0.5])) + 0.1 * g.standard_normal(50)
-        res = evaluate_relu_l2(x, yc, seed=4, max_iter=1)
+        monkeypatch.setattr(evalmodel_module, "RELU_MAX_ITER", 1)
+        res = evaluate_relu_l2(x, yc, seed=4)
         assert res.converged is False
         assert res.iterations <= 1
 
