@@ -8,8 +8,13 @@ one projection verb: vectors, matrices and tensors alike are projected along
 their leading (observation) axis, i.e. on their n-by-d matricization, which
 is the mode-1 product with ``I - Q Q^T``.  Projectors and
 ``least_squares`` work from a Householder QR, which carries the hard rank
-check.  IRLS (``glm.fit_glm``) does use the normal equations: it solves each
-step on the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted
+check.  That QR also factors a ``(b, n, p)`` stack of equal-shape blocks in
+one ``numpy.linalg.qr`` call, with the rank check applied block by block:
+per-call overhead, not arithmetic, dominates the QR of a 128-by-2 block, so
+the projectors of many small blocks (an MLP epoch's batches) are built
+together, each bitwise equal to its own ``build_projector``.  IRLS
+(``glm.fit_glm``) does use the normal equations: it solves each step on
+the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted
 Gram in the package, by ``glm._weighted_gram``), guarded by its Cholesky
 factor, and falls back to ``least_squares`` when that factor shows a poor
 condition.  The constrained fit's Newton steps use ``RANK_RTOL`` to cut the
@@ -63,21 +68,33 @@ def as_tensor(t, name: str = "tensor") -> np.ndarray:
 
 
 def _qr(a: np.ndarray):
-    """Thin Householder QR with a hard rank check.
+    """Thin Householder QR with a hard rank check, of a matrix or of each
+    block of a stack.
 
-    Returns ``(q, r)``.  Raises ``RankDeficient`` naming the first column,
-    in input order, whose diagonal ``|r_jj|`` (its distance from the span
-    of the columns before it) is at most ``RANK_RTOL`` times the largest
-    column norm.
+    ``a`` is one n-by-p matrix or a ``(b, n, p)`` stack of them, factored by
+    one ``numpy.linalg.qr`` call; a matrix is the stack of one, and each
+    block's factors are bitwise those of its own 2-D call.  A block is rank
+    deficient at the first column, in input order, whose diagonal
+    ``|r_jj|`` (its distance from the span of the columns before it) is at
+    most ``RANK_RTOL`` times the block's largest column norm.  For a matrix
+    returns ``(q, r)`` and raises its ``RankDeficient``; for a stack returns
+    ``(q, r, errors)``, with ``errors[k]`` block k's ``RankDeficient`` or
+    None.
     """
-    if a.shape[1] == 0:
+    if a.shape[-1] == 0:
         raise RankDeficient(0, "matrix has no columns")
-    q, r = np.linalg.qr(a)
-    thresh = RANK_RTOL * np.max(np.linalg.norm(a, axis=0))
-    bad = np.flatnonzero(np.abs(np.diag(r)) <= thresh)
-    if bad.size:
-        raise RankDeficient(int(bad[0]))
-    return q, r
+    stack = a if a.ndim == 3 else a[None]
+    q, r = np.linalg.qr(stack)
+    thresh = RANK_RTOL * np.max(np.linalg.norm(stack, axis=1), axis=1)
+    bad = np.abs(np.diagonal(r, axis1=1, axis2=2)) <= thresh[:, None]
+    errors = [
+        RankDeficient(int(np.argmax(row))) if row.any() else None for row in bad
+    ]
+    if a.ndim == 3:
+        return q, r, errors
+    if errors[0]:
+        raise errors[0]
+    return q[0], r[0]
 
 
 @dataclass(frozen=True)
@@ -114,12 +131,23 @@ def build_projector(x) -> Projector:
     ``RankDeficient`` if the columns are (numerically) linearly dependent.
     """
     xm = as_matrix(x, "protected features")
-    n, p = xm.shape
-    if p < 1:
+    if xm.shape[1] < 1:
         raise DimensionMismatch("need at least one column")
+    (proj,) = _projectors(xm[None])
+    if isinstance(proj, Exception):
+        raise proj
+    return proj
+
+
+def _projectors(stack: np.ndarray) -> list:
+    """``build_projector`` of each block of a ``(b, n, p)`` stack, from one
+    stacked QR: the block's ``Projector``, or the ``DimensionMismatch`` or
+    ``RankDeficient`` that ``build_projector`` raises for it."""
+    _, n, p = stack.shape
     if n < p:
-        raise DimensionMismatch(f"need n >= p, got n={n} < p={p}")
-    return Projector(q=_qr(xm)[0], n=n)
+        return [DimensionMismatch(f"need n >= p, got n={n} < p={p}") for _ in stack]
+    q, _, errors = _qr(stack)
+    return [err or Projector(q=qk, n=n) for qk, err in zip(q, errors)]
 
 
 def center_columns(x) -> np.ndarray:

@@ -7,7 +7,11 @@ the test split.  With correction enabled, the chosen hidden pre-activation
 matrix H is replaced per batch by its projection onto the orthogonal
 complement of span([1, protected rows]) before the ReLU; the backward pass
 applies the same (symmetric, batch-constant) projector to the upstream
-gradient.
+gradient.  Each epoch permutes the training rows once and factors the
+``[1, protected]`` blocks of all its full batches in one stacked QR, and
+the short last batch in another; each batch's projector is bitwise the one
+``build_projector`` gives it, and a batch for which ``build_projector``
+would raise skips the correction.
 
 ``forward`` is the one pass through the network, for training and inference
 alike: it takes the correction to apply at the projected layer as a
@@ -29,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correct import augment_intercept
-from .errors import DimensionMismatch, InvalidSpec, RankDeficient
+from .errors import InvalidSpec
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
-from .linalg import build_projector, least_squares
+from .linalg import _projectors, least_squares
 from .synth import stream
 
 logger = logging.getLogger(__name__)
@@ -190,16 +194,16 @@ def backward(params: dict, inputs: list, prob, yb, correct=None, ortho_layer: in
     return grads_w, grads_b
 
 
-def _regressed(params, x, protected, ortho_layer, gamma_hat=None):
-    """``forward`` with ``[1, protected] @ gamma_hat`` subtracted from the
-    pre-activation of hidden layer ``ortho_layer``, after first fitting
-    ``gamma_hat`` on these rows if it is None (the least-squares regression
-    of the uncorrected pre-activation on ``[1, protected]``).  Returns
-    (probabilities, gamma_hat); without ``protected`` nothing is subtracted.
+def _regressed(params, x, xa, ortho_layer, gamma_hat=None):
+    """``forward`` with ``xa @ gamma_hat`` subtracted from the pre-activation
+    of hidden layer ``ortho_layer``, after first fitting ``gamma_hat`` on
+    these rows if it is None (the least-squares regression of the
+    uncorrected pre-activation on ``xa``, the rows' ``[1, protected]``).
+    Returns (probabilities, gamma_hat); with ``xa`` None nothing is
+    subtracted.
     """
-    if protected is None:
+    if xa is None:
         return forward(params, x), gamma_hat
-    xa = augment_intercept(protected)
 
     def subtract(h):
         nonlocal gamma_hat
@@ -209,6 +213,19 @@ def _regressed(params, x, protected, ortho_layer, gamma_hat=None):
         return h
 
     return forward(params, x, subtract, ortho_layer), gamma_hat
+
+
+def _batch_projectors(xa: np.ndarray) -> list:
+    """The projector of each ``BATCH_SIZE``-row batch of ``xa`` (an epoch's
+    permuted ``[1, protected]``), or the exception ``build_projector``
+    raises for it: one stacked QR factors the full batches, another the
+    short last batch."""
+    n, p = xa.shape
+    full = n - n % BATCH_SIZE
+    out = _projectors(xa[:full].reshape(-1, BATCH_SIZE, p))
+    if full < n:
+        out += _projectors(xa[full:][None])
+    return out
 
 
 def bce_loss(prob: np.ndarray, yb: np.ndarray) -> float:
@@ -229,10 +246,63 @@ class TrainingResult:
     def predict(self, features: np.ndarray, protected: np.ndarray | None = None):
         """Probabilities; a corrected model subtracts ``[1, protected] @
         gamma_hat`` at its projected layer, with ``gamma_hat`` fitted on
-        these rows if no epoch has run."""
-        prot = protected if self.with_correction else None
+        these rows if no epoch has run.  A corrected model raises
+        ``InvalidSpec`` without ``protected``."""
+        xa = None
+        if self.with_correction:
+            if protected is None:
+                raise InvalidSpec(
+                    "a model trained with correction needs `protected` to predict"
+                )
+            xa = augment_intercept(protected)
         ortho = self.config.ortho_layer_index
-        return _regressed(self.params, features, prot, ortho, self.gamma_hat)[0]
+        return _regressed(self.params, features, xa, ortho, self.gamma_hat)[0]
+
+
+def _sgd_epoch(params, x, y, xa, ortho, epoch):
+    """One epoch of minibatch SGD on rows already in the epoch's order.
+
+    With ``xa``, the rows' ``[1, protected]``, each batch's pre-activation
+    at hidden layer ``ortho`` is projected onto the complement of its
+    batch's ``xa`` block, and its constraint residual is recorded.  Returns
+    (constraint residuals, batches that skipped the correction).  The
+    epoch's copies and projectors are freed when this frame returns, before
+    the epoch-end passes.
+    """
+    projectors = _batch_projectors(xa) if xa is not None else None
+    batch_residuals, skipped = [], 0
+    for batch, start in enumerate(range(0, len(y), BATCH_SIZE)):
+        stop = start + BATCH_SIZE
+        xb, yb = x[start:stop], y[start:stop]
+        complement = None
+        if projectors is not None:
+            xab, proj = xa[start:stop], projectors[batch]
+            if isinstance(proj, Exception):
+                skipped += 1
+                logger.warning(
+                    "epoch %d: skipping the correction of a %d-row batch: %s",
+                    epoch, len(yb), proj,
+                )
+            else:
+                complement = proj.complement
+
+        def certified(h):
+            # orthogonality of the corrected pre-activation itself
+            h = complement(h)
+            batch_residuals.append(float(np.max(np.abs(xab.T @ h)) / len(yb)))
+            return h
+
+        inputs = []
+        prob = forward(params, xb, certified if complement else None, ortho, inputs)
+        if np.isnan(prob).any():
+            raise FloatingPointError(
+                f"non-finite loss at epoch {epoch}; last batch size {len(yb)}"
+            )
+        grads_w, grads_b = backward(params, inputs, prob, yb, complement, ortho)
+        for layer in range(len(params["weights"])):
+            params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
+            params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
+    return batch_residuals, skipped
 
 
 def train_mlp(
@@ -265,51 +335,28 @@ def train_mlp(
     result = TrainingResult(
         params=params, config=cfg, with_correction=with_correction
     )
+    # (name, features, protected, [1, protected] or None, labels) per split
+    splits = [
+        (split, xs, ps, augment_intercept(ps) if with_correction else None, ys)
+        for split, (xs, ps, ys) in (
+            ("train", (x_tr, prot_tr, y_tr)),
+            ("val", data.rows(data.val_mask)),
+            ("test", data.rows(data.test_mask)),
+        )
+    ]
+    xa_tr = splits[0][3]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
-        batch_residuals = []
-        for start in range(0, n_tr, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            xb, yb = x_tr[idx], y_tr[idx]
-            complement = None
-            if with_correction:
-                xa = augment_intercept(prot_tr[idx])
-                try:
-                    complement = build_projector(xa).complement
-                except (RankDeficient, DimensionMismatch) as exc:
-                    result.skipped_batches += 1
-                    logger.warning(
-                        "epoch %d: skipping the correction of a %d-row batch: %s",
-                        epoch, len(idx), exc,
-                    )
-
-            def certified(h):
-                # orthogonality of the corrected pre-activation itself
-                h = complement(h)
-                batch_residuals.append(float(np.max(np.abs(xa.T @ h)) / len(idx)))
-                return h
-
-            inputs = []
-            prob = forward(params, xb, certified if complement else None, ortho, inputs)
-            if np.isnan(prob).any():
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}; last batch size {len(idx)}"
-                )
-            grads_w, grads_b = backward(params, inputs, prob, yb, complement, ortho)
-            for layer in range(len(params["weights"])):
-                params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
-                params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
+        batch_residuals, skipped = _sgd_epoch(
+            params, x_tr[order], y_tr[order],
+            xa_tr[order] if with_correction else None, ortho, epoch,
+        )
+        result.skipped_batches += skipped
 
         epoch_residual = float(np.mean(batch_residuals)) if batch_residuals else None
         gamma_hat = None
-        for split, mask in (
-            ("train", None),
-            ("val", data.val_mask),
-            ("test", data.test_mask),
-        ):
-            xs, ps, ys = (x_tr, prot_tr, y_tr) if mask is None else data.rows(mask)
-            prot = ps if with_correction else None
-            prob, gamma_hat = _regressed(params, xs, prot, ortho, gamma_hat)
+        for split, xs, _, xa_s, ys in splits:
+            prob, gamma_hat = _regressed(params, xs, xa_s, ortho, gamma_hat)
             acc = float(np.mean((prob > 0.5) == (ys > 0.5)))
             result.metrics.append(
                 {
@@ -323,12 +370,10 @@ def train_mlp(
         result.gamma_hat = gamma_hat
 
     # Final check: does the confounder explain the test-split predictions?
-    if cfg.epochs:  # the last pass above was the test split's
-        p_te, prob_te = ps, prob
-    else:
-        x_te, p_te, _ = data.rows(data.test_mask)
-        prob_te = result.predict(x_te, p_te)
-    result.confounder_report = evaluate_glm(p_te, prob_te, BERNOULLI)
+    _, x_te, p_te, xa_te, _ = splits[-1]
+    if not cfg.epochs:  # otherwise the last pass above was the test split's
+        prob = _regressed(params, x_te, xa_te, ortho)[0]
+    result.confounder_report = evaluate_glm(p_te, prob, BERNOULLI)
     return result
 
 

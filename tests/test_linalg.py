@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokit.errors import DimensionMismatch, RankDeficient
-from orthokit.linalg import build_projector, center_columns, least_squares
+from orthokit.linalg import (
+    _projectors,
+    _qr,
+    build_projector,
+    center_columns,
+    least_squares,
+)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -94,6 +100,81 @@ class TestBuildProjector:
         x[2, 0] = np.nan
         with pytest.raises(ValueError):
             build_projector(x)
+
+
+def qr_of_block(block):
+    """Oracle: the 2-D ``_qr`` call of one block, as (q, r, error)."""
+    try:
+        return (*_qr(block), None)
+    except RankDeficient as exc:
+        q, r = np.linalg.qr(block)
+        return q, r, exc
+
+
+class TestStackedQr:
+    """A stack's factors and rank decisions are block for block those of
+    the 2-D call."""
+
+    def assert_blockwise(self, stack):
+        q, r, errors = _qr(stack)
+        assert len(errors) == stack.shape[0]
+        for k, block in enumerate(stack):
+            q_k, r_k, err_k = qr_of_block(block)
+            np.testing.assert_array_equal(q[k], q_k)
+            np.testing.assert_array_equal(r[k], r_k)
+            assert type(errors[k]) is type(err_k)
+            if err_k is not None:
+                assert errors[k].col_index == err_k.col_index
+                assert str(errors[k]) == str(err_k)
+        return errors
+
+    def test_full_rank_blocks(self):
+        errors = self.assert_blockwise(rng(30).standard_normal((12, 128, 2)))
+        assert errors == [None] * 12
+
+    def test_dependent_block_among_good_ones(self):
+        stack = rng(31).standard_normal((5, 40, 3))
+        stack[2, :, 2] = stack[2, :, 0] - 3.0 * stack[2, :, 1]
+        errors = self.assert_blockwise(stack)
+        assert [e is None for e in errors] == [True, True, False, True, True]
+        assert errors[2].col_index == 2
+
+    def test_numerically_zero_column_zero(self):
+        stack = rng(32).standard_normal((3, 64, 2))
+        stack[1, :, 0] *= 1e-13
+        stack[2] *= 1e-12  # tiny, but at one scale: the rule is per block
+        errors = self.assert_blockwise(stack)
+        assert [e and e.col_index for e in errors] == [None, 0, None]
+
+    def test_blocks_with_fewer_rows_than_columns(self):
+        stack = np.array([[[1.0, 2.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
+        errors = self.assert_blockwise(stack)
+        assert [e and e.col_index for e in errors] == [None, 0, 0]
+
+    def test_matrix_is_the_stack_of_one(self):
+        x = rng(33).standard_normal((50, 4))
+        q, r = _qr(x)
+        q1, r1, errors = _qr(x[None])
+        np.testing.assert_array_equal(q, np.linalg.qr(x)[0])
+        np.testing.assert_array_equal(q, q1[0])
+        np.testing.assert_array_equal(r, r1[0])
+        assert errors == [None]
+
+    @pytest.mark.parametrize("rows", [128, 1])
+    def test_projectors_match_build_projector(self, rows):
+        # one block per outcome: full rank, a constant column, all zero
+        stack = rng(34).standard_normal((3, rows, 2))
+        stack[:, :, 0] = 1.0
+        stack[1, :, 1] = 1.0
+        stack[2] = 0.0
+        m = rng(35).standard_normal((rows, 5))
+        for block, proj in zip(stack, _projectors(stack)):
+            try:
+                expected = build_projector(block)
+            except (DimensionMismatch, RankDeficient) as exc:
+                assert type(proj) is type(exc) and str(proj) == str(exc)
+            else:
+                np.testing.assert_array_equal(proj.complement(m), expected.complement(m))
 
 
 class TestApplyComplement:

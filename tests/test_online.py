@@ -17,6 +17,8 @@ from orthokit.evalmodel import evaluate_glm
 from orthokit.glm import BERNOULLI
 from orthokit.linalg import build_projector, least_squares
 from orthokit.online import (
+    BATCH_SIZE,
+    LEARNING_RATE,
     MlpConfig,
     accuracy_by_split,
     backward,
@@ -252,6 +254,15 @@ class TestEpochPass:
             np.testing.assert_array_equal(
                 getattr(result.confounder_report, f.name), getattr(expected, f.name))
 
+    def test_corrected_predict_needs_protected(self, run, small_data):
+        result, with_correction, _ = run
+        x, prot, _ = small_data.rows(small_data.test_mask)
+        if with_correction:
+            with pytest.raises(InvalidSpec, match="protected"):
+                result.predict(x)
+        else:
+            np.testing.assert_array_equal(result.predict(x), result.predict(x, prot))
+
     @pytest.mark.parametrize("with_correction", [False, True])
     def test_zero_epochs_still_reports(self, small_data, with_correction):
         result = train_mlp(small_data, MlpConfig(epochs=0), with_correction)
@@ -263,6 +274,71 @@ class TestEpochPass:
         regressed = lambda h: h - xa @ least_squares(xa, h)  # noqa: E731
         prob = forward(result.params, x, regressed if with_correction else None, 0)
         np.testing.assert_array_equal(result.predict(x, prot), prob)
+
+
+def per_batch_training(data, cfg):
+    """Corrected ``train_mlp`` written as a loop that calls
+    ``build_projector`` once per batch and gathers every batch and split
+    afresh.  Returns (params, metrics, gamma_hat, confounder report)."""
+    x, prot, y = data.rows(data.train_mask)
+    rng = stream(cfg.seed, 0x31A)
+    params = init_params(cfg.widths(x.shape[1]), rng)
+    ortho = cfg.ortho_layer_index
+    metrics = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        residuals = []
+        for start in range(0, len(y), BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
+            xa = augment_intercept(prot[idx])
+            complement = build_projector(xa).complement
+
+            def certified(h):
+                h = complement(h)
+                residuals.append(float(np.max(np.abs(xa.T @ h)) / len(idx)))
+                return h
+
+            inputs = []
+            prob = forward(params, x[idx], certified, ortho, inputs)
+            grads_w, grads_b = backward(params, inputs, prob, y[idx], complement, ortho)
+            for layer in range(len(grads_w)):
+                params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
+                params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
+        gamma_hat = None
+        for split in ("train", "val", "test"):
+            xs, ps, ys = data.rows(getattr(data, f"{split}_mask"))
+            xa = augment_intercept(ps)
+            if gamma_hat is None:
+                gamma_hat = least_squares(xa, preactivation(params, xs, ortho))
+            prob = forward(params, xs, lambda h: h - xa @ gamma_hat, ortho)
+            metrics.append({
+                "epoch": epoch,
+                "split": split,
+                "accuracy": float(np.mean((prob > 0.5) == (ys > 0.5))),
+                "loss": bce_loss(prob, ys),
+                "constraint_residual": float(np.mean(residuals)),
+            })
+    return params, metrics, gamma_hat, evaluate_glm(ps, prob, BERNOULLI)
+
+
+class TestStackedBatchProjectors:
+    """Factoring an epoch's batches in one stacked QR changes no byte of
+    training: 320 training rows make batches of 128, 128 and 64 rows."""
+
+    @pytest.mark.parametrize("ortho", [0, 1])
+    def test_training_equals_per_batch_build_projector(self, small_data, ortho):
+        cfg = MlpConfig(layer_widths=(9, 16, 8, 1), epochs=3, ortho_layer_index=ortho, seed=4)
+        result = train_mlp(small_data, cfg, True)
+        params, metrics, gamma_hat, report = per_batch_training(small_data, cfg)
+        assert result.skipped_batches == 0
+        for key in ("weights", "biases"):
+            for got, want in zip(result.params[key], params[key]):
+                np.testing.assert_array_equal(got, want)
+        assert result.metrics == metrics
+        np.testing.assert_array_equal(result.gamma_hat, gamma_hat)
+        for f in dataclasses.fields(report):
+            np.testing.assert_array_equal(
+                getattr(result.confounder_report, f.name), getattr(report, f.name))
 
 
 class TestSkippedBatches:
