@@ -8,15 +8,19 @@ significant digits, and every command is a pure function of its inputs,
 flags, and seed.
 
 Input files are UTF-8 text (a leading byte-order mark is dropped), read
-whole into one flat list of cells (a column is a strided slice of it;
-every data row has the header's width).
-Text without quotes or bare carriage returns is split on line ends and
-commas directly; ``csv.reader`` parses only files that have them.  One
-decoder parses a column into float64 in one pass.  A column is numeric
+whole and split into lines once; every data row must have the header's
+width before any cell is decoded.  One decoder then reads each file in one
+pass, ``BLOCK_ROWS`` lines at a time, splitting a block into cells and
+decoding only the columns the command reads, into float64 or category
+codes.  So a file costs its lines, its decoded columns and one block of
+cells, not a str per cell.  Text without quotes or bare carriage returns
+is split on line ends and commas directly; ``csv.reader`` parses only
+files that have them, and feeds the same decoder.  A column is numeric
 when its non-empty cells are all numbers, categorical (one-hot encoded)
 otherwise.  An empty cell in either kind of column, and a non-finite cell
 where a number is required, is an error naming its column (or file) and
-row.  Outputs are written as one string per file.
+row; each is raised when the command asks for that column.  Outputs are
+written as one string per file.
 
 Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
 report is still written).
@@ -57,13 +61,24 @@ class CliError(Exception):
 # CSV and tensor files
 
 
-def _read_rows(path):
-    """A CSV file as ``(header cells, cell count of each data row, data cells)``.
+# Data rows are split into cells and decoded this many at a time, so the
+# cells of one block are the only per-cell strs alive.  A constant, not an
+# option: 512 to 2048 rows decode a 50,000-row file equally fast, 128 and
+# 8192 more slowly.
+BLOCK_ROWS = 1024
 
-    The data cells are one flat list in row order; the header is None for
-    an empty file.  Text without quotes or bare carriage returns is split
-    on line ends and commas, which is all ``csv.reader`` would do with it;
-    any other file goes through ``csv.reader``.  A blank line has 0 cells.
+
+def _read_rows(path):
+    """A CSV file as ``(header cells, cell count of each data row, blocks)``.
+
+    ``blocks(stop)`` yields ``(first data row, cells)`` for the data rows
+    before ``stop``, ``BLOCK_ROWS`` rows at a time, with each block's cells
+    in one flat list in row order; data row 0 is file row 2.  The header is
+    None for an empty file.  Text without quotes or bare carriage returns
+    is split into lines once, and each block of lines on commas, which is
+    all ``csv.reader`` would do with it.  Any other file goes through
+    ``csv.reader``: once for the widths, then once per ``blocks`` call.  A
+    blank line has 0 cells.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -75,21 +90,32 @@ def _read_rows(path):
         raise CliError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")
     cr = "\r" in text
     if '"' in text or (cr and text.count("\r") != text.count("\r\n")):
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        if not rows:
-            return None, [], []
-        body = rows[1:]
-        return rows[0], list(map(len, body)), list(itertools.chain.from_iterable(body))
+        def records():
+            return csv.reader(io.StringIO(text, newline=""))
+
+        def blocks(stop):
+            body = itertools.islice(records(), 1, stop + 1)
+            for start in range(0, stop, BLOCK_ROWS):
+                rows = itertools.islice(body, BLOCK_ROWS)
+                yield start, list(itertools.chain.from_iterable(rows))
+
+        widths = [len(row) for row in itertools.islice(records(), 1, None)]
+        return next(records(), None), widths, blocks
     lines = (text.replace("\r\n", "\n") if cr else text).split("\n")
-    del text  # freed before the cells are built
+    del text  # freed before any block is split
     if lines[-1] == "":
         lines.pop()
     if not lines:
-        return None, [], []
+        return None, [], None
     head = lines.pop(0)
+
+    def blocks(stop):
+        for start in range(0, stop, BLOCK_ROWS):
+            block = lines[start:min(start + BLOCK_ROWS, stop)]
+            yield start, ",".join(block).split(",")
+
     widths = [line.count(",") + 1 if line else 0 for line in lines]
-    cells = ",".join(lines).split(",") if lines else []
-    return head.split(",") if head else [], widths, cells
+    return head.split(",") if head else [], widths, blocks
 
 
 def _check_widths(path, widths, width) -> None:
@@ -99,49 +125,115 @@ def _check_widths(path, widths, width) -> None:
         raise CliError(f"{path} row {i + 2} has {widths[i]} cells, expected {width}")
 
 
-class _NonNumeric(CliError):
-    """A cell that is not a number: a categorical column to ``encode_columns``."""
+class _Column:
+    """One column, decoded a block at a time: float64 while every cell is
+    a number, category codes from the first cell that is not.
 
-
-def _decode(cells, where, width=1):
-    """Parse ``cells`` (``width`` per data row) into float64 in one pass.
-
-    A cell that is not a finite number is an error naming ``where`` and the
-    cell's file row.  Empty cells parse as nan, so that a numeric column
-    with a hole is reported as one rather than read as categorical.
+    Errors are recorded, not raised, so that a command meets them in the
+    order it asks for its columns.  Empty cells parse as nan, so that a
+    numeric column with a hole is reported as one rather than read as
+    categorical.
     """
-    filled = [c or "nan" for c in cells] if "" in cells else cells
-    rest = iter(filled)
-    try:
-        values = np.fromiter(map(float, rest), float, len(filled))
-    except ValueError:
-        i = len(filled) - operator.length_hint(rest) - 1  # the cell float() refused
-        raise _NonNumeric(
-            f"{where} contains non-numeric cell {cells[i]!r} (row {i // width + 2})"
-        )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        cell = f"non-finite cell {cells[i]!r}" if cells[i] else "an empty cell"
-        raise CliError(f"{where} contains {cell} (row {i // width + 2})")
-    return values
+
+    __slots__ = ("values", "bad", "word", "index", "codes", "levels", "empty")
+
+    def __init__(self, values):
+        self.values = values  # float64, filled in place while numeric
+        self.bad = None  # (data row, cell): the first non-finite or empty cell
+        self.word = None  # (data row, cell): the first non-number, if any
+        self.index = {}  # level -> code, in order of first appearance
+        self.codes = self.levels = None  # once categorical
+        self.empty = None  # data row of the first empty cell, once categorical
+
+    def add_numbers(self, cells, start) -> bool:
+        """Parse the block ``cells`` starting at data row ``start``; False,
+        with ``word`` set, if a cell is not a number."""
+        filled = [c or "nan" for c in cells] if "" in cells else cells
+        rest = iter(filled)
+        try:
+            values = np.fromiter(map(float, rest), float, len(filled))
+        except ValueError:
+            i = len(filled) - operator.length_hint(rest) - 1  # the cell float() refused
+            self.word = (start + i, cells[i])
+            self.codes = np.empty(len(self.values), np.intp)
+            self.values = None
+            return False
+        self.values[start:start + len(values)] = values
+        if self.bad is None:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                self.bad = (start + int(bad[0]), cells[bad[0]])
+        return True
+
+    def add_levels(self, cells, start) -> None:
+        """Code the block ``cells`` starting at data row ``start`` as levels."""
+        index = self.index
+        new = set(cells).difference(index)
+        if "" in new:
+            self.empty = start + cells.index("")
+        index.update(zip(new, itertools.count(len(index))))
+        codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+        self.codes[start:start + len(cells)] = codes
+
+    def finish(self) -> None:
+        """Sort the levels in code-point order and renumber the codes."""
+        if self.codes is not None:
+            self.levels = sorted(self.index)
+            rank = np.empty(len(self.levels), np.intp)
+            rank[[self.index[level] for level in self.levels]] = np.arange(len(rank))
+            self.codes = rank[self.codes]
+        self.index = None
+
+    def failure(self, where):
+        """Why this is not a column of finite numbers, as ``(0 for a
+        non-number or 1 for a non-finite cell, data row, message)``, or None."""
+        if self.word is not None:
+            row, cell = self.word
+            return 0, row, f"{where} contains non-numeric cell {cell!r} (row {row + 2})"
+        if self.bad is not None:
+            row, cell = self.bad
+            what = f"non-finite cell {cell!r}" if cell else "an empty cell"
+            return 1, row, f"{where} contains {what} (row {row + 2})"
+        return None
+
+
+def _decode(blocks, count, width, columns) -> None:
+    """Decode ``columns`` (``{index: _Column}``) of the ``count`` data rows
+    of ``width`` cells in one pass over ``blocks``."""
+    for start, cells in blocks(count):
+        for j, column in columns.items():
+            part = cells[j::width]
+            if column.word is None:
+                if column.add_numbers(part, start):
+                    continue
+                # the rows before this block were numbers: split them again
+                for at, earlier in blocks(start):
+                    column.add_levels(earlier[j::width], at)
+            column.add_levels(part, start)
+    for column in columns.values():
+        column.finish()
 
 
 class Rows:
-    """The data rows of a table: one flat list of cells, ``width`` per row."""
+    """The data rows of a table: their count and the decoded columns."""
 
-    __slots__ = ("cells", "width", "count")
+    __slots__ = ("count", "columns")
 
-    def __init__(self, cells, width, count):
-        self.cells, self.width, self.count = cells, width, count
+    def __init__(self, count, columns):
+        self.count, self.columns = count, columns
 
     def __len__(self):
         return self.count
 
 
-def read_table(path: str):
-    """Read a CSV with header; returns (column names, ``Rows``)."""
-    header, widths, cells = _read_rows(path)
+def read_table(path: str, columns=None):
+    """Read a CSV with header; returns (column names, ``Rows``).
+
+    The named ``columns`` (every column when None) are decoded in one pass
+    over the file; a name the header lacks is left to ``encode_columns``
+    to report.
+    """
+    header, widths, blocks = _read_rows(path)
     if header is None:
         raise CliError(f"{path} is empty")
     if len(set(header)) != len(header):
@@ -150,11 +242,21 @@ def read_table(path: str):
     if not widths:
         raise CliError(f"{path} has a header but no data rows")
     _check_widths(path, widths, len(header))
-    return header, Rows(cells, len(header), len(widths))
+    n = len(widths)
+    decoded = {j: _Column(np.empty(n)) for j, name in enumerate(header)
+               if columns is None or name in columns}
+    _decode(blocks, n, len(header), decoded)
+    return header, Rows(n, {header[j]: column for j, column in decoded.items()})
 
 
-def _column(header, body, name):
-    return body.cells[header.index(name)::body.width]
+def _numbers(body, name):
+    """The decoded column ``name`` as float64; an error unless every cell
+    is a finite number."""
+    column = body.columns[name]
+    failure = column.failure(f"column {name!r}")
+    if failure:
+        raise CliError(failure[2])
+    return column.values
 
 
 def encode_columns(header, body, wanted):
@@ -170,29 +272,25 @@ def encode_columns(header, body, wanted):
     for name in wanted:
         if name not in header:
             raise CliError(f"column {name!r} not found in input")
-        cells = _column(header, body, name)
-        try:
-            cols.append(_decode(cells, f"column {name!r}"))
-        except _NonNumeric:
-            levels = sorted(set(cells))
-            if levels[0] == "":  # the empty string sorts first
-                row = cells.index("") + 2
-                raise CliError(f"column {name!r} contains an empty cell (row {row})")
-            if len(levels) < 2:
-                raise CliError(f"categorical column {name!r} has a single level")
-            code = {level: k for k, level in enumerate(levels)}
-            codes = np.fromiter(map(code.__getitem__, cells), np.intp, len(cells))
-            refs[name] = levels[0]
-            cols.append(np.eye(len(levels))[codes, 1:])
-            names.extend(f"{name}={level}" for level in levels[1:])
+        column = body.columns[name]
+        if column.word is None:
+            cols.append(_numbers(body, name))
+            names.append(name)
             continue
-        names.append(name)
+        if column.empty is not None:
+            raise CliError(f"column {name!r} contains an empty cell (row {column.empty + 2})")
+        levels = column.levels
+        if len(levels) < 2:
+            raise CliError(f"categorical column {name!r} has a single level")
+        refs[name] = levels[0]
+        cols.append(np.eye(len(levels))[column.codes, 1:])
+        names.extend(f"{name}={level}" for level in levels[1:])
     return np.column_stack(cols), names, refs
 
 
 def read_tensor(path: str):
     """Read a tensor file: '#dims n d1 ... dR' then the n-by-d matricization."""
-    header, widths, cells = _read_rows(path)
+    header, widths, blocks = _read_rows(path)
     if not header or not header[0].startswith("#dims"):
         raise CliError(f"{path}: first row must be '#dims n d1 ... dR'")
     head = " ".join(header).split()
@@ -206,7 +304,16 @@ def read_tensor(path: str):
         raise CliError(f"{path}: expected {dims[0]} data rows, got {len(widths)}")
     d = int(np.prod(dims[1:]))
     _check_widths(path, widths, d)
-    return _decode(cells, f"tensor file {path}", d).reshape(dims)
+    tensor = np.empty((dims[0], d))
+    columns = {j: _Column(tensor[:, j]) for j in range(d)}
+    _decode(blocks, dims[0], d, columns)
+    where = f"tensor file {path}"
+    # the first failing cell in row-major order, a non-number before a non-finite one
+    failures = [(f[0], f[1], j, f[2]) for j, column in columns.items()
+                if (f := column.failure(where))]
+    if failures:
+        raise CliError(min(failures)[-1])
+    return tensor.reshape(dims)
 
 
 def write_tensor(path, tensor) -> None:
@@ -254,10 +361,23 @@ def cmd_correct(args) -> int:
     if not protected_cols:
         raise CliError("--protected must name at least one column")
 
-    header, body = read_table(args.data)
+    tensor_method = args.method == "tensor"
+    header, body = read_table(args.data, protected_cols if tensor_method else None)
     x, x_names, refs = encode_columns(header, body, protected_cols)
+    if not tensor_method:
+        if args.outcome not in header:
+            raise CliError(f"outcome column {args.outcome!r} not found in input")
+        y = _numbers(body, args.outcome)
+        feature_cols = [
+            c for c in header if c != args.outcome and c not in protected_cols
+        ]
+        if not feature_cols:
+            raise CliError("no feature columns remain after outcome/protected removal")
+        z, z_names, z_refs = encode_columns(header, body, feature_cols)
+        refs.update(z_refs)
+    del body  # decoded: not held through the tensor file and the fit
 
-    if args.method == "tensor":
+    if tensor_method:
         if not args.tensor:
             raise CliError("--tensor <file> is required for method=tensor")
         tensor = read_tensor(args.tensor)
@@ -276,17 +396,6 @@ def cmd_correct(args) -> int:
         }
         _write_report(out_dir, report)
         return 0
-
-    if args.outcome not in header:
-        raise CliError(f"outcome column {args.outcome!r} not found in input")
-    y = _decode(_column(header, body, args.outcome), f"column {args.outcome!r}")
-    feature_cols = [
-        c for c in header if c != args.outcome and c not in protected_cols
-    ]
-    if not feature_cols:
-        raise CliError("no feature columns remain after outcome/protected removal")
-    z, z_names, z_refs = encode_columns(header, body, feature_cols)
-    refs.update(z_refs)
 
     if args.method == "glm-constrained":
         cfg = ConstrainedConfig(max_iter=args.max_iter, constraint_tol=args.tol)
@@ -367,8 +476,8 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    header, body = read_table(args.predictions)
     pred_col = args.prediction_column
+    header, body = read_table(args.predictions, None if pred_col is None else [pred_col])
     if pred_col is None:
         candidates = [c for c in header if c != "row_id"]
         if not candidates:
@@ -376,11 +485,13 @@ def cmd_evaluate(args) -> int:
         pred_col = candidates[-1]
     if pred_col not in header:
         raise CliError(f"prediction column {pred_col!r} not found")
-    y_hat = _decode(_column(header, body, pred_col), f"column {pred_col!r}")
+    y_hat = _numbers(body, pred_col)
+    del body  # decoded: not held while the protected file is read
 
-    p_header, p_body = read_table(args.protected_data)
-    cols = [c.strip() for c in args.protected.split(",") if c.strip()] if args.protected else p_header
-    x, x_names, _refs = encode_columns(p_header, p_body, cols)
+    cols = [c.strip() for c in args.protected.split(",") if c.strip()] if args.protected else None
+    p_header, p_body = read_table(args.protected_data, cols)
+    x, x_names, _refs = encode_columns(p_header, p_body, p_header if cols is None else cols)
+    del p_body
     if x.shape[0] != y_hat.shape[0]:
         raise CliError("predictions and protected data differ in row count")
 

@@ -3,10 +3,13 @@ with direct library calls."""
 
 import csv
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from orthokit import cli
 from orthokit.cli import SUMMARY_COLUMNS, main, read_tensor, write_tensor
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
@@ -328,6 +331,13 @@ def _bad_input(case, tmp_path):
         "predictions_only_row_id": (evaluate, ["preds.csv", "row_id"]),
         "non_utf8_data": (correct, ["data.csv", "UTF-8"]),
         "repeated_header_name": (correct, ["data.csv", "repeats", "'z1'"]),
+        # a width error wins over any cell error, however early
+        "width_after_bad_cell": (correct, ["data.csv", "row 36", "5 cells", "expected 4"]),
+        "empty_cell_before_late_word": (correct, ["'x0'", "an empty cell", "row 8"]),
+        "late_non_numeric_outcome": (correct, ["'y'", "non-numeric cell 'yes'", "row 34"]),
+        "first_of_two_bad_cells": (correct, ["'z1'", "'inf'", "row 9"]),
+        # a non-number anywhere wins over an earlier non-finite cell
+        "tensor_word_after_non_finite": (tensor_argv, ["tensor.csv", "'abc'", "row 21"]),
     }[case]
     if case == "data_row_width":
         rows[5].append("1")
@@ -359,6 +369,20 @@ def _bad_input(case, tmp_path):
         preds = [[r[0]] for r in preds]
     elif case == "repeated_header_name":
         rows[0][0] = "z1"
+    elif case == "width_after_bad_cell":
+        rows[3][1] = "nan"
+        rows[35].append("1")
+    elif case == "empty_cell_before_late_word":
+        # numbers in the early blocks, so the column turns categorical late
+        for k, row in enumerate(rows[1:]):
+            row[2] = str(k % 2)
+        rows[7][2], rows[30][2] = "", "a"
+    elif case == "late_non_numeric_outcome":
+        rows[33][3] = "yes"
+    elif case == "first_of_two_bad_cells":
+        rows[8][1], rows[25][1] = "inf", ""
+    elif case == "tensor_word_after_non_finite":
+        tensor[2][5], tensor[20][1] = "-inf", "abc"
     _write_rows(data, rows)
     _write_rows(tfile, tensor)
     _write_rows(pfile, preds)
@@ -368,14 +392,20 @@ def _bad_input(case, tmp_path):
     return argv, words
 
 
-@pytest.mark.parametrize("case", [
+BAD_INPUT_CASES = [
     "data_row_width", "single_level_category", "malformed_dims",
     "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
     "non_finite_data_cell", "non_finite_prediction_cell",
     "non_finite_tensor_cell", "empty_numeric_cell", "empty_categorical_cell",
     "predictions_only_row_id",
     "non_utf8_data", "repeated_header_name",
-])
+    "width_after_bad_cell", "empty_cell_before_late_word",
+    "late_non_numeric_outcome", "first_of_two_bad_cells",
+    "tensor_word_after_non_finite",
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
 def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     argv, words = _bad_input(case, tmp_path)
     rc = main(argv)
@@ -384,6 +414,14 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert len(err) == 1, err
     for word in words:
         assert word in err[0], (word, err[0])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
+def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypatch):
+    # every diagnostic names the same cell when blocks end next to it
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    test_bad_input_exits_2_with_one_line(case, tmp_path, capsys)
 
 
 class TestReaderParity:
@@ -485,6 +523,124 @@ class TestReaderParity:
         row = 8 if defect == "ragged_row" else 12
         expected = f"error: DATA row {row} has {cells} cells, expected 5\n"
         assert errors == dict.fromkeys(errors, expected)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("defect", ["ragged_row", "blank_line"])
+    def test_width_diagnostics_in_small_blocks(self, defect, block_rows, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        self.test_width_diagnostics_match(defect, tmp_path, capsys)
+
+
+def _oracle_table(path):
+    """``encode_columns`` over every column, computed cell by cell from
+    ``csv.reader`` and ``float``."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cols, names, refs = [], [], {}
+    for j, name in enumerate(header):
+        cells = [row[j] for row in rows]
+        try:
+            cols.append(np.array([float(c) for c in cells]))
+            names.append(name)
+        except ValueError:
+            levels = sorted(set(cells))
+            refs[name] = levels[0]
+            cols.append(np.array([[float(c == v) for v in levels[1:]] for c in cells]))
+            names.extend(f"{name}={v}" for v in levels[1:])
+    return np.column_stack(cols), names, refs
+
+
+def _oracle_tensor(path):
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        (head,), *rows = csv.reader(fh)
+    dims = tuple(int(v) for v in head.split()[1:])
+    return np.array([[float(c) for c in row] for row in rows]).reshape(dims)
+
+
+class TestDecoderOracle:
+    """The block decoder returns bitwise what a cell-by-cell reference
+    computes, whatever the block size and however the file is written."""
+
+    STYLES = ("lf", "crlf", "cr", "bom", "quoted")
+
+    def files(self, tmp_path, style):
+        rng = np.random.Generator(np.random.Philox(key=32))
+        n = 40
+        city = ["Boston", "Denver", "New York, NY" if style == "quoted" else "Austin"]
+        rows = [["num", "int", "city", "late", "wide", "y"]] + [
+            [f"{rng.standard_normal():.17g}", str(int(rng.integers(-5, 5))),
+             city[k % 3], "inf" if k == 0 else ("word" if k == 5 else f"{k % 4}.0"),
+             f"{rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)):.17g}",
+             f"{rng.random():.17g}"]
+            for k in range(n)
+        ]
+        tensor = [[f"#dims {n} 2 3"]] + [
+            [f"{v:.17g}" for v in rng.standard_normal(6) * 1e10] for _ in range(n)
+        ]
+        paths = tmp_path / f"{style}.csv", tmp_path / f"{style}_t.csv"
+        for path, content in zip(paths, (rows, tensor)):
+            if style == "quoted":
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(content)
+                continue
+            end = "\r\n" if style == "crlf" else "\r" if style == "cr" else "\n"
+            text = "".join(",".join(row) + end for row in content)
+            path.write_bytes(("\ufeff" if style == "bom" else "").encode() + text.encode())
+        return paths
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("style", STYLES)
+    def test_bitwise_equal_to_reference(self, style, block_rows, tmp_path, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        data, tfile = self.files(tmp_path, style)
+        header, body = cli.read_table(str(data))
+        matrix, names, refs = cli.encode_columns(header, body, header)
+        want, want_names, want_refs = _oracle_table(data)
+        assert (names, refs) == (want_names, want_refs)
+        assert matrix.dtype == want.dtype and matrix.shape == want.shape
+        assert matrix.tobytes() == want.tobytes()
+        # 'late' has inf in block 0 and, at 2 rows a block, a word in block 2
+        assert refs["late"] == "0.0" and "late=inf" in names and "late=word" in names
+        assert ("city=New York, NY" in names) is (style == "quoted")
+        tensor, want = read_tensor(str(tfile)), _oracle_tensor(tfile)
+        assert tensor.shape == want.shape and tensor.tobytes() == want.tobytes()
+
+
+def test_reader_holds_one_block_of_cells(tmp_path):
+    """``read_table`` + ``encode_columns`` hold the file's text and lines,
+    the decoded columns, the encoded matrix and one block of cells, never
+    a str for every cell of the file."""
+    rng = np.random.Generator(np.random.Philox(key=33))
+    n, width = 20_000, 13
+    f = rng.standard_normal((n, 8))
+    codes = rng.integers(0, 4, (n, 3))
+    header = [f"f{j}" for j in range(8)] + ["region", "sex", "group", "age", "y"]
+    lines = [",".join(header)] + [
+        ",".join(f"{v:.6f}" for v in f[i])
+        + f",r{codes[i, 0]},{'FM'[codes[i, 1] % 2]},g{codes[i, 2]},{20 + i % 50}.5,{i % 2}"
+        for i in range(n)
+    ]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    text_bytes = sys.getsizeof(path.read_text())
+    line_bytes = sum(map(sys.getsizeof, lines)) + sys.getsizeof(lines)
+    # a block's joined text, and each of its cells with its list slot
+    row_bytes = sys.getsizeof(lines[1]) + sum(sys.getsizeof(c) + 8 for c in lines[1].split(","))
+    del lines
+    tracemalloc.start()
+    try:
+        names, body = cli.read_table(str(path))
+        matrix = cli.encode_columns(names, body, names)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    decoded = width * n * 8  # one float64 or code per cell
+    # the matrix and its column pieces are alive together in column_stack
+    bound = text_bytes + line_bytes + decoded + 2 * matrix.nbytes + cli.BLOCK_ROWS * row_bytes
+    # about 14 MB here; a str for every cell alone would take about 17 MB
+    assert peak < bound, (peak, bound)
 
 
 class TestEvaluateCommand:
