@@ -268,13 +268,14 @@ def encode_columns(header, body, wanted):
     error in either kind of column.  Returns
     ``(matrix, encoded names, reference levels dict)``.
     """
-    cols, names, refs = [], [], {}
+    # (first matrix column, numeric values or None, category codes or None)
+    pieces, names, refs = [], [], {}
     for name in wanted:
         if name not in header:
             raise CliError(f"column {name!r} not found in input")
         column = body.columns[name]
         if column.word is None:
-            cols.append(_numbers(body, name))
+            pieces.append((len(names), _numbers(body, name), None))
             names.append(name)
             continue
         if column.empty is not None:
@@ -283,9 +284,17 @@ def encode_columns(header, body, wanted):
         if len(levels) < 2:
             raise CliError(f"categorical column {name!r} has a single level")
         refs[name] = levels[0]
-        cols.append(np.eye(len(levels))[column.codes, 1:])
+        pieces.append((len(names), None, column.codes))
         names.extend(f"{name}={level}" for level in levels[1:])
-    return np.column_stack(cols), names, refs
+    # filled in place: encoding holds the matrix and index arrays of its rows
+    matrix = np.zeros((len(body), len(names)))
+    for j, values, codes in pieces:
+        if codes is None:
+            matrix[:, j] = values
+        else:  # level k > 0 sets column j + k - 1; the reference level none
+            rows = np.flatnonzero(codes)
+            matrix[rows, codes[rows] + (j - 1)] = 1.0
+    return matrix, names, refs
 
 
 def read_tensor(path: str):
@@ -488,7 +497,11 @@ def cmd_evaluate(args) -> int:
     y_hat = _numbers(body, pred_col)
     del body  # decoded: not held while the protected file is read
 
-    cols = [c.strip() for c in args.protected.split(",") if c.strip()] if args.protected else None
+    cols = None  # every column of the protected file
+    if args.protected:
+        cols = [c.strip() for c in args.protected.split(",") if c.strip()]
+        if not cols:
+            raise CliError("--protected must name at least one column")
     p_header, p_body = read_table(args.protected_data, cols)
     x, x_names, _refs = encode_columns(p_header, p_body, p_header if cols is None else cols)
     del p_body

@@ -21,8 +21,9 @@ subtracted instead, which is the row-wise applicable form of the full
 training-set projector.  Each epoch ends with one pass per split: the
 training split's pass fits that regression (``gamma_hat``) on its
 uncorrected pre-activation at the projected layer, and every split's pass
-subtracts ``[1, protected] @ gamma_hat`` there.  The last test-split pass
-also feeds the confounder report.
+subtracts ``[1, protected] @ gamma_hat`` there.  Training fits no GLM:
+``TrainingResult.confounder_report`` runs the Wald test of the protected
+rows on the model's predictions when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -235,13 +236,16 @@ def bce_loss(prob: np.ndarray, yb: np.ndarray) -> float:
 
 @dataclass
 class TrainingResult:
+    """A trained network: its parameters, per-epoch metrics and, when
+    trained with correction, the last epoch's ``gamma_hat``.  It holds no
+    predictions; ``predict`` and ``confounder_report`` compute them."""
+
     params: dict
     metrics: list = field(default_factory=list)
     gamma_hat: np.ndarray | None = None
     config: MlpConfig | None = None
     with_correction: bool = False
     skipped_batches: int = 0
-    confounder_report: object = None
 
     def predict(self, features: np.ndarray, protected: np.ndarray | None = None):
         """Probabilities; a corrected model subtracts ``[1, protected] @
@@ -257,6 +261,12 @@ class TrainingResult:
             xa = augment_intercept(protected)
         ortho = self.config.ortho_layer_index
         return _regressed(self.params, features, xa, ortho, self.gamma_hat)[0]
+
+    def confounder_report(self, features: np.ndarray, protected: np.ndarray):
+        """Does ``protected`` explain the model's predictions on these rows?
+        The Bernoulli ``evaluate_glm`` report of ``predict(features,
+        protected)`` on ``protected``: one IRLS fit and its Wald tests."""
+        return evaluate_glm(protected, self.predict(features, protected), BERNOULLI)
 
 
 def _sgd_epoch(params, x, y, xa, ortho, epoch):
@@ -320,7 +330,8 @@ def train_mlp(
     correction, is counted in ``skipped_batches`` and logs a warning.  Each
     epoch ends with one ``forward`` pass per split, training split first:
     its pass fits ``gamma_hat`` and all three subtract it (see the module
-    docstring); the last test-split pass also gives the confounder report.
+    docstring).  No GLM is fitted; ``TrainingResult.confounder_report``
+    tests the predictions on given rows when asked.
     Training always completes; a NaN output, which makes the loss
     non-finite, aborts with diagnostics.
     """
@@ -335,16 +346,16 @@ def train_mlp(
     result = TrainingResult(
         params=params, config=cfg, with_correction=with_correction
     )
-    # (name, features, protected, [1, protected] or None, labels) per split
+    # (name, features, [1, protected] or None, labels) per split
     splits = [
-        (split, xs, ps, augment_intercept(ps) if with_correction else None, ys)
+        (split, xs, augment_intercept(ps) if with_correction else None, ys)
         for split, (xs, ps, ys) in (
             ("train", (x_tr, prot_tr, y_tr)),
             ("val", data.rows(data.val_mask)),
             ("test", data.rows(data.test_mask)),
         )
     ]
-    xa_tr = splits[0][3]
+    xa_tr = splits[0][2]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         batch_residuals, skipped = _sgd_epoch(
@@ -355,7 +366,7 @@ def train_mlp(
 
         epoch_residual = float(np.mean(batch_residuals)) if batch_residuals else None
         gamma_hat = None
-        for split, xs, _, xa_s, ys in splits:
+        for split, xs, xa_s, ys in splits:
             prob, gamma_hat = _regressed(params, xs, xa_s, ortho, gamma_hat)
             acc = float(np.mean((prob > 0.5) == (ys > 0.5)))
             result.metrics.append(
@@ -368,12 +379,6 @@ def train_mlp(
                 }
             )
         result.gamma_hat = gamma_hat
-
-    # Final check: does the confounder explain the test-split predictions?
-    _, x_te, p_te, xa_te, _ = splits[-1]
-    if not cfg.epochs:  # otherwise the last pass above was the test split's
-        prob = _regressed(params, x_te, xa_te, ortho)[0]
-    result.confounder_report = evaluate_glm(p_te, prob, BERNOULLI)
     return result
 
 

@@ -321,7 +321,8 @@ class TestCriterion7OnlineDemo:
         res_c = train_mlp(data, cfg, with_correction=True)
         acc_u = accuracy_by_split(res_u)["test"]
         acc_c = accuracy_by_split(res_c)["test"]
-        p_corrected = float(res_c.confounder_report.p_values[0])
+        x_te, prot_te, _ = data.rows(data.test_mask)
+        p_corrected = float(res_c.confounder_report(x_te, prot_te).p_values[0])
 
         # backprop gradient check on a 10-sample batch, both variants
         from orthokit.online import backward, bce_loss, forward, init_params

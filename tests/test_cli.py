@@ -329,6 +329,8 @@ def _bad_input(case, tmp_path):
         "empty_numeric_cell": (correct, ["'z0'", "empty", "row 10"]),
         "empty_categorical_cell": (correct, ["'x0'", "an empty cell", "row 6"]),
         "predictions_only_row_id": (evaluate, ["preds.csv", "row_id"]),
+        "empty_protected_list": (evaluate[:-3] + [",", *evaluate[-2:]],
+                                 ["--protected must name at least one column"]),
         "non_utf8_data": (correct, ["data.csv", "UTF-8"]),
         "repeated_header_name": (correct, ["data.csv", "repeats", "'z1'"]),
         # a width error wins over any cell error, however early
@@ -397,7 +399,7 @@ BAD_INPUT_CASES = [
     "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
     "non_finite_data_cell", "non_finite_prediction_cell",
     "non_finite_tensor_cell", "empty_numeric_cell", "empty_categorical_cell",
-    "predictions_only_row_id",
+    "predictions_only_row_id", "empty_protected_list",
     "non_utf8_data", "repeated_header_name",
     "width_after_bad_cell", "empty_cell_before_late_word",
     "late_non_numeric_outcome", "first_of_two_bad_cells",
@@ -637,9 +639,30 @@ def test_reader_holds_one_block_of_cells(tmp_path):
     finally:
         tracemalloc.stop()
     decoded = width * n * 8  # one float64 or code per cell
-    # the matrix and its column pieces are alive together in column_stack
+    # the encoded matrix, counted twice as slack for its index arrays
     bound = text_bytes + line_bytes + decoded + 2 * matrix.nbytes + cli.BLOCK_ROWS * row_bytes
     # about 14 MB here; a str for every cell alone would take about 17 MB
+    assert peak < bound, (peak, bound)
+
+
+def test_one_hot_memory_is_rows_times_levels(tmp_path):
+    """A categorical column of n rows and L levels encodes into its n by
+    (L - 1) float64 block and index arrays of its rows: no L by L identity."""
+    n = levels = 3000
+    path = tmp_path / "many_levels.csv"
+    path.write_text("v,grp\n" + "".join(f"{i % 7},c{(i * 7) % levels:04d}\n" for i in range(n)))
+    header, body = cli.read_table(str(path))
+    tracemalloc.start()
+    try:
+        matrix, names, _ = cli.encode_columns(header, body, ["grp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (n, levels - 1) and len(names) == levels - 1
+    np.testing.assert_array_equal(matrix.sum(axis=1), np.arange(n) * 7 % levels > 0)
+    # n * (L - 1) * 8 = 72 MB for the block; 1 MB covers the names and the
+    # index arrays.  np.eye(L) would add L * L * 8 = 72 MB more.
+    bound = n * (levels - 1) * 8 + 2**20
     assert peak < bound, (peak, bound)
 
 

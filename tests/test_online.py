@@ -148,10 +148,11 @@ class TestTraining:
         acc_c = accuracy_by_split(corrected)
         assert acc_c["test"] >= acc_u["test"] + 0.10
 
-    def test_confounder_evaluation_pvalues(self, trained):
+    def test_confounder_evaluation_pvalues(self, trained, data):
         uncorrected, corrected = trained
-        assert uncorrected.confounder_report.p_values[0] < 0.01
-        assert corrected.confounder_report.p_values[0] > 0.05
+        x, prot, _ = data.rows(data.test_mask)
+        assert uncorrected.confounder_report(x, prot).p_values[0] < 0.01
+        assert corrected.confounder_report(x, prot).p_values[0] > 0.05
 
     def test_loss_decreases_over_first_epochs(self, trained):
         for result in trained:
@@ -211,8 +212,9 @@ def small_data():
 
 class TestEpochPass:
     """The per-epoch inference pass is the same computation as the public
-    entry points it replaced: ``predict``, the training-set regression of the
-    uncorrected pre-activation, and ``evaluate_glm`` on the test split."""
+    entry points it replaced: ``predict`` and the training-set regression of
+    the uncorrected pre-activation; ``confounder_report`` is ``evaluate_glm``
+    on ``predict``."""
 
     @pytest.fixture(
         scope="class",
@@ -250,9 +252,10 @@ class TestEpochPass:
         result, _, _ = run
         x, prot, _ = small_data.rows(small_data.test_mask)
         expected = evaluate_glm(prot, result.predict(x, prot), BERNOULLI)
+        report = result.confounder_report(x, prot)
         for f in dataclasses.fields(expected):
             np.testing.assert_array_equal(
-                getattr(result.confounder_report, f.name), getattr(expected, f.name))
+                getattr(report, f.name), getattr(expected, f.name))
 
     def test_corrected_predict_needs_protected(self, run, small_data):
         result, with_correction, _ = run
@@ -264,11 +267,26 @@ class TestEpochPass:
             np.testing.assert_array_equal(result.predict(x), result.predict(x, prot))
 
     @pytest.mark.parametrize("with_correction", [False, True])
+    def test_training_fits_no_glm(self, small_data, with_correction, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_mlp ran an IRLS fit")
+
+        monkeypatch.setattr("orthokit.evalmodel.fit_glm", refuse)
+        result = train_mlp(small_data, MlpConfig(epochs=1, seed=4), with_correction)
+        monkeypatch.undo()
+        x, prot, _ = small_data.rows(small_data.test_mask)
+        expected = evaluate_glm(prot, result.predict(x, prot), BERNOULLI)
+        report = result.confounder_report(x, prot)
+        for f in dataclasses.fields(expected):
+            np.testing.assert_array_equal(
+                getattr(report, f.name), getattr(expected, f.name))
+
+    @pytest.mark.parametrize("with_correction", [False, True])
     def test_zero_epochs_still_reports(self, small_data, with_correction):
         result = train_mlp(small_data, MlpConfig(epochs=0), with_correction)
         assert result.metrics == [] and result.gamma_hat is None
-        assert result.confounder_report.p_values.shape == (1,)
         x, prot, _ = small_data.rows(small_data.test_mask)
+        assert result.confounder_report(x, prot).p_values.shape == (1,)
         # with no gamma_hat yet, predict fits the regression on these rows
         xa = augment_intercept(prot)
         regressed = lambda h: h - xa @ least_squares(xa, h)  # noqa: E731
@@ -336,9 +354,10 @@ class TestStackedBatchProjectors:
                 np.testing.assert_array_equal(got, want)
         assert result.metrics == metrics
         np.testing.assert_array_equal(result.gamma_hat, gamma_hat)
+        x, prot, _ = small_data.rows(small_data.test_mask)
+        got = result.confounder_report(x, prot)
         for f in dataclasses.fields(report):
-            np.testing.assert_array_equal(
-                getattr(result.confounder_report, f.name), getattr(report, f.name))
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(report, f.name))
 
 
 class TestSkippedBatches:
