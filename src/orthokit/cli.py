@@ -20,7 +20,8 @@ when its non-empty cells are all numbers, categorical (one-hot encoded)
 otherwise.  An empty cell in either kind of column, and a non-finite cell
 where a number is required, is an error naming its column (or file) and
 row; each is raised when the command asks for that column.  Outputs are
-written as one string per file.
+formatted and written ``BLOCK_ROWS`` rows at a time, so a writer holds one
+block's text.
 
 Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
 report is still written).
@@ -50,7 +51,15 @@ from .errors import OrthokitError, RankDeficient
 from .evalmodel import evaluate_glm, evaluate_relu_l2
 from .glm import ALPHA, family_by_name, fit_glm
 from .online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
-from .synth import SyntheticSpec, _fmt, _write_csv, figure1_demo, simulation_study
+from .synth import (
+    BLOCK_ROWS,
+    SyntheticSpec,
+    _fmt,
+    _write_blocks,
+    _write_csv,
+    figure1_demo,
+    simulation_study,
+)
 
 
 class CliError(Exception):
@@ -59,13 +68,6 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------------------
 # CSV and tensor files
-
-
-# Data rows are split into cells and decoded this many at a time, so the
-# cells of one block are the only per-cell strs alive.  A constant, not an
-# option: 512 to 2048 rows decode a 50,000-row file equally fast, 128 and
-# 8192 more slowly.
-BLOCK_ROWS = 1024
 
 
 def _read_rows(path):
@@ -326,12 +328,13 @@ def read_tensor(path: str):
 
 
 def write_tensor(path, tensor) -> None:
-    """The '#dims' line, then one CRLF-terminated row per observation."""
-    flat = tensor.reshape(tensor.shape[0], -1)
+    """The '#dims' line, then one CRLF-terminated row per observation,
+    formatted and written ``BLOCK_ROWS`` rows at a time."""
+    flat = tensor.reshape(tensor.shape[0], int(np.prod(tensor.shape[1:])))
     row = ",".join(["%.17g"] * flat.shape[1]) + "\r\n"
-    text = (row * flat.shape[0]) % tuple(flat.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("#dims " + " ".join(str(d) for d in tensor.shape) + "\n" + text)
+    head = "#dims " + " ".join(str(d) for d in tensor.shape) + "\n"
+    blocks = (flat[i:i + BLOCK_ROWS] for i in range(0, flat.shape[0], BLOCK_ROWS))
+    _write_blocks(path, head, ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks))
 
 
 @contextlib.contextmanager

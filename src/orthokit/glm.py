@@ -218,16 +218,21 @@ def _cholesky(gram: np.ndarray):
     return factor, float((diag.min() / diag.max()) ** 2)
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """``a^T a``, one symmetric rank-k product.  A scaled copy passed in
+    dies when this returns."""
+    return a.T @ a
+
+
 def _weighted_gram(zm: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``Z^T diag(w) Z`` for weights of either sign, as symmetric rank-k
     products: the rows scaled by ``sqrt(max(w, 0))``, minus the rows of
-    negative weight scaled by ``sqrt(-w)``."""
-    a = zm * np.sqrt(np.maximum(w, 0.0))[:, None]
-    gram = a.T @ a
+    negative weight scaled by ``sqrt(-w)``.  Each scaled copy is freed
+    before the next is made, so at most one is alive."""
+    gram = _gram(zm * np.sqrt(np.maximum(w, 0.0))[:, None])
     neg = np.flatnonzero(w < 0.0)
     if neg.size:
-        b = zm[neg] * np.sqrt(-w[neg])[:, None]
-        gram -= b.T @ b
+        gram -= _gram(zm[neg] * np.sqrt(-w[neg])[:, None])
     return gram
 
 

@@ -14,7 +14,7 @@ from orthokit.cli import SUMMARY_COLUMNS, main, read_tensor, write_tensor
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
-from orthokit.synth import SyntheticSpec, _fmt, _write_csv, generate
+from orthokit.synth import BLOCK_ROWS, SyntheticSpec, _fmt, _write_csv, generate
 
 
 def write_dataset(path, data):
@@ -270,6 +270,22 @@ def _reference_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
+# row counts at and around the writers' block boundaries
+WRITER_ROWS = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS)
+
+
+def _kinds_change_between_blocks(count):
+    """A float column with a None in its last row, text that needs quotes
+    only after the first block, ints and bools."""
+    return [(i, None if i == count - 1 else i / 7.0,
+             'say "hi", x' if i >= BLOCK_ROWS else f"t{i}", i % 3 == 0)
+            for i in range(count)]
+
+
+def _lone_cells(count):
+    return [("" if i % 5 == 0 else None if i % 7 == 0 else f"v{i}",) for i in range(count)]
+
+
 @pytest.mark.parametrize("header, rows", [
     (("id", "value", "mixed", "text", "flag"), [
         (0, 0.1, 1, "plain", True),
@@ -283,11 +299,67 @@ def _reference_csv(path, header, rows):
     (("only",), [("",), ("a",), (None,), ("b,c",)]),
     (("", "a,b", 'q"'), [("", "", "")]),
     (("empty",), []),
+    *[(("id", "value", "text", "flag"), _kinds_change_between_blocks(count))
+      for count in WRITER_ROWS],
+    *[(("only",), _lone_cells(count)) for count in WRITER_ROWS],
 ])
 def test_write_csv_matches_csv_writer(header, rows, tmp_path):
     _write_csv(tmp_path / "new.csv", header, iter(rows))
     _reference_csv(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", WRITER_ROWS)
+@pytest.mark.parametrize("shape", ((2, 3), (1,)))
+def test_write_tensor_blocks(count, shape, tmp_path):
+    tensor = np.random.Generator(np.random.Philox(key=34)).standard_normal((count, *shape))
+    write_tensor(tmp_path / "t.csv", tensor)  # a 0-row tensor too
+    flat = tensor.reshape(count, int(np.prod(shape)))
+    expected = f"#dims {' '.join(map(str, tensor.shape))}\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\r\n" for row in flat)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("bad_row", (0, BLOCK_ROWS + 3))
+def test_write_csv_bad_row_leaves_no_file(bad_row, tmp_path):
+    """A row of the wrong width raises the width error, in the first block
+    or after earlier blocks were written, and no partial file is left."""
+    rows = [(i, float(i)) for i in range(2 * BLOCK_ROWS)]
+    rows[bad_row] = (bad_row,)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"out\.csv: every row must have 2 fields"):
+        _write_csv(path, ("a", "b"), iter(rows))
+    assert not path.exists()
+
+
+def test_writers_hold_one_block(tmp_path):
+    """``write_tensor`` and ``_write_csv`` format and write one block of
+    rows at a time: their peaks are bounded by a block, not by the file."""
+    n = 20 * BLOCK_ROWS
+    tensor = np.random.Generator(np.random.Philox(key=35)).standard_normal((n, 6))
+    values = tensor[:, 0].tolist()
+    line = ",".join(f"{v:.17g}" for v in tensor[0]) + "\r\n"
+    tracemalloc.start()
+    try:
+        write_tensor(tmp_path / "t.csv", tensor)
+        tensor_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _write_csv(tmp_path / "p.csv", ("row_id", "y_hat"), enumerate(values))
+        csv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a row of the tensor: its floats with their tuple slots, its text and
+    # the text's encoded bytes
+    tensor_row = 6 * (sys.getsizeof(1.0) + 8) + 2 * sys.getsizeof(line)
+    # a row of predictions: the (row_id, value) tuple and its int, the
+    # slots of the block, its cells, two column slices and the format
+    # tuple, and the text twice
+    csv_row = (sys.getsizeof((n, 0.5)) + sys.getsizeof(n) + 7 * 8
+               + 2 * sys.getsizeof(f"{n},{values[0]:.17g}\r\n"))
+    assert tensor_peak < BLOCK_ROWS * tensor_row + 2**16, tensor_peak
+    assert csv_peak < BLOCK_ROWS * csv_row + 2**16, csv_peak
+    # the whole tensor's text alone would exceed the bound
+    assert n * len(line) > BLOCK_ROWS * tensor_row + 2**16
 
 
 def _write_rows(path, rows):

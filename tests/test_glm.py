@@ -5,6 +5,8 @@ negative log-likelihood; closed-form intercepts and textbook OLS standard
 errors pin the remaining derived values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -500,3 +502,34 @@ class TestSigmoid:
             got = BERNOULLI.h(eta)
         np.testing.assert_array_equal(got, masked_sigmoid(eta))
         assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_weighted_gram_holds_one_scaled_copy():
+    """With about half the weights negative, ``_weighted_gram`` frees the
+    copy scaled by ``sqrt(max(w, 0))`` before it gathers and scales the
+    negative rows, so one n-by-k copy is the most it holds.  Holding both
+    (the full copy, then the gathered rows and their scaled copy) would
+    add half a copy or more.  The result is bitwise the two products."""
+    g = rng(41)
+    n, k = 20_000, 50
+    z = g.standard_normal((n, k))
+    w = g.uniform(0.1, 2.0, n) * np.where(g.random(n) < 0.5, -1.0, 1.0)
+    a = z * np.sqrt(np.maximum(w, 0.0))[:, None]
+    neg = np.flatnonzero(w < 0.0)
+    b = z[neg] * np.sqrt(-w[neg])[:, None]
+    want = a.T @ a
+    want -= b.T @ b
+    del a, b
+    tracemalloc.start()
+    try:
+        gram = _weighted_gram(z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.tobytes() == want.tobytes()
+    # one scaled copy; the rest is length-n work: the clipped weights and
+    # their square roots, the sign mask, the negative rows' indices and
+    # weights, and the k-by-k products
+    bound = z.nbytes + 6 * n * 8 + 2 * k * k * 8
+    assert peak < bound, (peak, bound)
+    assert bound < z.nbytes * 1.5

@@ -5,6 +5,12 @@ verified within Monte Carlo tolerance; everything else is determinism,
 schema stability, and the two-feature demonstration.
 """
 
+import json
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,9 +24,12 @@ from orthokit.synth import (
     TrajectoryTable,
     figure1_demo,
     generate,
+    run_method,
     simulation_study,
     stream,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestStreams:
@@ -188,6 +197,64 @@ class TestSimulationStudy:
         rows = [r for r in table.rows if r["method"] == "uncorrected"]
         assert len(rows) == spec.p
         assert all(r["converged"] is False for r in rows)
+
+
+class TestStudyMemory:
+    """Each method's fit holds its design once plus one weighted copy."""
+
+    @pytest.mark.parametrize("family", ("bernoulli", "poisson"))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_peak_above_the_data_is_two_designs(self, method, family):
+        n, p, q = 2000, 10, 100
+        data = generate(SyntheticSpec(n=n, p=p, q=q, rho=2.0, family=family, seed=7))
+        run_method(data, method)  # untraced, so one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            run_method(data, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = n * (q + 1) * 8
+        # Measured peaks here (numpy 2.4.6): uncorrected 3.23, cl 3.39, ch
+        # 3.47 MiB against two designs of 3.08 MiB; cl held a third design
+        # (4.75 MiB) while its unaugmented Zc outlived the projection.  The
+        # extras are the isfinite mask of a design (n (q + 1) bytes), the
+        # constrained fit's centered protected block (p columns) and
+        # length-n vectors (weights, means, linear predictor, working
+        # response, their square roots): 12 of those are allowed.
+        slack = n * (q + 1) + (p + 12) * n * 8
+        assert peak < 2 * design + slack, (peak, 2 * design + slack)
+        assert slack < design / 2
+
+    def test_traced_study_grid_counts_at_seed_7(self):
+        """The benchmark's traced study-grid counts at seed 7, taken with its
+        own tracer at one BLAS thread in a fresh interpreter."""
+        script = """
+import json, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import layers, tracer, workloads
+from orthokit import synth
+grid = workloads.StudyGrid(7, None).grid
+t = tracer.Tracer()
+t.install()
+layers.observe(t)
+synth.simulation_study(grid, 1, threads=1)
+calls = t.call_counts()
+print(json.dumps({"fit_glm_calls": calls["glm.fit_glm"],
+                  "evaluate_glm_calls": calls["evalmodel.evaluate_glm"],
+                  "irls_steps": t.counts["glm.irls_steps"],
+                  "constrained_iters": t.counts["correct.constrained_iters"]}))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ROOT / "perfbench"), str(ROOT / "src")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "fit_glm_calls": 120, "evaluate_glm_calls": 72,
+            "irls_steps": 646, "constrained_iters": 102,
+        }
 
 
 class TestFigure1Demo:
