@@ -43,8 +43,8 @@ import numpy as np
 
 from .correct import (
     ConstrainedConfig,
-    augment_intercept,
     correct_features_linear,
+    corrected_design,
     fit_constrained_glm,
 )
 from .errors import OrthokitError, RankDeficient
@@ -430,22 +430,21 @@ def cmd_correct(args) -> int:
             "protected", ["(intercept)"] + x_names,
             "the intercept and earlier protected columns", x.shape[0],
         ):
-            zc = correct_features_linear(augment_intercept(x), z)
+            design = corrected_design(x, z)
         if args.method == "linear":
             with _naming_dependent_column(
                 "feature", ["(intercept)"] + z_names,
                 "the intercept, the protected columns and earlier feature columns",
                 z.shape[0],
             ):
-                fit = fit_glm(zc, y, family, with_intercept=True)
+                fit = fit_glm(design, y, family)
             gamma, y_hat, converged = fit.coefficients, fit.fitted_means, fit.converged
             loss = family.nll(y, y_hat)
             iterations = fit.iterations
         else:  # least-squares ReLU prediction model on the corrected features
-            zc = augment_intercept(zc)
-            best = evaluate_relu_l2(zc, y, starts=8)
+            best = evaluate_relu_l2(design, y, starts=8)
             gamma, iterations, converged = best.beta, best.iterations, best.converged
-            y_hat = np.maximum(zc @ gamma, 0.0)
+            y_hat = np.maximum(design @ gamma, 0.0)
             loss = float(np.sum((y - y_hat) ** 2))
         report = {
             "method": args.method,

@@ -5,7 +5,9 @@ Three ways to remove the linear influence of protected features:
 * ``correct_features_linear`` projects features, tensor-valued predictions
   or pre-activations (before the ReLU) onto the orthogonal complement of the
   protected span, along their observation axis.  ``correct_features_relu``
-  and ``correct_tensor_preactivation`` are other names for it.
+  and ``correct_tensor_preactivation`` are other names for it, and
+  ``corrected_design`` writes the projected features beside a column of
+  ones in one array.
 * ``correct_predictions_glm`` projects already-computed predictions and
   re-centers them at the activation's value at zero.
 * ``fit_constrained_glm`` refits a GLM subject to the corrected predictions
@@ -68,6 +70,19 @@ def correct_features_linear(x, a) -> np.ndarray:
     pre-activation) along its observation axis onto the complement of the
     protected span."""
     return build_projector(x).complement(as_tensor(a, "features"))
+
+
+def corrected_design(x, z) -> np.ndarray:
+    """``[1, Zc]``: a column of ones beside ``z`` projected onto the
+    complement of span([1, X]).  The design is allocated once the projector
+    is built and the features checked, and Zc is written straight into its
+    columns, so no unaugmented copy of it is made."""
+    proj = build_projector(augment_intercept(x))
+    zm = as_matrix(z, "features")
+    design = np.empty((zm.shape[0], zm.shape[1] + 1))
+    design[:, 0] = 1.0
+    proj.complement(zm, out=design[:, 1:])
+    return design
 
 
 correct_features_relu = correct_tensor_preactivation = correct_features_linear

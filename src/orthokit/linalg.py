@@ -3,10 +3,12 @@
 Projector construction and application, column centering, and QR-backed
 least squares.  The orthogonal-complement projector ``I - Q Q^T`` is never
 materialized as an n-by-n matrix; ``Projector.complement`` applies it as two
-skinny matrix products, which keeps storage at O(n p).  It is the package's
-one projection verb: vectors, matrices and tensors alike are projected along
-their leading (observation) axis, i.e. on their n-by-d matricization, which
-is the mode-1 product with ``I - Q Q^T``.  Projectors and
+skinny matrix products and a subtraction, all into the one n-by-d array it
+returns (or into a given one, such as the columns of a design beside its
+intercept), so it holds no second array of its input's size.  It is the
+package's one projection verb: vectors, matrices and tensors alike are
+projected along their leading (observation) axis, i.e. on their n-by-d
+matricization, which is the mode-1 product with ``I - Q Q^T``.  Projectors and
 ``least_squares`` work from a Householder QR, which carries the hard rank
 check.  That QR also factors a ``(b, n, p)`` stack of equal-shape blocks in
 one ``numpy.linalg.qr`` call, with the rank check applied block by block:
@@ -14,12 +16,12 @@ per-call overhead, not arithmetic, dominates the QR of a 128-by-2 block, so
 the projectors of many small blocks (an MLP epoch's batches) are built
 together, each bitwise equal to its own ``build_projector``.  IRLS
 (``glm.fit_glm``) does use the normal equations: it solves each step on
-the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted
-Gram in the package, by ``glm._weighted_gram``), guarded by its Cholesky
-factor, and falls back to ``least_squares`` when that factor shows a poor
-condition.  The constrained fit's Newton steps use ``RANK_RTOL`` to cut the
-numerical rank of the constraint Jacobian's singular values.  Everything
-here runs on ``numpy.linalg`` alone.
+the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted Gram in
+the package, by ``glm._weighted_gram``, one row block at a time), guarded
+by its Cholesky factor, and falls back to ``least_squares`` when that
+factor shows a poor condition.  The constrained fit's Newton steps use
+``RANK_RTOL`` to cut the numerical rank of the constraint Jacobian's
+singular values.  Everything here runs on ``numpy.linalg`` alone.
 """
 
 from __future__ import annotations
@@ -110,18 +112,32 @@ class Projector:
     q: np.ndarray
     n: int
 
-    def complement(self, a: np.ndarray) -> np.ndarray:
+    def complement(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Project ``a`` along its leading axis onto the orthogonal complement.
 
         ``a`` may be a vector, a matrix or a tensor with ``a.shape[0] == n``;
-        the result has the shape of ``a``.
+        the result has the shape of ``a``.  It is computed in the one array
+        returned: ``out`` when given (an array of ``a``'s shape that does not
+        overlap it, a view such as some columns of a design included), else
+        a new one.
         """
         if a.ndim < 1 or a.shape[0] != self.n:
             raise DimensionMismatch(
                 f"shape {a.shape} does not lead with projector size {self.n}"
             )
+        if out is not None and out.shape != a.shape:
+            raise DimensionMismatch(f"out has shape {out.shape}, not {a.shape}")
+        if out is not None and np.may_share_memory(a, out):
+            raise ValueError("out must not overlap the projected array")
         flat = a.reshape(self.n, -1)
-        return (flat - self.q @ (self.q.T @ flat)).reshape(a.shape)
+        dest = None if out is None else out.reshape(self.n, -1)
+        dest = np.matmul(self.q, self.q.T @ flat, out=dest)
+        np.subtract(flat, dest, out=dest)
+        if out is None:
+            return dest.reshape(a.shape)
+        if not np.may_share_memory(dest, out):  # the reshape had to copy
+            out[...] = dest.reshape(a.shape)
+        return out
 
 
 def build_projector(x) -> Projector:

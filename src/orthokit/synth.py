@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .correct import augment_intercept, correct_features_linear, fit_constrained_glm
+from .correct import augment_intercept, corrected_design, fit_constrained_glm
 from .errors import InvalidSpec, OrthokitError
 from .evalmodel import evaluate_glm
 from .glm import family_by_name, fit_glm
@@ -294,10 +294,7 @@ def run_method(data: SyntheticDataset, method: str):
         fit = fit_glm(data.z, data.y, family, with_intercept=True)
         return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "cl":
-        # [1, Zc] in one expression, so Zc dies inside it: the fit then
-        # holds this one design and its weighted copy
-        design = augment_intercept(correct_features_linear(augment_intercept(data.x), data.z))
-        fit = fit_glm(design, data.y, family)
+        fit = fit_glm(corrected_design(data.x, data.z), data.y, family)
         return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
     if method == "ch":
         out = fit_constrained_glm(data.z, data.y, data.x, family)
@@ -437,9 +434,7 @@ def figure1_demo(seed: int = 0) -> TrajectoryTable:
     family = family_by_name("bernoulli")
     x = x1[:, None]
     zd = augment_intercept(z)
-    zc = augment_intercept(
-        correct_features_linear(augment_intercept(x), z)
-    )
+    zc = corrected_design(x, z)
 
     table = TrajectoryTable()
 

@@ -504,32 +504,56 @@ class TestSigmoid:
         assert np.all((got >= 0.0) & (got <= 1.0))
 
 
+def _unblocked_gram(z, w):
+    """The weighted Gram as one pair of products: the rows scaled by
+    ``sqrt(max(w, 0))``, minus the negative rows scaled by ``sqrt(-w)``."""
+    a = z * np.sqrt(np.maximum(w, 0.0))[:, None]
+    neg = np.flatnonzero(w < 0.0)
+    b = z[neg] * np.sqrt(-w[neg])[:, None]
+    gram = a.T @ a
+    gram -= b.T @ b
+    return gram
+
+
 def test_weighted_gram_holds_one_scaled_copy():
-    """With about half the weights negative, ``_weighted_gram`` frees the
-    copy scaled by ``sqrt(max(w, 0))`` before it gathers and scales the
-    negative rows, so one n-by-k copy is the most it holds.  Holding both
-    (the full copy, then the gathered rows and their scaled copy) would
-    add half a copy or more.  The result is bitwise the two products."""
+    """With about half the weights negative, ``_weighted_gram`` is bitwise
+    the row-order sum over blocks of ``GRAM_BLOCK_BYTES`` of each block's
+    positive product less its negative one, and holds one scaled block at
+    a time.  A design of one block gives bitwise the unblocked product; a
+    larger one lies within a float64 reordering bound of it, fixed from the
+    dtype: each entry of both is a sum of the same n products, so the two
+    differ by at most ``4 n eps`` times the entry of ``|Z|^T |W| |Z|``."""
     g = rng(41)
     n, k = 20_000, 50
     z = g.standard_normal((n, k))
     w = g.uniform(0.1, 2.0, n) * np.where(g.random(n) < 0.5, -1.0, 1.0)
-    a = z * np.sqrt(np.maximum(w, 0.0))[:, None]
-    neg = np.flatnonzero(w < 0.0)
-    b = z[neg] * np.sqrt(-w[neg])[:, None]
-    want = a.T @ a
-    want -= b.T @ b
+    rows = glm_module.GRAM_BLOCK_BYTES // (8 * k)
+    assert 1 < rows < n
+    blockwise = np.zeros((k, k))
+    for start in range(0, n, rows):
+        zb, wb = z[start : start + rows], w[start : start + rows]
+        a = zb * np.sqrt(np.maximum(wb, 0.0))[:, None]
+        blockwise += a.T @ a
+        neg = np.flatnonzero(wb < 0.0)
+        b = zb[neg] * np.sqrt(-wb[neg])[:, None]
+        blockwise -= b.T @ b
     del a, b
+    unblocked = _unblocked_gram(z, w)
+    reorder = 4 * n * np.finfo(np.float64).eps * (np.abs(z).T @ (np.abs(w)[:, None] * np.abs(z)))
+    one_block = _unblocked_gram(z[:rows], w[:rows])
     tracemalloc.start()
     try:
         gram = _weighted_gram(z, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gram.tobytes() == want.tobytes()
-    # one scaled copy; the rest is length-n work: the clipped weights and
-    # their square roots, the sign mask, the negative rows' indices and
-    # weights, and the k-by-k products
-    bound = z.nbytes + 6 * n * 8 + 2 * k * k * 8
+    assert gram.tobytes() == blockwise.tobytes()
+    assert np.all(np.abs(gram - unblocked) <= reorder)
+    assert _weighted_gram(z[:rows], w[:rows]).tobytes() == one_block.tobytes()
+    # one scaled block and numpy's ufunc buffer for the broadcast scaling;
+    # the rest is block-length work (the clipped weights and their square
+    # roots, the sign mask, the negative rows' indices and weights) and two
+    # k-by-k arrays: the sum and one block's product
+    bound = glm_module.GRAM_BLOCK_BYTES + np.getbufsize() * 8 + 6 * rows * 8 + 2 * k * k * 8
     assert peak < bound, (peak, bound)
-    assert bound < z.nbytes * 1.5
+    assert bound < 2 * glm_module.GRAM_BLOCK_BYTES < z.nbytes / 10

@@ -5,6 +5,8 @@ normal-equations projectors, brute-force Kronecker products, and per-column
 mean subtraction.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,50 @@ class TestApplyComplement:
         pu = proj.complement(u[:, None])[:, 0]
         pv = proj.complement(v[:, None])[:, 0]
         assert abs(pu @ v - u @ pv) <= 1e-10
+
+    def test_out_is_bitwise_and_holds_no_second_array(self):
+        """``complement`` makes one array of its input's size, and with
+        ``out`` none: written into the columns of a design beside its
+        intercept, the result is bitwise ``a - q (q^T a)``."""
+        g = rng(33)
+        n, d = 20_000, 50
+        proj = build_projector(g.standard_normal((n, 3)))
+        a = g.standard_normal((n, d))
+        want = a - proj.q @ (proj.q.T @ a)
+        design = np.ones((n, d + 1))
+        tracemalloc.start()
+        try:
+            got = proj.complement(a)
+            own_peak = tracemalloc.get_traced_memory()[1]
+            del got
+            tracemalloc.reset_peak()
+            into = proj.complement(a, out=design[:, 1:])
+            out_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proj.complement(a).tobytes() == want.tobytes()
+        assert np.shares_memory(into, design)
+        assert design[:, 1:].tobytes() == want.tobytes()
+        assert np.all(design[:, 0] == 1.0)
+        assert own_peak < 1.1 * a.nbytes, own_peak
+        assert out_peak < a.nbytes / 10, out_peak
+
+    def test_out_of_a_tensor_through_a_strided_view(self):
+        g = rng(34)
+        proj = build_projector(g.standard_normal((40, 2)))
+        t = g.standard_normal((40, 3, 2))
+        out = np.zeros((40, 3, 3))[:, :, 1:]  # no (40, 6) view of it exists
+        assert proj.complement(t, out=out) is out
+        assert out.tobytes() == proj.complement(t).tobytes()
+
+    def test_out_of_the_wrong_shape_or_overlapping_is_refused(self):
+        g = rng(35)
+        proj = build_projector(g.standard_normal((10, 2)))
+        a = g.standard_normal((10, 3))
+        with pytest.raises(DimensionMismatch):
+            proj.complement(a, out=np.empty((10, 2)))
+        with pytest.raises(ValueError):
+            proj.complement(a, out=a)
 
 
 class TestMode1Product:

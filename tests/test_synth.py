@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from orthokit.errors import InvalidSpec
-from orthokit.glm import BERNOULLI, fit_glm
+from orthokit.glm import BERNOULLI, GRAM_BLOCK_BYTES, fit_glm
 from orthokit.synth import (
     METHODS,
     STUDY_COLUMNS,
@@ -225,6 +225,30 @@ class TestStudyMemory:
         slack = n * (q + 1) + (p + 12) * n * 8
         assert peak < 2 * design + slack, (peak, 2 * design + slack)
         assert slack < design / 2
+
+    @pytest.mark.parametrize("family", ("bernoulli", "poisson"))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_peak_above_the_data_is_one_design_and_one_block(self, method, family):
+        """Every Gram product holds one row block beside its design, and the
+        projected method writes Zc into its ``[1, Zc]``: a method peaks at
+        one design plus one block, with the slack of the two-design test."""
+        n, p, q = 2000, 10, 100
+        data = generate(SyntheticSpec(n=n, p=p, q=q, rho=2.0, family=family, seed=7))
+        run_method(data, method)
+        tracemalloc.start()
+        try:
+            run_method(data, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = n * (q + 1) * 8
+        # Measured peaks here (numpy 2.4.6): uncorrected 2.01, cl 2.01, ch
+        # 2.26 MiB against a 1.54 MiB design.  The block comes with numpy's
+        # ufunc buffer for the broadcast row scaling.
+        block = GRAM_BLOCK_BYTES + np.getbufsize() * 8
+        slack = n * (q + 1) + (p + 12) * n * 8
+        assert peak < design + block + slack, (peak, design + block + slack)
+        assert block + slack < design  # a second design does not fit
 
     def test_traced_study_grid_counts_at_seed_7(self):
         """The benchmark's traced study-grid counts at seed 7, taken with its
