@@ -372,8 +372,10 @@ def cmd_correct(args) -> int:
     protected_cols = [c.strip() for c in args.protected.split(",") if c.strip()]
     if not protected_cols:
         raise CliError("--protected must name at least one column")
-
     tensor_method = args.method == "tensor"
+    if not tensor_method and args.outcome in protected_cols:
+        raise CliError(f"outcome column {args.outcome!r} is also listed in --protected")
+
     header, body = read_table(args.data, protected_cols if tensor_method else None)
     x, x_names, refs = encode_columns(header, body, protected_cols)
     if not tensor_method:
@@ -538,13 +540,14 @@ def cmd_evaluate(args) -> int:
         zip(x_names, report.coefficients.tolist(), report.std_errors.tolist(),
             report.z_stats.tolist(), report.p_values.tolist()),
     )
+    # a p-value of an unconverged fit (separated data, say) certifies nothing
     for j, n in enumerate(x_names):
-        mark = "PASS" if report.p_values[j] >= ALPHA else "FAIL"
+        passed = report.converged and report.p_values[j] >= ALPHA
         print(
             f"{n}: estimate={report.coefficients[j]:+.4f} "
-            f"(p={report.p_values[j]:.4g}) {mark}"
+            f"(p={report.p_values[j]:.4g}) {'PASS' if passed else 'FAIL'}"
         )
-    return 0
+    return 0 if report.converged else 3
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ COEF_NULL_THRESHOLD = 1e-2
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     # exp(-|eta|) never overflows, and equals exp(eta) exactly for eta < 0
     e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

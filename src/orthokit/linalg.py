@@ -9,12 +9,15 @@ intercept), so it holds no second array of its input's size.  It is the
 package's one projection verb: vectors, matrices and tensors alike are
 projected along their leading (observation) axis, i.e. on their n-by-d
 matricization, which is the mode-1 product with ``I - Q Q^T``.  Projectors and
-``least_squares`` work from a Householder QR, which carries the hard rank
-check.  That QR also factors a ``(b, n, p)`` stack of equal-shape blocks in
-one ``numpy.linalg.qr`` call, with the rank check applied block by block:
-per-call overhead, not arithmetic, dominates the QR of a 128-by-2 block, so
-the projectors of many small blocks (an MLP epoch's batches) are built
-together, each bitwise equal to its own ``build_projector``.  IRLS
+least squares work from a Householder QR, which carries the hard rank
+check.  ``LeastSquares`` holds a design's QR, fitted once, and solves for
+any number of right-hand sides on the same rows; ``least_squares`` is its
+fit and one solve.  The QR also factors a ``(b, n, p)`` stack of
+equal-shape blocks in one ``numpy.linalg.qr`` call, with the rank check
+applied block by block: per-call overhead, not arithmetic, dominates the
+QR of a 128-by-2 block, so the projectors of many small blocks (an MLP
+epoch's batches) are built together, each bitwise equal to its own
+``build_projector``.  IRLS
 (``glm.fit_glm``) does use the normal equations: it solves each step on
 the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted Gram in
 the package, by ``glm._weighted_gram``, one row block at a time), guarded
@@ -78,7 +81,8 @@ def _qr(a: np.ndarray):
     block's factors are bitwise those of its own 2-D call.  A block is rank
     deficient at the first column, in input order, whose diagonal
     ``|r_jj|`` (its distance from the span of the columns before it) is at
-    most ``RANK_RTOL`` times the block's largest column norm.  For a matrix
+    most ``RANK_RTOL`` times the block's largest column norm, taken from R
+    (``||A e_j|| = ||R e_j||``, as Q has orthonormal columns).  For a matrix
     returns ``(q, r)`` and raises its ``RankDeficient``; for a stack returns
     ``(q, r, errors)``, with ``errors[k]`` block k's ``RankDeficient`` or
     None.
@@ -87,7 +91,8 @@ def _qr(a: np.ndarray):
         raise RankDeficient(0, "matrix has no columns")
     stack = a if a.ndim == 3 else a[None]
     q, r = np.linalg.qr(stack)
-    thresh = RANK_RTOL * np.max(np.linalg.norm(stack, axis=1), axis=1)
+    sq_norms = np.maximum.reduce(np.add.reduce(r * r, axis=1), axis=1)
+    thresh = RANK_RTOL * np.sqrt(sq_norms)
     bad = np.abs(np.diagonal(r, axis1=1, axis2=2)) <= thresh[:, None]
     errors = [
         RankDeficient(int(np.argmax(row))) if row.any() else None for row in bad
@@ -172,6 +177,44 @@ def center_columns(x) -> np.ndarray:
     return xm - xm.mean(axis=0, keepdims=True)
 
 
+@dataclass(frozen=True)
+class LeastSquares:
+    """The thin QR ``(q, r)`` of a full-column-rank design, fitted once by
+    ``LeastSquares.fit`` and applied by ``solve`` to right-hand sides on
+    the same rows."""
+
+    q: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def fit(cls, a) -> LeastSquares:
+        """Validate the design ``a`` and factor it; raises ``RankDeficient``
+        if its columns are (numerically) linearly dependent."""
+        am = as_matrix(a, "design matrix")
+        if am.shape[0] < am.shape[1]:
+            raise RankDeficient(
+                am.shape[0],
+                f"{am.shape[0]}x{am.shape[1]} design cannot have full column rank",
+            )
+        return cls(*_qr(am))
+
+    def solve(self, b) -> np.ndarray:
+        """Minimum-residual solution of ``a @ x = b``; ``b`` may be a vector
+        or a matrix of right-hand sides, and the result matches its shape
+        convention."""
+        b_arr = np.asarray(b, dtype=np.float64)
+        bm = as_matrix(b_arr, "right-hand side")
+        if bm.shape[0] != self.q.shape[0]:
+            raise DimensionMismatch(
+                f"row counts differ: {self.q.shape[0]} vs {bm.shape[0]}"
+            )
+        # numpy has no triangular solver; LU of an upper-triangular r pivots
+        # on its own diagonal and eliminates nothing, so this is back
+        # substitution
+        x = np.linalg.solve(self.r, self.q.T @ bm)
+        return x[:, 0] if b_arr.ndim == 1 else x
+
+
 def least_squares(a, b) -> np.ndarray:
     """Minimum-residual solution of ``a @ x = b`` via Householder QR.
 
@@ -179,21 +222,4 @@ def least_squares(a, b) -> np.ndarray:
     column span.  ``b`` may be a vector or a matrix of right-hand sides;
     the result matches its shape convention.
     """
-    am = as_matrix(a, "design matrix")
-    b_arr = np.asarray(b, dtype=np.float64)
-    vector_rhs = b_arr.ndim == 1
-    bm = as_matrix(b_arr, "right-hand side")
-    if am.shape[0] != bm.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {am.shape[0]} vs {bm.shape[0]}"
-        )
-    if am.shape[0] < am.shape[1]:
-        raise RankDeficient(
-            am.shape[0],
-            f"{am.shape[0]}x{am.shape[1]} design cannot have full column rank",
-        )
-    q, r = _qr(am)
-    # numpy has no triangular solver; LU of an upper-triangular r pivots on
-    # its own diagonal and eliminates nothing, so this is back substitution
-    x = np.linalg.solve(r, q.T @ bm)
-    return x[:, 0] if vector_rhs else x
+    return LeastSquares.fit(a).solve(b)

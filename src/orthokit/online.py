@@ -21,9 +21,20 @@ subtracted instead, which is the row-wise applicable form of the full
 training-set projector.  Each epoch ends with one pass per split: the
 training split's pass fits that regression (``gamma_hat``) on its
 uncorrected pre-activation at the projected layer, and every split's pass
-subtracts ``[1, protected] @ gamma_hat`` there.  Training fits no GLM:
-``TrainingResult.confounder_report`` runs the Wald test of the protected
-rows on the model's predictions when a caller asks for it.
+subtracts ``[1, protected] @ gamma_hat`` there.  The training split's
+``[1, protected]`` is fixed, so its QR is factored once per training (a
+``linalg.LeastSquares``) and each epoch's fit is one solve against it.
+Training fits no GLM: ``TrainingResult.confounder_report`` runs the Wald
+test of the protected rows on the model's predictions when a caller asks
+for it.
+
+All weights and biases are views into one float64 buffer (``params["flat"]``),
+and ``backward`` writes its gradients into views of a buffer of the same
+layout, so an SGD step is one update of the whole buffer, elementwise the
+per-layer ``w -= LEARNING_RATE * g``.  The loop calls ufuncs and their
+reductions directly (``np.add.reduce``, ``np.count_nonzero`` and the like)
+rather than their Python-level wrappers: a 128-row step costs about 100 us,
+most of it per-call overhead.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .correct import augment_intercept
 from .errors import InvalidSpec
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
-from .linalg import _projectors, least_squares
+from .linalg import LeastSquares, _projectors
 from .synth import stream
 
 logger = logging.getLogger(__name__)
@@ -64,7 +75,8 @@ class ConfoundedDataset:
     test_mask: np.ndarray
 
     def rows(self, mask: np.ndarray):
-        return self.features[mask], self.protected[mask], self.labels[mask]
+        idx = np.flatnonzero(mask)
+        return self.features[idx], self.protected[idx], self.labels[idx]
 
 
 def make_confounded_data(
@@ -130,12 +142,24 @@ class MlpConfig:
         return tuple(int(v) for v in w)
 
 
-def init_params(widths: tuple, rng: np.random.Generator) -> dict:
-    weights, biases = [], []
+def _new_params(widths: tuple) -> dict:
+    """Uninitialized ``{"weights", "biases", "flat"}``: each layer's weight
+    matrix and then its bias, as views into the one buffer ``flat``."""
+    flat = np.empty(sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:])))
+    weights, biases, start = [], [], 0
     for a, b in zip(widths[:-1], widths[1:]):
-        weights.append(rng.standard_normal((a, b)) * np.sqrt(2.0 / a))
-        biases.append(np.zeros(b))
-    return {"weights": weights, "biases": biases}
+        weights.append(flat[start : start + a * b].reshape(a, b))
+        biases.append(flat[start + a * b : start + (a + 1) * b])
+        start += (a + 1) * b
+    return {"weights": weights, "biases": biases, "flat": flat}
+
+
+def init_params(widths: tuple, rng: np.random.Generator) -> dict:
+    params = _new_params(widths)
+    for w, b in zip(params["weights"], params["biases"]):
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+        b[...] = 0.0
+    return params
 
 
 def forward(
@@ -167,7 +191,10 @@ def forward(
     return _sigmoid(out[:, 0])
 
 
-def backward(params: dict, inputs: list, prob, yb, correct=None, ortho_layer: int = 0):
+def backward(
+    params: dict, inputs: list, prob, yb, correct=None, ortho_layer: int = 0,
+    grads: dict | None = None,
+):
     """Mean binary cross-entropy gradients for all weights and biases.
 
     ``inputs`` and ``prob`` are what ``forward`` recorded and returned for
@@ -175,31 +202,37 @@ def backward(params: dict, inputs: list, prob, yb, correct=None, ortho_layer: in
     the next layer's input.  ``correct`` is the correction ``forward``
     applied at ``ortho_layer``; it must be linear and symmetric (a
     projector's ``complement``), so it also maps the upstream gradient.
+    The gradients are written into ``grads``, a dict of ``params``' layout
+    whose every entry they overwrite, or into a new one; returns its
+    ``(weights, biases)`` lists.
     """
     weights = params["weights"]
-    n_layers = len(weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    if grads is None:
+        widths = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        grads = _new_params(widths)
+    grads_w, grads_b = grads["weights"], grads["biases"]
     delta = ((prob - yb) / yb.shape[0])[:, None]
-    grads_w[-1] = inputs[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
+    np.matmul(inputs[-1].T, delta, out=grads_w[-1])
+    np.add.reduce(delta, axis=0, out=grads_b[-1])
     upstream = delta @ weights[-1].T
-    for layer in range(n_layers - 2, -1, -1):
-        dh = upstream * (inputs[layer + 1] > 0.0)
+    for layer in range(len(weights) - 2, -1, -1):
+        dh = upstream
+        dh *= inputs[layer + 1] > 0.0
         if layer == ortho_layer and correct is not None:
             dh = correct(dh)
-        grads_w[layer] = inputs[layer].T @ dh
-        grads_b[layer] = dh.sum(axis=0)
+        np.matmul(inputs[layer].T, dh, out=grads_w[layer])
+        np.add.reduce(dh, axis=0, out=grads_b[layer])
         if layer > 0:
             upstream = dh @ weights[layer].T
     return grads_w, grads_b
 
 
-def _regressed(params, x, xa, ortho_layer, gamma_hat=None):
+def _regressed(params, x, xa, ortho_layer, gamma_hat=None, fit=None):
     """``forward`` with ``xa @ gamma_hat`` subtracted from the pre-activation
     of hidden layer ``ortho_layer``, after first fitting ``gamma_hat`` on
     these rows if it is None (the least-squares regression of the
-    uncorrected pre-activation on ``xa``, the rows' ``[1, protected]``).
+    uncorrected pre-activation on ``xa``, the rows' ``[1, protected]``,
+    solved with ``fit``, the ``LeastSquares`` of ``xa``, or a fresh one).
     Returns (probabilities, gamma_hat); with ``xa`` None nothing is
     subtracted.
     """
@@ -209,7 +242,7 @@ def _regressed(params, x, xa, ortho_layer, gamma_hat=None):
     def subtract(h):
         nonlocal gamma_hat
         if gamma_hat is None:
-            gamma_hat = least_squares(xa, h)
+            gamma_hat = (fit or LeastSquares.fit(xa)).solve(h)
         h -= xa @ gamma_hat
         return h
 
@@ -230,8 +263,9 @@ def _batch_projectors(xa: np.ndarray) -> list:
 
 
 def bce_loss(prob: np.ndarray, yb: np.ndarray) -> float:
-    p = np.clip(prob, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)))
+    p = np.minimum(np.maximum(prob, 1e-12), 1.0 - 1e-12)
+    terms = yb * np.log(p) + (1.0 - yb) * np.log(1.0 - p)
+    return float(-(np.add.reduce(terms) / terms.size))
 
 
 @dataclass
@@ -269,15 +303,16 @@ class TrainingResult:
         return evaluate_glm(protected, self.predict(features, protected), BERNOULLI)
 
 
-def _sgd_epoch(params, x, y, xa, ortho, epoch):
+def _sgd_epoch(params, grads, x, y, xa, ortho, epoch):
     """One epoch of minibatch SGD on rows already in the epoch's order.
 
-    With ``xa``, the rows' ``[1, protected]``, each batch's pre-activation
-    at hidden layer ``ortho`` is projected onto the complement of its
-    batch's ``xa`` block, and its constraint residual is recorded.  Returns
-    (constraint residuals, batches that skipped the correction).  The
-    epoch's copies and projectors are freed when this frame returns, before
-    the epoch-end passes.
+    ``grads`` is the buffer (of ``params``' layout) each batch's gradients
+    are written into.  With ``xa``, the rows' ``[1, protected]``, each
+    batch's pre-activation at hidden layer ``ortho`` is projected onto the
+    complement of its batch's ``xa`` block, and its constraint residual is
+    recorded.  Returns (constraint residuals, batches that skipped the
+    correction).  The epoch's copies and projectors are freed when this
+    frame returns, before the epoch-end passes.
     """
     projectors = _batch_projectors(xa) if xa is not None else None
     batch_residuals, skipped = [], 0
@@ -299,19 +334,20 @@ def _sgd_epoch(params, x, y, xa, ortho, epoch):
         def certified(h):
             # orthogonality of the corrected pre-activation itself
             h = complement(h)
-            batch_residuals.append(float(np.max(np.abs(xab.T @ h)) / len(yb)))
+            dots = xab.T @ h
+            batch_residuals.append(
+                float(np.maximum.reduce(np.abs(dots, out=dots), axis=None) / len(yb))
+            )
             return h
 
         inputs = []
         prob = forward(params, xb, certified if complement else None, ortho, inputs)
-        if np.isnan(prob).any():
+        if np.logical_or.reduce(np.isnan(prob)):
             raise FloatingPointError(
                 f"non-finite loss at epoch {epoch}; last batch size {len(yb)}"
             )
-        grads_w, grads_b = backward(params, inputs, prob, yb, complement, ortho)
-        for layer in range(len(params["weights"])):
-            params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
-            params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
+        backward(params, inputs, prob, yb, complement, ortho, grads)
+        params["flat"] -= LEARNING_RATE * grads["flat"]
     return batch_residuals, skipped
 
 
@@ -340,15 +376,16 @@ def train_mlp(
     widths = cfg.widths(x_tr.shape[1])
     rng = stream(cfg.seed, 0x31A)
     params = init_params(widths, rng)
+    grads = _new_params(widths)
     ortho = cfg.ortho_layer_index
 
     n_tr = x_tr.shape[0]
     result = TrainingResult(
         params=params, config=cfg, with_correction=with_correction
     )
-    # (name, features, [1, protected] or None, labels) per split
+    # (name, features, [1, protected] or None, labels, labels > 0.5) per split
     splits = [
-        (split, xs, augment_intercept(ps) if with_correction else None, ys)
+        (split, xs, augment_intercept(ps) if with_correction else None, ys, ys > 0.5)
         for split, (xs, ps, ys) in (
             ("train", (x_tr, prot_tr, y_tr)),
             ("val", data.rows(data.val_mask)),
@@ -356,24 +393,31 @@ def train_mlp(
         )
     ]
     xa_tr = splits[0][2]
+    fit_tr = None  # the LeastSquares of xa_tr, factored at the first epoch's end
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         batch_residuals, skipped = _sgd_epoch(
-            params, x_tr[order], y_tr[order],
+            params, grads, x_tr[order], y_tr[order],
             xa_tr[order] if with_correction else None, ortho, epoch,
         )
         result.skipped_batches += skipped
+        if with_correction and fit_tr is None:
+            fit_tr = LeastSquares.fit(xa_tr)
 
-        epoch_residual = float(np.mean(batch_residuals)) if batch_residuals else None
+        epoch_residual = (
+            float(np.add.reduce(batch_residuals) / len(batch_residuals))
+            if batch_residuals else None
+        )
         gamma_hat = None
-        for split, xs, xa_s, ys in splits:
-            prob, gamma_hat = _regressed(params, xs, xa_s, ortho, gamma_hat)
-            acc = float(np.mean((prob > 0.5) == (ys > 0.5)))
+        for split, xs, xa_s, ys, positive in splits:
+            prob, gamma_hat = _regressed(params, xs, xa_s, ortho, gamma_hat, fit_tr)
             result.metrics.append(
                 {
                     "epoch": epoch,
                     "split": split,
-                    "accuracy": acc,
+                    "accuracy": float(
+                        np.count_nonzero((prob > 0.5) == positive) / len(ys)
+                    ),
                     "loss": bce_loss(prob, ys),
                     "constraint_residual": epoch_residual,
                 }

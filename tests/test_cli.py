@@ -89,6 +89,19 @@ class TestCorrectCommand:
         assert rc == 2
         assert "race" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["linear", "glm-constrained"])
+    def test_outcome_listed_as_protected_exits_2(self, gaussian_csv, method,
+                                                 tmp_path, capsys):
+        path, _ = gaussian_csv
+        rc = main([
+            "correct", "--data", str(path), "--outcome", "y",
+            "--protected", "x0,y", "--method", method, "--out", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert "'y'" in err and "--protected" in err
+
     def test_constrained_writes_feasible_report(self, bernoulli_csv, tmp_path):
         path, _ = bernoulli_csv
         out = tmp_path / "out"
@@ -797,6 +810,31 @@ class TestEvaluateCommand:
         with open(out / "evaluation.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert all(float(r[4]) == 1.0 for r in rows)
+
+    def test_unconverged_fit_fails_every_coefficient_exit_3(self, tmp_path, capsys):
+        # predictions equal to a binary protected column separate the
+        # evaluation GLM: its slope diverges and its Wald p-value is large,
+        # though the column explains the predictions perfectly
+        g = np.random.default_rng(5)
+        s = (g.random(200) < 0.5).astype(float)
+        age = g.standard_normal(200)
+        data = tmp_path / "data.csv"
+        _write_rows(data, [["s", "age"]] + [[f"{a:.17g}", f"{b:.17g}"]
+                                            for a, b in zip(s, age)])
+        preds = tmp_path / "preds.csv"
+        _write_rows(preds, [["row_id", "y_hat"]] + [[i, f"{v:.17g}"]
+                                                    for i, v in enumerate(s)])
+        out = tmp_path / "ev"
+        rc = main([
+            "evaluate", "--predictions", str(preds), "--protected-data", str(data),
+            "--family", "bernoulli", "--out", str(out),
+        ])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 3
+        assert [line.split(":")[0] for line in lines] == ["s", "age"]
+        assert all(line.endswith("FAIL") for line in lines)
+        with open(out / "evaluation.csv") as fh:
+            assert len(list(csv.reader(fh))) == 3
 
     def test_relu_prints_explained_share(self, gaussian_csv, tmp_path, capsys):
         path, data = gaussian_csv

@@ -504,6 +504,16 @@ class TestSigmoid:
         assert np.all((got >= 0.0) & (got <= 1.0))
 
 
+    def test_special_values_bitwise_equal_to_two_branch_formula(self):
+        eta = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0,
+                        np.inf, -np.inf, np.nan])
+        e = np.exp(-np.abs(eta))
+        two_branch = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = BERNOULLI.h(eta)
+        assert got.tobytes() == two_branch.tobytes()
+        assert got[8] == 1.0 and got[9] == 0.0 and np.isnan(got[10])
+
+
 def _unblocked_gram(z, w):
     """The weighted Gram as one pair of products: the rows scaled by
     ``sqrt(max(w, 0))``, minus the negative rows scaled by ``sqrt(-w)``."""

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from orthokit.errors import DimensionMismatch, RankDeficient
 from orthokit.linalg import (
+    RANK_RTOL,
+    LeastSquares,
     _projectors,
     _qr,
     build_projector,
@@ -152,6 +154,31 @@ class TestStackedQr:
         stack = np.array([[[1.0, 2.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
         errors = self.assert_blockwise(stack)
         assert [e and e.col_index for e in errors] == [None, 0, 0]
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-16, 1e-13, 3e-12, 3.5e-12, 1e-9, 1e-6])
+    def test_threshold_from_r_matches_column_norm_rule(self, scale):
+        # the rank threshold comes from R's column norms; on exactly and
+        # nearly collinear blocks it decides as A's column norms would.  At
+        # scales 3e-12 and 3.5e-12, column 1's diagonal lies within 10% of
+        # the threshold, below and above it
+        g = rng(36)
+        stack = g.standard_normal((6, 128, 3)) * np.array([1.0, 30.0, 0.01])
+        for k, block in enumerate(stack):
+            j = k % 3  # the column made (nearly) dependent; column 0 (nearly) zero
+            block[:, j] = block[:, :j].sum(axis=1) + scale * block[:, j]
+        thresh = RANK_RTOL * np.max(np.linalg.norm(stack, axis=1), axis=1)
+        diag = np.abs(np.diagonal(np.linalg.qr(stack)[1], axis1=1, axis2=2))
+        bad = diag <= thresh[:, None]
+        expected = [int(np.argmax(row)) if row.any() else None for row in bad]
+        _, _, errors = _qr(stack)
+        assert [e and e.col_index for e in errors] == expected
+        for block, want in zip(stack, expected):
+            if want is None:
+                _qr(block)
+            else:
+                with pytest.raises(RankDeficient) as exc:
+                    _qr(block)
+                assert exc.value.col_index == want
 
     def test_matrix_is_the_stack_of_one(self):
         x = rng(33).standard_normal((50, 4))
@@ -400,6 +427,29 @@ class TestLeastSquares:
         with pytest.raises(RankDeficient) as exc:
             least_squares(np.column_stack([a, b, a + b, c]), g.standard_normal(30))
         assert exc.value.col_index == 2
+
+    def test_fitted_solves_equal_least_squares(self):
+        g = rng(66)
+        a = g.standard_normal((128, 2))
+        a[:, 0] = 1.0
+        fit = LeastSquares.fit(a)
+        for b in (g.standard_normal(128), g.standard_normal((128, 16)),
+                  g.standard_normal((128, 1))):
+            got = fit.solve(b)
+            want = least_squares(a, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_fitted_object_validates_its_inputs(self):
+        with pytest.raises(RankDeficient):
+            LeastSquares.fit(np.ones((6, 2)))
+        with pytest.raises(RankDeficient):
+            LeastSquares.fit(np.ones((1, 2)))
+        fit = LeastSquares.fit(rng(67).standard_normal((6, 2)))
+        with pytest.raises(DimensionMismatch):
+            fit.solve(np.ones(5))
+        with pytest.raises(ValueError, match="right-hand side"):
+            fit.solve(np.array([1.0, 2.0, np.nan, 0.0, 0.0, 0.0]))
 
     def test_matrix_rhs(self):
         g = rng(64)

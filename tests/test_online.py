@@ -15,7 +15,7 @@ from orthokit.correct import augment_intercept
 from orthokit.errors import InvalidSpec
 from orthokit.evalmodel import evaluate_glm
 from orthokit.glm import BERNOULLI
-from orthokit.linalg import build_projector, least_squares
+from orthokit.linalg import LeastSquares, build_projector, least_squares
 from orthokit.online import (
     BATCH_SIZE,
     LEARNING_RATE,
@@ -121,6 +121,56 @@ class TestGradients:
             denom = max(abs(numeric), abs(grad[0]), 1e-8)
             worst = max(worst, abs(numeric - grad[0]) / denom)
         assert worst <= 1e-4
+
+
+class TestParameterBuffer:
+    """Weights and biases are views into one buffer, and one update of that
+    buffer is the per-layer SGD step."""
+
+    WIDTHS = (9, 6, 4, 1)
+
+    def batch(self, data, params):
+        x, prot, y = data.rows(data.train_mask)
+        complement = build_projector(augment_intercept(prot[:32])).complement
+        inputs = []
+        prob = forward(params, x[:32], complement, 0, inputs)
+        return inputs, prob, y[:32], complement
+
+    def test_layers_are_views_of_the_buffer_in_order(self):
+        params = init_params(self.WIDTHS, stream(21, 0))
+        flat = params["flat"]
+        assert flat.size == sum((a + 1) * b for a, b in
+                                zip(self.WIDTHS[:-1], self.WIDTHS[1:]))
+        start = 0
+        for w, b in zip(params["weights"], params["biases"]):
+            assert w.base is flat and b.base is flat
+            np.testing.assert_array_equal(flat[start : start + w.size], w.ravel())
+            start += w.size
+            np.testing.assert_array_equal(flat[start : start + b.size], b)
+            start += b.size
+        assert start == flat.size
+
+    def test_buffer_update_equals_per_layer_update(self, data):
+        params = init_params(self.WIDTHS, stream(22, 0))
+        grads_w, grads_b = backward(params, *self.batch(data, params), 0)
+        layered = [[w - LEARNING_RATE * g for w, g in zip(params["weights"], grads_w)],
+                   [b - LEARNING_RATE * g for b, g in zip(params["biases"], grads_b)]]
+        gflat = grads_w[0].base
+        assert all(g.base is gflat for g in grads_w + grads_b)
+        params["flat"] -= LEARNING_RATE * gflat
+        for got, want in zip(params["weights"] + params["biases"], sum(layered, [])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_backward_overwrites_a_given_buffer(self, data):
+        params = init_params(self.WIDTHS, stream(23, 0))
+        inputs, prob, yb, complement = self.batch(data, params)
+        fresh = backward(params, inputs, prob, yb, complement, 0)
+        grads = init_params(self.WIDTHS, stream(24, 0))
+        grads["flat"][:] = np.nan
+        given = backward(params, inputs, prob, yb, complement, 0, grads)
+        assert given[0] is grads["weights"] and given[1] is grads["biases"]
+        for got, want in zip(given[0] + given[1], fresh[0] + fresh[1]):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTraining:
@@ -257,6 +307,13 @@ class TestEpochPass:
             np.testing.assert_array_equal(
                 getattr(report, f.name), getattr(expected, f.name))
 
+    def test_metrics_hold_python_floats(self, run):
+        result, with_correction, _ = run
+        for m in result.metrics:
+            assert type(m["accuracy"]) is float and type(m["loss"]) is float
+            residual = m["constraint_residual"]
+            assert type(residual) is float if with_correction else residual is None
+
     def test_corrected_predict_needs_protected(self, run, small_data):
         result, with_correction, _ = run
         x, prot, _ = small_data.rows(small_data.test_mask)
@@ -280,6 +337,25 @@ class TestEpochPass:
         for f in dataclasses.fields(expected):
             np.testing.assert_array_equal(
                 getattr(report, f.name), getattr(expected, f.name))
+
+    @pytest.mark.parametrize("with_correction", [False, True])
+    def test_training_split_is_factored_once(self, small_data, with_correction,
+                                             monkeypatch):
+        fits = []
+        fit = LeastSquares.fit.__func__
+
+        def counting(cls, a):
+            fits.append(a)
+            return fit(cls, a)
+
+        monkeypatch.setattr(LeastSquares, "fit", classmethod(counting))
+        result = train_mlp(small_data, MlpConfig(epochs=3, seed=4), with_correction)
+        monkeypatch.undo()
+        assert len(result.metrics) == 9
+        assert len(fits) == (1 if with_correction else 0)
+        if with_correction:
+            _, prot, _ = small_data.rows(small_data.train_mask)
+            np.testing.assert_array_equal(fits[0], augment_intercept(prot))
 
     @pytest.mark.parametrize("with_correction", [False, True])
     def test_zero_epochs_still_reports(self, small_data, with_correction):
