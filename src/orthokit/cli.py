@@ -5,7 +5,8 @@ Four subcommands: ``correct`` (fit and correct a model on a CSV dataset),
 ``simulate`` (run the synthetic study grid), and ``demo`` (the two built-in
 demonstrations).  All outputs are CSV/JSON, floats are rendered with 17
 significant digits, and every command is a pure function of its inputs,
-flags, and seed.
+flags, and seed.  This module owns the text formats: the CSV and tensor
+files are read and written here and nowhere else in the package.
 
 Input files are UTF-8 text (a leading byte-order mark is dropped), read
 whole and split into lines once; every data row must have the header's
@@ -20,8 +21,9 @@ when its non-empty cells are all numbers, categorical (one-hot encoded)
 otherwise.  An empty cell in either kind of column, and a non-finite cell
 where a number is required, is an error naming its column (or file) and
 row; each is raised when the command asks for that column.  Outputs are
-formatted and written ``BLOCK_ROWS`` rows at a time, so a writer holds one
-block's text.
+written byte for byte as ``csv.writer`` would write them (minimal quoting,
+CRLF row ends, floats to 17 digits), formatted and written ``BLOCK_ROWS``
+rows at a time, so a writer holds one block's text.
 
 Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
 report is still written).
@@ -36,6 +38,7 @@ import io
 import itertools
 import json
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -51,15 +54,7 @@ from .errors import OrthokitError, RankDeficient
 from .evalmodel import evaluate_glm, evaluate_relu_l2
 from .glm import ALPHA, family_by_name, fit_glm
 from .online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
-from .synth import (
-    BLOCK_ROWS,
-    SyntheticSpec,
-    _fmt,
-    _write_blocks,
-    _write_csv,
-    figure1_demo,
-    simulation_study,
-)
+from .synth import SyntheticSpec, figure1_demo, simulation_study
 
 
 class CliError(Exception):
@@ -68,6 +63,13 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------------------
 # CSV and tensor files
+
+
+# Files are read and written this many rows at a time, so one block's
+# cells and text are the only per-row objects alive.  A constant, not an
+# option: 512 to 2048 rows decode a 50,000-row file equally fast, 128 and
+# 8192 more slowly.
+BLOCK_ROWS = 1024
 
 
 def _read_rows(path):
@@ -311,6 +313,8 @@ def read_tensor(path: str):
         raise CliError(f"{path}: malformed dims line")
     if len(dims) < 2:
         raise CliError(f"{path}: need at least two dims")
+    if min(dims) < 1:
+        raise CliError(f"{path}: dims must be positive integers")
     if len(widths) != dims[0]:
         raise CliError(f"{path}: expected {dims[0]} data rows, got {len(widths)}")
     d = int(np.prod(dims[1:]))
@@ -325,6 +329,84 @@ def read_tensor(path: str):
     if failures:
         raise CliError(min(failures)[-1])
     return tensor.reshape(dims)
+
+
+def _fmt(v) -> str:
+    """CSV cell text: empty for None, true/false, floats to 17 digits."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def _quote(cell: str) -> str:
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _quoted(cells: list, lone: bool) -> list:
+    """``csv.writer``'s minimal quoting of ``cells``.  With ``lone`` (each
+    cell is the only field of its row) an empty cell is written ``""``."""
+    text = "".join(cells)
+    if any(c in text for c in ',"\r\n'):
+        cells = list(map(_quote, cells))
+    return [c or '""' for c in cells] if lone else cells
+
+
+def _write_blocks(path, head: str, blocks) -> None:
+    """Write ``head``, then each text ``blocks`` yields, so one block's
+    text is held at a time.  The writers' one output loop.  If a block
+    raises (a bad row after earlier blocks were written), the partial
+    file is removed before the error propagates."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(head)
+            fh.writelines(blocks)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _csv_block(path, rows: list, width: int) -> str:
+    """The text of ``rows`` as ``_write_csv`` writes them: one ``%`` format
+    of a per-row template.  The template formats the all-float and all-int
+    columns of the block, and every other column is rendered and quoted a
+    column at a time beforehand."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"{path}: every row must have {width} fields")
+    cells = list(itertools.chain.from_iterable(rows))
+    specs = []
+    for j in range(width):
+        values = cells[j::width]
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            specs.append("%.17g")
+        elif kinds == {int}:
+            specs.append("%d")
+        else:
+            if kinds != {str}:
+                values = list(map(_fmt, values))
+            cells[j::width] = _quoted(values, width == 1)
+            specs.append("%s")
+    return ((",".join(specs) + "\r\n") * len(rows)) % tuple(cells)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` writes
+    them after ``_fmt``: minimal quoting and CRLF row ends.  Every row has
+    the header's width.  Rows are formatted and written ``BLOCK_ROWS`` at a
+    time; the text of a value depends on the value alone, so the blocks'
+    texts join to the text of all rows at once."""
+    width = len(header)
+    head = ",".join(_quoted(list(map(str, header)), width == 1)) + "\r\n"
+    rows = iter(rows)
+    blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
+    _write_blocks(path, head, (_csv_block(path, block, width) for block in blocks))
 
 
 def write_tensor(path, tensor) -> None:
@@ -611,7 +693,8 @@ def cmd_simulate(args) -> int:
         except OrthokitError as exc:
             raise CliError(str(exc))
     table = simulation_study(grid, args.replicates)
-    table.write_csv(out_dir / "study.csv")
+    _write_csv(out_dir / "study.csv", table.columns,
+               ([row.get(c) for c in table.columns] for row in table.rows))
     _write_csv(
         out_dir / "summary.csv",
         SUMMARY_COLUMNS,
@@ -629,7 +712,8 @@ def cmd_demo(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "figure1":
         table = figure1_demo(seed=args.seed)
-        table.write_csv(out_dir / "trajectory.csv")
+        _write_csv(out_dir / "trajectory.csv", table.columns,
+                   ([row.get(c) for c in table.columns] for row in table.rows))
         final = table.final("ch")
         print(
             f"final constrained-fit correlation with protected feature: "

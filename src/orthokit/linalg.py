@@ -8,16 +8,17 @@ returns (or into a given one, such as the columns of a design beside its
 intercept), so it holds no second array of its input's size.  It is the
 package's one projection verb: vectors, matrices and tensors alike are
 projected along their leading (observation) axis, i.e. on their n-by-d
-matricization, which is the mode-1 product with ``I - Q Q^T``.  Projectors and
-least squares work from a Householder QR, which carries the hard rank
-check.  ``LeastSquares`` holds a design's QR, fitted once, and solves for
-any number of right-hand sides on the same rows; ``least_squares`` is its
-fit and one solve.  The QR also factors a ``(b, n, p)`` stack of
-equal-shape blocks in one ``numpy.linalg.qr`` call, with the rank check
-applied block by block: per-call overhead, not arithmetic, dominates the
-QR of a 128-by-2 block, so the projectors of many small blocks (an MLP
-epoch's batches) are built together, each bitwise equal to its own
-``build_projector``.  IRLS
+matricization, which is the mode-1 product with ``I - Q Q^T``.  A
+``Projector`` is the one fitted object: it holds a Householder QR
+``(q, r)`` of a full-column-rank matrix, whose factoring carries the hard
+rank check, and serves both projection (``complement``) and regression on
+the same rows (``solve``, back substitution for any number of right-hand
+sides); ``least_squares`` is ``Projector.fit`` and one solve.  The QR also
+factors a ``(b, n, p)`` stack of equal-shape blocks in one
+``numpy.linalg.qr`` call, with the rank check applied block by block:
+per-call overhead, not arithmetic, dominates the QR of a 128-by-2 block, so
+the projectors of many small blocks (an MLP epoch's batches) are built
+together, each bitwise equal to its own ``build_projector``.  IRLS
 (``glm.fit_glm``) does use the normal equations: it solves each step on
 the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted Gram in
 the package, by ``glm._weighted_gram``, one row block at a time), guarded
@@ -106,16 +107,29 @@ def _qr(a: np.ndarray):
 
 @dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector onto the complement of a feature span.
+    """The thin Householder QR ``(q, r)`` of a full-column-rank n-by-p
+    matrix, fitted once and applied to any number of arrays on its n rows.
 
-    Stores only the thin-QR factor ``q`` (n-by-p, orthonormal columns spanning
-    the same space as the protected features).  ``complement(M)`` computes
-    ``M - q (q^T M)``, i.e. the residual of M after removing its component in
-    the protected span.
+    ``q`` (n-by-p, orthonormal columns) spans the same space as the
+    matrix's columns.  ``complement(M)`` computes ``M - q (q^T M)``, the
+    residual of M after removing its component in that span, and
+    ``solve(b)`` the least-squares coefficients of ``b`` on the matrix.
     """
 
     q: np.ndarray
-    n: int
+    r: np.ndarray
+
+    @classmethod
+    def fit(cls, a) -> Projector:
+        """Validate the design ``a`` and factor it; raises ``RankDeficient``
+        if its columns are (numerically) linearly dependent."""
+        am = as_matrix(a, "design matrix")
+        if am.shape[0] < am.shape[1]:
+            raise RankDeficient(
+                am.shape[0],
+                f"{am.shape[0]}x{am.shape[1]} design cannot have full column rank",
+            )
+        return cls(*_qr(am))
 
     def complement(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Project ``a`` along its leading axis onto the orthogonal complement.
@@ -126,16 +140,17 @@ class Projector:
         overlap it, a view such as some columns of a design included), else
         a new one.
         """
-        if a.ndim < 1 or a.shape[0] != self.n:
+        n = self.q.shape[0]
+        if a.ndim < 1 or a.shape[0] != n:
             raise DimensionMismatch(
-                f"shape {a.shape} does not lead with projector size {self.n}"
+                f"shape {a.shape} does not lead with projector size {n}"
             )
         if out is not None and out.shape != a.shape:
             raise DimensionMismatch(f"out has shape {out.shape}, not {a.shape}")
         if out is not None and np.may_share_memory(a, out):
             raise ValueError("out must not overlap the projected array")
-        flat = a.reshape(self.n, -1)
-        dest = None if out is None else out.reshape(self.n, -1)
+        flat = a.reshape(n, -1)
+        dest = None if out is None else out.reshape(n, -1)
         dest = np.matmul(self.q, self.q.T @ flat, out=dest)
         np.subtract(flat, dest, out=dest)
         if out is None:
@@ -143,6 +158,22 @@ class Projector:
         if not np.may_share_memory(dest, out):  # the reshape had to copy
             out[...] = dest.reshape(a.shape)
         return out
+
+    def solve(self, b) -> np.ndarray:
+        """Minimum-residual solution of ``a @ x = b`` for the factored
+        ``a``; ``b`` may be a vector or a matrix of right-hand sides, and
+        the result matches its shape convention."""
+        b_arr = np.asarray(b, dtype=np.float64)
+        bm = as_matrix(b_arr, "right-hand side")
+        if bm.shape[0] != self.q.shape[0]:
+            raise DimensionMismatch(
+                f"row counts differ: {self.q.shape[0]} vs {bm.shape[0]}"
+            )
+        # numpy has no triangular solver; LU of an upper-triangular r pivots
+        # on its own diagonal and eliminates nothing, so this is back
+        # substitution
+        x = np.linalg.solve(self.r, self.q.T @ bm)
+        return x[:, 0] if b_arr.ndim == 1 else x
 
 
 def build_projector(x) -> Projector:
@@ -167,52 +198,14 @@ def _projectors(stack: np.ndarray) -> list:
     _, n, p = stack.shape
     if n < p:
         return [DimensionMismatch(f"need n >= p, got n={n} < p={p}") for _ in stack]
-    q, _, errors = _qr(stack)
-    return [err or Projector(q=qk, n=n) for qk, err in zip(q, errors)]
+    q, r, errors = _qr(stack)
+    return [err or Projector(qk, rk) for qk, rk, err in zip(q, r, errors)]
 
 
 def center_columns(x) -> np.ndarray:
     """Subtract the column mean from every column."""
     xm = as_matrix(x, "matrix")
     return xm - xm.mean(axis=0, keepdims=True)
-
-
-@dataclass(frozen=True)
-class LeastSquares:
-    """The thin QR ``(q, r)`` of a full-column-rank design, fitted once by
-    ``LeastSquares.fit`` and applied by ``solve`` to right-hand sides on
-    the same rows."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-    @classmethod
-    def fit(cls, a) -> LeastSquares:
-        """Validate the design ``a`` and factor it; raises ``RankDeficient``
-        if its columns are (numerically) linearly dependent."""
-        am = as_matrix(a, "design matrix")
-        if am.shape[0] < am.shape[1]:
-            raise RankDeficient(
-                am.shape[0],
-                f"{am.shape[0]}x{am.shape[1]} design cannot have full column rank",
-            )
-        return cls(*_qr(am))
-
-    def solve(self, b) -> np.ndarray:
-        """Minimum-residual solution of ``a @ x = b``; ``b`` may be a vector
-        or a matrix of right-hand sides, and the result matches its shape
-        convention."""
-        b_arr = np.asarray(b, dtype=np.float64)
-        bm = as_matrix(b_arr, "right-hand side")
-        if bm.shape[0] != self.q.shape[0]:
-            raise DimensionMismatch(
-                f"row counts differ: {self.q.shape[0]} vs {bm.shape[0]}"
-            )
-        # numpy has no triangular solver; LU of an upper-triangular r pivots
-        # on its own diagonal and eliminates nothing, so this is back
-        # substitution
-        x = np.linalg.solve(self.r, self.q.T @ bm)
-        return x[:, 0] if b_arr.ndim == 1 else x
 
 
 def least_squares(a, b) -> np.ndarray:
@@ -222,4 +215,4 @@ def least_squares(a, b) -> np.ndarray:
     column span.  ``b`` may be a vector or a matrix of right-hand sides;
     the result matches its shape convention.
     """
-    return LeastSquares.fit(a).solve(b)
+    return Projector.fit(a).solve(b)

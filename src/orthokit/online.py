@@ -22,8 +22,9 @@ training-set projector.  Each epoch ends with one pass per split: the
 training split's pass fits that regression (``gamma_hat``) on its
 uncorrected pre-activation at the projected layer, and every split's pass
 subtracts ``[1, protected] @ gamma_hat`` there.  The training split's
-``[1, protected]`` is fixed, so its QR is factored once per training (a
-``linalg.LeastSquares``) and each epoch's fit is one solve against it.
+``[1, protected]`` is fixed, so its QR is factored once per training
+(``linalg.Projector.fit``) and each epoch's fit is one ``solve`` against
+it.
 Training fits no GLM: ``TrainingResult.confounder_report`` runs the Wald
 test of the protected rows on the model's predictions when a caller asks
 for it.
@@ -48,7 +49,7 @@ from .correct import augment_intercept
 from .errors import InvalidSpec
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
-from .linalg import LeastSquares, _projectors
+from .linalg import Projector, _projectors
 from .synth import stream
 
 logger = logging.getLogger(__name__)
@@ -232,7 +233,7 @@ def _regressed(params, x, xa, ortho_layer, gamma_hat=None, fit=None):
     of hidden layer ``ortho_layer``, after first fitting ``gamma_hat`` on
     these rows if it is None (the least-squares regression of the
     uncorrected pre-activation on ``xa``, the rows' ``[1, protected]``,
-    solved with ``fit``, the ``LeastSquares`` of ``xa``, or a fresh one).
+    solved with ``fit``, the ``Projector`` of ``xa``, or a fresh one).
     Returns (probabilities, gamma_hat); with ``xa`` None nothing is
     subtracted.
     """
@@ -242,7 +243,7 @@ def _regressed(params, x, xa, ortho_layer, gamma_hat=None, fit=None):
     def subtract(h):
         nonlocal gamma_hat
         if gamma_hat is None:
-            gamma_hat = (fit or LeastSquares.fit(xa)).solve(h)
+            gamma_hat = (fit or Projector.fit(xa)).solve(h)
         h -= xa @ gamma_hat
         return h
 
@@ -393,7 +394,7 @@ def train_mlp(
         )
     ]
     xa_tr = splits[0][2]
-    fit_tr = None  # the LeastSquares of xa_tr, factored at the first epoch's end
+    fit_tr = None  # the Projector of xa_tr, factored at the first epoch's end
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         batch_residuals, skipped = _sgd_epoch(
@@ -402,7 +403,7 @@ def train_mlp(
         )
         result.skipped_batches += skipped
         if with_correction and fit_tr is None:
-            fit_tr = LeastSquares.fit(xa_tr)
+            fit_tr = Projector.fit(xa_tr)
 
         epoch_residual = (
             float(np.add.reduce(batch_residuals) / len(batch_residuals))

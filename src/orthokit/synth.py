@@ -9,13 +9,14 @@ family at mean ``h(Z gamma)``.
 Randomness comes from counter-based Philox streams keyed by a splitmix64
 chain over ``(seed, *ids)``; identical seeds reproduce datasets bit for bit,
 and every (cell, replicate) pair owns an independent, documented stream.
+
+The study and demo tables are rows in memory; this module does no file
+I/O, and ``cli`` writes the tables in its CSV format.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -128,101 +129,12 @@ STUDY_COLUMNS = (
 )
 
 
-# Files are read and written this many rows at a time, so one block's
-# cells and text are the only per-row objects alive.  A constant, not an
-# option: 512 to 2048 rows decode a 50,000-row file equally fast, 128 and
-# 8192 more slowly.
-BLOCK_ROWS = 1024
-
-
-def _fmt(v) -> str:
-    """CSV cell text: empty for None, true/false, floats to 17 digits."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _quote(cell: str) -> str:
-    if any(c in cell for c in ',"\r\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-def _quoted(cells: list, lone: bool) -> list:
-    """``csv.writer``'s minimal quoting of ``cells``.  With ``lone`` (each
-    cell is the only field of its row) an empty cell is written ``""``."""
-    text = "".join(cells)
-    if any(c in text for c in ',"\r\n'):
-        cells = list(map(_quote, cells))
-    return [c or '""' for c in cells] if lone else cells
-
-
-def _write_blocks(path, head: str, blocks) -> None:
-    """Write ``head``, then each text ``blocks`` yields, so one block's
-    text is held at a time.  The writers' one output loop.  If a block
-    raises (a bad row after earlier blocks were written), the partial
-    file is removed before the error propagates."""
-    fh = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            fh.write(head)
-            fh.writelines(blocks)
-    except BaseException:
-        os.remove(path)
-        raise
-
-
-def _csv_block(path, rows: list, width: int) -> str:
-    """The text of ``rows`` as ``_write_csv`` writes them: one ``%`` format
-    of a per-row template.  The template formats the all-float and all-int
-    columns of the block, and every other column is rendered and quoted a
-    column at a time beforehand."""
-    if set(map(len, rows)) - {width}:
-        raise ValueError(f"{path}: every row must have {width} fields")
-    cells = list(itertools.chain.from_iterable(rows))
-    specs = []
-    for j in range(width):
-        values = cells[j::width]
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            specs.append("%.17g")
-        elif kinds == {int}:
-            specs.append("%d")
-        else:
-            if kinds != {str}:
-                values = list(map(_fmt, values))
-            cells[j::width] = _quoted(values, width == 1)
-            specs.append("%s")
-    return ((",".join(specs) + "\r\n") * len(rows)) % tuple(cells)
-
-
-def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and ``rows`` byte for byte as ``csv.writer`` writes
-    them after ``_fmt``: minimal quoting and CRLF row ends.  Every row has
-    the header's width.  Rows are formatted and written ``BLOCK_ROWS`` at a
-    time; the text of a value depends on the value alone, so the blocks'
-    texts join to the text of all rows at once."""
-    width = len(header)
-    head = ",".join(_quoted(list(map(str, header)), width == 1)) + "\r\n"
-    rows = iter(rows)
-    blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
-    _write_blocks(path, head, (_csv_block(path, block, width) for block in blocks))
-
-
 @dataclass
 class StudyTable:
     """Long-format simulation results with a fixed column set."""
 
     rows: list = field(default_factory=list)
     columns = STUDY_COLUMNS
-
-    def write_csv(self, path) -> None:
-        _write_csv(path, self.columns,
-                   ([row.get(c) for c in self.columns] for row in self.rows))
 
     def summarize(self) -> list:
         """Per (cell, method) medians and significance fractions.
@@ -396,10 +308,6 @@ TRAJECTORY_COLUMNS = ("iteration", "method", "loss", "corr_with_protected")
 class TrajectoryTable:
     rows: list = field(default_factory=list)
     columns = TRAJECTORY_COLUMNS
-
-    def write_csv(self, path) -> None:
-        _write_csv(path, self.columns,
-                   ([row.get(c) for c in self.columns] for row in self.rows))
 
     def final(self, method: str) -> dict:
         rows = [r for r in self.rows if r["method"] == method]

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from orthokit import cli
-from orthokit.cli import SUMMARY_COLUMNS, main, read_tensor, write_tensor
+from orthokit.cli import (
+    BLOCK_ROWS,
+    SUMMARY_COLUMNS,
+    _fmt,
+    _write_csv,
+    main,
+    read_tensor,
+    write_tensor,
+)
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
-from orthokit.synth import BLOCK_ROWS, SyntheticSpec, _fmt, _write_csv, generate
+from orthokit.synth import SyntheticSpec, generate
 
 
 def write_dataset(path, data):
@@ -405,6 +413,9 @@ def _bad_input(case, tmp_path):
         "data_row_width": (correct, ["data.csv", "row 6", "expected 4"]),
         "single_level_category": (correct, ["'x0'", "single level"]),
         "malformed_dims": (tensor_argv, ["tensor.csv", "dims"]),
+        # both are checked before the rows' widths, which would match a zero
+        "zero_tensor_dim": (tensor_argv, ["tensor.csv", "dims must be positive"]),
+        "negative_tensor_dim": (tensor_argv, ["tensor.csv", "dims must be positive"]),
         "tensor_row_count": (tensor_argv, ["tensor.csv", "40", "39"]),
         "non_numeric_tensor_cell": (tensor_argv, ["tensor.csv", "'abc'", "row 4"]),
         "ragged_tensor_row": (tensor_argv, ["tensor.csv", "row 7", "5 cells", "expected 6"]),
@@ -433,6 +444,10 @@ def _bad_input(case, tmp_path):
             row[2] = "a"
     elif case == "malformed_dims":
         tensor[0] = [f"#dims {n} two 3"]
+    elif case == "zero_tensor_dim":
+        tensor = [[f"#dims {n} 0"]] + [[] for _ in range(n)]
+    elif case == "negative_tensor_dim":
+        tensor[0] = [f"#dims {n} -1"]
     elif case == "tensor_row_count":
         del tensor[-1]
     elif case == "non_numeric_tensor_cell":
@@ -481,6 +496,7 @@ def _bad_input(case, tmp_path):
 
 BAD_INPUT_CASES = [
     "data_row_width", "single_level_category", "malformed_dims",
+    "zero_tensor_dim", "negative_tensor_dim",
     "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
     "non_finite_data_cell", "non_finite_prediction_cell",
     "non_finite_tensor_cell", "empty_numeric_cell", "empty_categorical_cell",

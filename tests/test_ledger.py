@@ -104,3 +104,138 @@ def test_newest_earlier_ledger_by_pr_number(tmp_path):
     assert ledger.newest_earlier(tmp_path, 18).name == "BENCH_17.json"
     assert ledger.newest_earlier(tmp_path, 10).name == "BENCH_9.json"
     assert ledger.newest_earlier(tmp_path, 9) is None
+
+
+def logging_runner(side, log, outputs=None):
+    """``run(workload, trace)`` for one side of a pair: logs the call and
+    returns the next of ``outputs`` (a good run when None)."""
+    queue = list(outputs or [])
+
+    def run(workload, trace):
+        log.append((side, workload, trace))
+        returncode, stdout = queue.pop(0) if queue else (0, runner_output({"wall_s": (1.0, "s")}))
+        return subprocess.CompletedProcess([], returncode, stdout, "boom")
+    return run
+
+
+def test_gather_alternates_the_side_that_runs_first():
+    log = []
+    sides = ledger.gather(["a", "b"], 3, {"parent": logging_runner("parent", log),
+                                          "change": logging_runner("change", log)})
+    steps = [(w, t) for w in "ab" for t in ledger.TRACE_MODES]
+    first, second = ("parent", "change"), ("change", "parent")
+    assert log == [(side, *step) for order in (first, second, first)
+                   for step in steps for side in order]
+    assert sides["parent"]["values"]["end_to_end"]["a"]["wall_s"] == [1.0] * 3
+    assert sides["change"]["operations"]["b"] == {"attempted": 150, "failed": 0}
+
+
+@pytest.mark.parametrize("bad", [(1, ""), (0, runner_output({"wall_s": (1.0, "s")}, correct=False))])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_gather_refuses_when_either_side_fails(side, bad):
+    log = []
+    runners = {s: logging_runner(s, log, [bad] if s == side else None)
+               for s in ("parent", "change")}
+    with pytest.raises(ledger.LedgerError, match=f"^{side} w --trace 0"):
+        ledger.gather(["w"], 2, runners)
+
+
+SPEC = {"end_to_end": [dict(BOUNDS["wall_s"])], "per_layer": [
+    {"name": "correct.constrained_feasible", "better": "higher"}]}
+
+
+def paired_ledger(parent: dict, change: dict) -> dict:
+    """A ledger of one workload ``w`` whose sides ran ``parent`` and
+    ``change`` (metric -> value of each run); ``correct.*`` metrics are
+    layer metrics."""
+    def side(runs):
+        count = len(next(iter(runs.values())))
+        results = {("w", t): [
+            {"attempted": 1, "failed": 0,
+             "metrics": {k: {"value": v[i], "unit": "s"} for k, v in runs.items()
+                         if k.startswith("correct.") == (t == 1)}}
+            for i in range(count)] for t in ledger.TRACE_MODES}
+        return ledger.summarize_side(results, ENV, ["w"])
+    return {**side(change), "parent": side(parent)}
+
+
+def test_paired_counts_wins_and_leaves_ties_to_neither_side():
+    parent = {"wall_s": [1.0] * 10, "correct.constrained_feasible": [3.0] * 10}
+    change = {"wall_s": [0.5] * 9 + [1.0], "correct.constrained_feasible": [4.0] * 6 + [3.0] * 4}
+    wall, feasible = ledger.paired(paired_ledger(parent, change), SPEC)
+    # nine wins and a tie meet the rule; the move is larger than an IQR of 0
+    assert wall.startswith("+ end_to_end w wall_s: 1 -> 0.5 s (-50.0%)")
+    assert wall.endswith("parent IQR 0, won 9/10")
+    # 'higher' is better here, and the median moved past the IQR, but six
+    # wins of ten are no claim
+    assert feasible.startswith("  layers w correct.constrained_feasible: 3 -> 4")
+    assert feasible.endswith("won 6/10")
+
+
+def test_paired_marks_a_move_beyond_the_bound_and_needs_a_move_past_the_iqr():
+    parent = {"wall_s": [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.2, 0.8, 1.1, 0.9]}
+    worse = {"wall_s": [v * 1.3 for v in parent["wall_s"]]}
+    (line,) = ledger.paired(paired_ledger(parent, worse), SPEC)
+    assert line.startswith("! ") and line.endswith("won 0/10")
+    # every pair won, but the median moves by less than the parent's IQR
+    slightly = {"wall_s": [v - 0.01 for v in parent["wall_s"]]}
+    (line,) = ledger.paired(paired_ledger(parent, slightly), SPEC)
+    assert line.startswith("  ") and line.endswith("won 10/10")
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, capture_output=True, text=True, check=True).stdout
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git repository whose one commit holds a one-workload BENCHMARK.json."""
+    path = tmp_path / "repo"
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [BOUNDS["wall_s"]], "per_layer": []}))
+    git(path, "init", "-q")
+    git(path, "add", "BENCHMARK.json")
+    git(path, "commit", "-q", "-m", "one")
+    return path
+
+
+@pytest.mark.parametrize("returncode", [0, 3])
+def test_against_removes_the_worktree_however_the_runs_end(repo, tmp_path, monkeypatch,
+                                                           returncode):
+    trees = []
+
+    def run(checkout, workload, trace, seconds, seed):
+        trees.append(Path(checkout))
+        value = 2.0 if Path(checkout) != repo else 1.0
+        return subprocess.CompletedProcess(
+            [], returncode, runner_output({"wall_s": (value, "s")}), "boom")
+
+    monkeypatch.setattr(ledger, "run_perfbench", run)
+    out = tmp_path / "out"
+    argv = ["--pr", "7", "--runs", "2", "--seed", "3", "--out", str(out),
+            "--checkout", str(repo), "--against", "HEAD"]
+    assert ledger.main(argv) == (1 if returncode else 0)
+    (parent,) = {tree for tree in trees if tree != repo}
+    assert not parent.exists()
+    assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    if returncode:
+        assert not out.exists()
+        return
+    written = json.loads((out / "BENCH_7.json").read_text())
+    head = git(repo, "rev-parse", "HEAD").strip()
+    assert written["parent"]["commit"] == head
+    assert written["parent"]["values"]["end_to_end"]["w"]["wall_s"] == [2.0] * 2
+    assert written["values"]["end_to_end"]["w"]["wall_s"] == [1.0] * 2
+    assert written["settings"]["seed"] == 3
+
+
+def test_against_an_unknown_revision_writes_nothing(repo, tmp_path, monkeypatch):
+    monkeypatch.setattr(ledger, "run_perfbench", lambda *a: pytest.fail("ran"))
+    out = tmp_path / "out"
+    assert ledger.main(["--pr", "7", "--out", str(out), "--checkout", str(repo),
+                        "--against", "no-such-rev"]) == 1
+    assert not out.exists()
+    assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1

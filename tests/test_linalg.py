@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from orthokit.errors import DimensionMismatch, RankDeficient
 from orthokit.linalg import (
     RANK_RTOL,
-    LeastSquares,
+    Projector,
     _projectors,
     _qr,
     build_projector,
@@ -204,6 +204,19 @@ class TestStackedQr:
                 assert type(proj) is type(exc) and str(proj) == str(exc)
             else:
                 np.testing.assert_array_equal(proj.complement(m), expected.complement(m))
+
+    @pytest.mark.parametrize("rows", [128, 2])
+    def test_stacked_solves_equal_least_squares(self, rows):
+        # each block's r is kept from the stacked QR, so its regression is
+        # bitwise the one a fresh fit of that block gives
+        stack = rng(36).standard_normal((4, rows, 2))
+        stack[:, :, 0] = 1.0
+        b = rng(37).standard_normal((4, rows, 3))
+        for block, rhs, proj in zip(stack, b, _projectors(stack)):
+            for y in (rhs, rhs[:, 0]):
+                got, want = proj.solve(y), least_squares(block, y)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestApplyComplement:
@@ -432,7 +445,7 @@ class TestLeastSquares:
         g = rng(66)
         a = g.standard_normal((128, 2))
         a[:, 0] = 1.0
-        fit = LeastSquares.fit(a)
+        fit = Projector.fit(a)
         for b in (g.standard_normal(128), g.standard_normal((128, 16)),
                   g.standard_normal((128, 1))):
             got = fit.solve(b)
@@ -442,10 +455,10 @@ class TestLeastSquares:
 
     def test_fitted_object_validates_its_inputs(self):
         with pytest.raises(RankDeficient):
-            LeastSquares.fit(np.ones((6, 2)))
+            Projector.fit(np.ones((6, 2)))
         with pytest.raises(RankDeficient):
-            LeastSquares.fit(np.ones((1, 2)))
-        fit = LeastSquares.fit(rng(67).standard_normal((6, 2)))
+            Projector.fit(np.ones((1, 2)))
+        fit = Projector.fit(rng(67).standard_normal((6, 2)))
         with pytest.raises(DimensionMismatch):
             fit.solve(np.ones(5))
         with pytest.raises(ValueError, match="right-hand side"):

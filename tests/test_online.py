@@ -15,7 +15,7 @@ from orthokit.correct import augment_intercept
 from orthokit.errors import InvalidSpec
 from orthokit.evalmodel import evaluate_glm
 from orthokit.glm import BERNOULLI
-from orthokit.linalg import LeastSquares, build_projector, least_squares
+from orthokit.linalg import Projector, build_projector, least_squares
 from orthokit.online import (
     BATCH_SIZE,
     LEARNING_RATE,
@@ -342,13 +342,13 @@ class TestEpochPass:
     def test_training_split_is_factored_once(self, small_data, with_correction,
                                              monkeypatch):
         fits = []
-        fit = LeastSquares.fit.__func__
+        fit = Projector.fit.__func__
 
         def counting(cls, a):
             fits.append(a)
             return fit(cls, a)
 
-        monkeypatch.setattr(LeastSquares, "fit", classmethod(counting))
+        monkeypatch.setattr(Projector, "fit", classmethod(counting))
         result = train_mlp(small_data, MlpConfig(epochs=3, seed=4), with_correction)
         monkeypatch.undo()
         assert len(result.metrics) == 9

@@ -1,47 +1,67 @@
-"""Record the benchmark in a ledger file and compare it with the last one.
+"""Record the benchmark in a ledger file and compare it with a parent.
 
-    python tools/ledger.py --pr 18                      # 3 runs of 30 s each
+    python tools/ledger.py --pr 22 --against HEAD~1     # paired, 3 runs of 30 s
+    python tools/ledger.py --pr 22 --against HEAD~1 --runs 10 --seed 5
     python tools/ledger.py --pr 18 --runs 5 --seconds 30 --out DIR
     python tools/ledger.py --pr 17 --checkout ../parent # measure another tree
 
 For every workload in ``BENCHMARK.json`` and both trace modes, runs
 ``perfbench/run.py`` of the checkout as a subprocess ``--runs`` times at
-seed ``SEED``, the workloads and modes interleaved within each repetition.
-Nothing is written unless every run exits 0 and reports ``correct: true``.
-Then it writes ``BENCH_<pr>.json`` into ``--out`` (default: this
-repository's root):
+``--seed`` (default ``SEED``), the workloads and modes interleaved within
+each repetition.  With ``--against REV``, REV is checked out by ``git
+worktree add`` into a temporary directory and measured beside the
+checkout: each run of one side is paired with a run of the other made
+right after it, and the side that goes first alternates from one
+repetition to the next.  The worktree is removed when the runs end,
+whether they succeed or not.  Nothing is written unless every run exits 0
+and reports ``correct: true``.  Then it writes ``BENCH_<pr>.json`` into
+``--out`` (default: this repository's root):
 
 * ``end_to_end``: workload -> metric -> ``median``, ``q1``, ``q3``, ``n``
   and ``unit`` over the ``--trace 0`` runs;
 * ``layers``: the same over the ``--trace 1`` runs;
+* ``values``: ``end_to_end`` and ``layers`` -> workload -> metric -> the
+  value of every run, in run order;
 * ``operations``: workload -> operations attempted and failed, summed over
   all runs;
 * ``env``: the runner's ``# env`` line (Python, numpy and BLAS versions,
   CPUs and thread settings), ``commit`` (``git rev-parse HEAD`` of the
   checkout, with ``+dirty`` when its ``src`` or ``perfbench`` has
-  uncommitted changes), and the run settings.
+  uncommitted changes), and the run settings;
+* with ``--against``, ``parent``: REV's ``end_to_end``, ``layers``,
+  ``values``, ``operations``, ``env`` and ``commit``.
 
-Last it prints every metric's median beside that of the newest earlier
-ledger in ``--out`` (the highest PR number below ``--pr``).  An end-to-end
-metric whose median got worse by more than its ``BENCHMARK.json`` bound,
-taken as a fraction of the earlier median as ``perfbench/README.md``
-reads its spreads, is marked with ``!``; the marks do not change the exit
-code.  Layer metrics are listed only where their medians differ.
+Last it compares, taking an end-to-end metric's ``BENCHMARK.json`` bound as
+a fraction of the earlier median, as ``perfbench/README.md`` reads its
+spreads.  With ``--against``, the comparison is read from the file: per
+metric, the parent's and the change's medians, the parent's interquartile
+range and the pairs the change won, a tie counting for neither side.
+``+`` marks a metric that meets the claim rule (at least 9 of 10 pairs
+won, and a median move larger than the parent's interquartile range);
+``!`` marks an end-to-end metric whose median is worse than the parent's
+by more than its bound.  Without it, every metric's median is printed
+beside that of the newest earlier ledger in ``--out`` (the highest PR
+number below ``--pr``), with ``!`` for a move beyond the bound.  The marks
+do not change the exit code.  Layer metrics are listed only where their
+medians differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_MODES = (0, 1)
-SEED = 1  # the seed of CI's benchmark smoke runs
+SEED = 1  # the default seed, which CI's benchmark smoke runs use
 
 
 class LedgerError(Exception):
@@ -68,39 +88,82 @@ def summarize(results: list) -> dict:
     return out
 
 
-def run_perfbench(checkout: Path, workload: str, trace: int,
-                  seconds: float) -> subprocess.CompletedProcess:
+def run_perfbench(checkout: Path, workload: str, trace: int, seconds: float,
+                  seed: int = SEED) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
 
 
-def collect(workloads: list, runs: int, run) -> dict:
-    """Every workload in both trace modes ``runs`` times through ``run(workload,
-    trace)``, summarized; raises ``LedgerError`` at the first run that exits
-    non-zero or reports ``correct: false``."""
-    results = {(w, t): [] for w in workloads for t in TRACE_MODES}
-    env = {}
-    for _ in range(runs):
+def gather(workloads: list, runs: int, runners: dict) -> dict:
+    """Every workload in both trace modes ``runs`` times through each
+    side's ``runners[side](workload, trace)``, summarized per side.  The
+    sides of one workload and mode run back to back, in the order of
+    ``runners`` in even repetitions and reversed in odd ones.  Raises
+    ``LedgerError`` at the first run that exits non-zero or reports
+    ``correct: false``."""
+    sides = list(runners)
+    results = {side: {(w, t): [] for w in workloads for t in TRACE_MODES}
+               for side in sides}
+    envs = {}
+    for rep in range(runs):
         for workload in workloads:
             for trace in TRACE_MODES:
-                proc = run(workload, trace)
-                where = f"{workload} --trace {trace}"
-                if proc.returncode != 0:
-                    raise LedgerError(f"{where}: exit {proc.returncode}\n{proc.stderr}")
-                env, result = parse_run(proc.stdout)
-                if result["correct"] is not True:
-                    raise LedgerError(f"{where}: outputs not correct: {result}")
-                results[workload, trace].append(result)
-    return {
-        "end_to_end": {w: summarize(results[w, 0]) for w in workloads},
-        "layers": {w: summarize(results[w, 1]) for w in workloads},
-        "operations": {w: {key: sum(r[key] for t in TRACE_MODES for r in results[w, t])
-                           for key in ("attempted", "failed")} for w in workloads},
-        "env": env,
-    }
+                for side in sides if rep % 2 == 0 else sides[::-1]:
+                    proc = runners[side](workload, trace)
+                    where = f"{workload} --trace {trace}"
+                    if len(sides) > 1:
+                        where = f"{side} {where}"
+                    if proc.returncode != 0:
+                        raise LedgerError(f"{where}: exit {proc.returncode}\n{proc.stderr}")
+                    envs[side], result = parse_run(proc.stdout)
+                    if result["correct"] is not True:
+                        raise LedgerError(f"{where}: outputs not correct: {result}")
+                    results[side][workload, trace].append(result)
+    return {side: summarize_side(results[side], envs[side], workloads)
+            for side in sides}
+
+
+def summarize_side(results: dict, env: dict, workloads: list) -> dict:
+    """One side's ledger sections from its ``(workload, trace) -> results``."""
+    side = {"values": {}}
+    for section, trace in (("end_to_end", 0), ("layers", 1)):
+        side[section] = {w: summarize(results[w, trace]) for w in workloads}
+        side["values"][section] = {
+            w: {name: [r["metrics"][name]["value"] for r in results[w, trace]]
+                for name in results[w, trace][0]["metrics"]}
+            for w in workloads}
+    side["operations"] = {
+        w: {key: sum(r[key] for t in TRACE_MODES for r in results[w, t])
+            for key in ("attempted", "failed")} for w in workloads}
+    side["env"] = env
+    return side
+
+
+def collect(workloads: list, runs: int, run) -> dict:
+    """``gather`` with the one side ``run(workload, trace)``."""
+    return gather(workloads, runs, {"change": run})["change"]
+
+
+@contextlib.contextmanager
+def worktree(repo: Path, rev: str):
+    """``rev`` of the repository at ``repo``, checked out by ``git worktree
+    add`` into a temporary directory that is removed, with the worktree,
+    however the body ends.  Raises ``LedgerError`` if the checkout fails."""
+    tmp = Path(tempfile.mkdtemp(prefix="ledger-"))
+    path = tmp / "parent"
+    try:
+        proc = subprocess.run(["git", "worktree", "add", "--detach", str(path), rev],
+                              cwd=repo, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise LedgerError(f"git worktree add {rev}: {proc.stderr.strip()}")
+        yield path
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(path)],
+                       cwd=repo, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def commit_of(checkout: Path) -> str:
@@ -147,32 +210,89 @@ def diff(old: dict, new: dict, bounds: dict) -> list:
     return lines
 
 
+def paired(ledger: dict, spec: dict) -> list:
+    """One line per end-to-end metric and per layer metric that moved,
+    the parent's median against the change's, with the parent's
+    interquartile range and the pairs the change won.  ``+`` marks the
+    claim rule met, ``!`` an end-to-end metric worse than the parent's
+    median by more than its bound (a fraction of that median)."""
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    parent = ledger["parent"]
+    lines = []
+    for section in ("end_to_end", "layers"):
+        for workload, metrics in ledger[section].items():
+            for name, now in metrics.items():
+                was = parent[section][workload][name]
+                a, b = was["median"], now["median"]
+                if section == "layers" and a == b:
+                    continue
+                # worse > 0: the change moved the wrong way
+                sign = -1.0 if better.get(name) == "higher" else 1.0
+                pairs = list(zip(parent["values"][section][workload][name],
+                                 ledger["values"][section][workload][name]))
+                won = sum(sign * (c - p) < 0 for p, c in pairs)
+                iqr = was["q3"] - was["q1"]
+                mark = " "
+                if (section == "end_to_end" and name in bounds
+                        and sign * (b - a) > bounds[name] * abs(a)):
+                    mark = "!"
+                elif 10 * won >= 9 * len(pairs) and -sign * (b - a) > iqr:
+                    mark = "+"
+                change = f"{(b - a) / a:+.1%}" if a else "n/a"
+                lines.append(f"{mark} {section} {workload} {name}: {a:.6g} -> {b:.6g} "
+                             f"{now['unit']} ({change}), parent IQR {iqr:.3g}, "
+                             f"won {won}/{len(pairs)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--out", type=Path, default=ROOT)
     parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--against", metavar="REV",
+                        help="measure REV of the checkout's repository beside it")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     workloads = [w["name"] for w in spec["workloads"]]
+
+    def runner(checkout):
+        return lambda w, t: run_perfbench(checkout, w, t, seconds, args.seed)
+
     try:
-        ledger = collect(workloads, args.runs, lambda w, t: run_perfbench(
-            args.checkout, w, t, seconds))
+        with contextlib.ExitStack() as stack:
+            trees = {"change": args.checkout}
+            if args.against:
+                trees = {"parent": stack.enter_context(worktree(args.checkout, args.against)),
+                         **trees}
+            sides = gather(workloads, args.runs,
+                           {side: runner(tree) for side, tree in trees.items()})
+            commits = {side: commit_of(tree) for side, tree in trees.items()}
     except LedgerError as exc:
         print(f"error: {exc}\nno ledger written", file=sys.stderr)
         return 1
-    ledger.update(pr=args.pr, commit=commit_of(args.checkout),
-                  settings={"runs": args.runs, "seconds": seconds, "seed": SEED})
+    ledger = sides["change"]
+    ledger.update(pr=args.pr, commit=commits["change"],
+                  settings={"runs": args.runs, "seconds": seconds, "seed": args.seed})
+    if args.against:
+        ledger["parent"] = {**sides["parent"], "commit": commits["parent"]}
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
+    if args.against:
+        print(f"parent {commits['parent']} -> change {commits['change']}, "
+              f"{args.runs} pairs (+ meets the claim rule, ! a move beyond its bound):")
+        print("\n".join(paired(ledger, spec)))
+        return 0
     earlier = newest_earlier(args.out, args.pr)
     if earlier is None:
         print(f"no earlier BENCH_*.json in {args.out} to compare with")
