@@ -181,6 +181,11 @@ def test_paired_marks_a_move_beyond_the_bound_and_needs_a_move_past_the_iqr():
     slightly = {"wall_s": [v - 0.01 for v in parent["wall_s"]]}
     (line,) = ledger.paired(paired_ledger(parent, slightly), SPEC)
     assert line.startswith("  ") and line.endswith("won 10/10")
+    # a clear win, but in fewer than ten pairs
+    faster = {"wall_s": [v / 2 for v in parent["wall_s"]]}
+    few = {k: v[:5] for k, v in parent.items()}, {k: v[:5] for k, v in faster.items()}
+    (line,) = ledger.paired(paired_ledger(*few), SPEC)
+    assert line.startswith("  ") and line.endswith("won 5/5")
 
 
 def git(repo, *args):

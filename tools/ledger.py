@@ -36,8 +36,9 @@ a fraction of the earlier median, as ``perfbench/README.md`` reads its
 spreads.  With ``--against``, the comparison is read from the file: per
 metric, the parent's and the change's medians, the parent's interquartile
 range and the pairs the change won, a tie counting for neither side.
-``+`` marks a metric that meets the claim rule (at least 9 of 10 pairs
-won, and a median move larger than the parent's interquartile range);
+``+`` marks a metric that meets the claim rule (at least ten pairs run,
+nine tenths of them won, and a median move larger than the parent's
+interquartile range);
 ``!`` marks an end-to-end metric whose median is worse than the parent's
 by more than its bound.  Without it, every metric's median is printed
 beside that of the newest earlier ledger in ``--out`` (the highest PR
@@ -237,7 +238,8 @@ def paired(ledger: dict, spec: dict) -> list:
                 if (section == "end_to_end" and name in bounds
                         and sign * (b - a) > bounds[name] * abs(a)):
                     mark = "!"
-                elif 10 * won >= 9 * len(pairs) and -sign * (b - a) > iqr:
+                elif (len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
+                      and -sign * (b - a) > iqr):
                     mark = "+"
                 change = f"{(b - a) / a:+.1%}" if a else "n/a"
                 lines.append(f"{mark} {section} {workload} {name}: {a:.6g} -> {b:.6g} "
