@@ -22,9 +22,8 @@ training-set projector.  Each epoch ends with one pass per split: the
 training split's pass fits that regression (``gamma_hat``) on its
 uncorrected pre-activation at the projected layer, and every split's pass
 subtracts ``[1, protected] @ gamma_hat`` there.  The training split's
-``[1, protected]`` is fixed, so its QR is factored once per training
-(``linalg.Projector.fit``) and each epoch's fit is one ``solve`` against
-it.
+``[1, protected]`` is fixed, so its QR is factored once per training by
+``linalg.Projector.fit``, and each epoch's fit is one ``solve`` on it.
 Training fits no GLM: ``TrainingResult.confounder_report`` runs the Wald
 test of the protected rows on the model's predictions when a caller asks
 for it.

@@ -188,6 +188,11 @@ def test_paired_marks_a_move_beyond_the_bound_and_needs_a_move_past_the_iqr():
     assert line.startswith("  ") and line.endswith("won 5/5")
 
 
+def test_paired_lists_a_metric_the_parent_lacks_as_new():
+    book = paired_ledger({"wall_s": [1.0] * 3}, {"wall_s": [1.0] * 3, "setup_s": [0.2] * 3})
+    assert ledger.paired(book, SPEC)[-1] == "  end_to_end w setup_s: new, 0.2 s"
+
+
 def git(repo, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                           cwd=repo, capture_output=True, text=True, check=True).stdout

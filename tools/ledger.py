@@ -224,7 +224,11 @@ def paired(ledger: dict, spec: dict) -> list:
     for section in ("end_to_end", "layers"):
         for workload, metrics in ledger[section].items():
             for name, now in metrics.items():
-                was = parent[section][workload][name]
+                was = parent[section].get(workload, {}).get(name)
+                if was is None:  # REV's benchmark does not report it
+                    lines.append(f"  {section} {workload} {name}: new, "
+                                 f"{now['median']:.6g} {now['unit']}")
+                    continue
                 a, b = was["median"], now["median"]
                 if section == "layers" and a == b:
                     continue
