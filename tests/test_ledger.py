@@ -215,11 +215,15 @@ def repo(tmp_path):
 @pytest.mark.parametrize("returncode", [0, 3])
 def test_against_removes_the_worktree_however_the_runs_end(repo, tmp_path, monkeypatch,
                                                            returncode):
-    trees = []
+    (repo / "new.py").write_text("")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "run.log").write_text("")
+    trees, files = {}, {}
 
     def run(checkout, workload, trace, seconds, seed):
-        trees.append(Path(checkout))
-        value = 2.0 if Path(checkout) != repo else 1.0
+        trees[checkout.name] = checkout
+        files[checkout.name] = sorted(p.name for p in checkout.iterdir())
+        value = 2.0 if checkout.name == "parent" else 1.0
         return subprocess.CompletedProcess(
             [], returncode, runner_output({"wall_s": (value, "s")}), "boom")
 
@@ -228,15 +232,20 @@ def test_against_removes_the_worktree_however_the_runs_end(repo, tmp_path, monke
     argv = ["--pr", "7", "--runs", "2", "--seed", "3", "--out", str(out),
             "--checkout", str(repo), "--against", "HEAD"]
     assert ledger.main(argv) == (1 if returncode else 0)
-    (parent,) = {tree for tree in trees if tree != repo}
-    assert not parent.exists()
+    assert set(trees) == ({"parent"} if returncode else {"parent", "change"})
+    # both sides run side by side, from paths of one length
+    (tmp,) = {tree.parent for tree in trees.values()}
+    assert not tmp.exists()
     assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
     if returncode:
         assert not out.exists()
         return
     written = json.loads((out / "BENCH_7.json").read_text())
+    # the change side is the working tree: untracked files, not ignored ones
+    assert files == {"parent": [".git", "BENCHMARK.json"],
+                     "change": [".gitignore", "BENCHMARK.json", "new.py"]}
     head = git(repo, "rev-parse", "HEAD").strip()
-    assert written["parent"]["commit"] == head
+    assert written["parent"]["commit"] == written["commit"] == head
     assert written["parent"]["values"]["end_to_end"]["w"]["wall_s"] == [2.0] * 2
     assert written["values"]["end_to_end"]["w"]["wall_s"] == [1.0] * 2
     assert written["settings"]["seed"] == 3
