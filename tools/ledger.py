@@ -1,9 +1,9 @@
 """Record the benchmark in a ledger file and compare it with a parent.
 
-    python tools/ledger.py --pr 22 --against HEAD~1     # paired, 3 runs of 30 s
-    python tools/ledger.py --pr 22 --against HEAD~1 --runs 10 --seed 5
-    python tools/ledger.py --pr 18 --runs 5 --seconds 30 --out DIR
-    python tools/ledger.py --pr 17 --checkout ../parent # measure another tree
+    python tools/ledger.py --pr N --against HEAD~1     # paired, 3 runs of 30 s
+    python tools/ledger.py --pr N --against HEAD~1 --runs 10 --seed 5
+    python tools/ledger.py --pr N --runs 5 --seconds 30 --out DIR
+    python tools/ledger.py --pr N --checkout ../parent # measure another tree
 
 For every workload in ``BENCHMARK.json`` and both trace modes, runs
 ``perfbench/run.py`` of the checkout as a subprocess ``--runs`` times at
