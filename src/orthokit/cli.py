@@ -359,9 +359,11 @@ def _quoted(cells: list, lone: bool) -> list:
 
 def _write_blocks(path, head: str, blocks) -> None:
     """Write ``head``, then each text ``blocks`` yields, so one block's
-    text is held at a time.  The writers' one output loop.  If a block
-    raises (a bad row after earlier blocks were written), the partial
-    file is removed before the error propagates."""
+    text is held at a time.  The writers' one output loop; it creates the
+    output directory, so a command refused before its first write leaves
+    none.  If a block raises (a bad row after earlier blocks were written),
+    the partial file is removed before the error propagates."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", encoding="utf-8", newline="")
     try:
         with fh:
@@ -450,7 +452,6 @@ def cmd_correct(args) -> int:
         )
     family = family_by_name(args.family)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     protected_cols = [c.strip() for c in args.protected.split(",") if c.strip()]
     if not protected_cols:
         raise CliError("--protected must name at least one column")
@@ -509,7 +510,7 @@ def cmd_correct(args) -> int:
             "protected": x_names,
             "reference_levels": refs,
         }
-    elif args.method in ("linear", "relu"):
+    else:
         with _naming_dependent_column(
             "protected", ["(intercept)"] + x_names,
             "the intercept and earlier protected columns", x.shape[0],
@@ -524,10 +525,11 @@ def cmd_correct(args) -> int:
                 fit = fit_glm(design, y, family)
             gamma, y_hat, converged = fit.coefficients, fit.fitted_means, fit.converged
             loss = family.nll(y, y_hat)
-            iterations = fit.iterations
+            iterations, stop = fit.iterations, {}
         else:  # least-squares ReLU prediction model on the corrected features
             best = evaluate_relu_l2(design, y, starts=8)
             gamma, iterations, converged = best.beta, best.iterations, best.converged
+            stop = {"stop_reason": best.stop_reason}
             y_hat = np.maximum(design @ gamma, 0.0)
             loss = float(np.sum((y - y_hat) ** 2))
         report = {
@@ -536,12 +538,11 @@ def cmd_correct(args) -> int:
             "constraint_residual": None,
             "iterations": iterations,
             "converged": converged,
+            **stop,
             "loss": loss,
             "protected": x_names,
             "reference_levels": refs,
         }
-    else:
-        raise CliError(f"unknown method {args.method!r}")
 
     _write_csv(
         out_dir / "corrected_predictions.csv",
@@ -558,8 +559,7 @@ def cmd_correct(args) -> int:
 
 
 def _write_report(out_dir, report) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    (out_dir / "report.json").write_text(text, encoding="utf-8")
+    _write_blocks(out_dir / "report.json", json.dumps(report, indent=2) + "\n", ())
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,6 @@ def _write_report(out_dir, report) -> None:
 def cmd_evaluate(args) -> int:
     family = family_by_name(args.family)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     pred_col = args.prediction_column
     header, body = read_table(args.predictions, None if pred_col is None else [pred_col])
@@ -685,7 +684,6 @@ def _grid_from_args(args) -> list:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid_from_args(args)
     for spec in grid:
         try:
@@ -709,7 +707,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_demo(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.which == "figure1":
         table = figure1_demo(seed=args.seed)
         _write_csv(out_dir / "trajectory.csv", table.columns,

@@ -6,9 +6,9 @@ Three checkers, one per prediction-model shape:
   through the same activation/loss family and reports Wald slopes, p-values,
   and a null-certification flag.
 * ``evaluate_relu_l2`` fits ``beta`` minimizing ``||y_c - relu(X beta)||^2/n``
-  by seeded multi-start gradient descent.  Because any ``beta`` with
-  ``X beta <= 0`` attains the same objective as ``beta = 0``, success is
-  certified through ``||relu(X beta_hat)||`` rather than ``||beta_hat||``.
+  by seeded multi-start active-set Gauss-Newton and reports how much of the
+  objective at ``beta = 0`` the fit explains; zero is not the rectified
+  minimizer in general, even for corrected predictions.
 * ``evaluate_tensor`` solves the tensor-on-vector regression in closed form
   on the observation-major matricization and reports the coefficient tensor
   and its Frobenius norm.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSpec
 from .glm import EvaluationReport, GlmFamily, fit_glm, null_certified, wald_inference
 from .linalg import as_matrix, as_tensor, as_vector, least_squares
 
@@ -61,28 +61,19 @@ class ReluEvaluation:
     relu_norm: float
     objective_at_zero: float
     start_index: int
-    # accepted descent steps of the winning start, and whether it stopped
-    # on ``GRAD_SQ_TOL`` (not on ``RELU_MAX_ITER`` or a failed line search)
+    # the winning start's accepted steps; converged iff stop_reason "certified"
     iterations: int
     converged: bool
+    stop_reason: str
 
 
-# Squared gradient norm at which a ReLU-evaluation start counts as converged
-GRAD_SQ_TOL = 1e-18
-# Descent steps each ReLU-evaluation start may take
+# Gauss-Newton steps each ReLU-evaluation start may take
 RELU_MAX_ITER = 500
 
 
-def _relu_objective(xm: np.ndarray, yv: np.ndarray, beta: np.ndarray) -> float:
-    r = yv - np.maximum(xm @ beta, 0.0)
-    return float(r @ r) / xm.shape[0]
-
-
-def _relu_grad(xm: np.ndarray, yv: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    eta = xm @ beta
-    act = np.maximum(eta, 0.0)
-    mask = (eta > 0.0).astype(np.float64)
-    return -2.0 * (xm.T @ ((yv - act) * mask)) / xm.shape[0]
+def _rectified_loss(yv: np.ndarray, eta: np.ndarray) -> float:
+    r = yv - np.maximum(eta, 0.0)
+    return float(r @ r) / yv.shape[0]
 
 
 def evaluate_relu_l2(
@@ -94,54 +85,66 @@ def evaluate_relu_l2(
     """Minimize ``||y_c - relu(X beta)||^2 / n`` from several seeded starts.
 
     Starts are drawn from N(0, 0.1^2) with a per-start substream of ``seed``.
-    Each start runs up to ``RELU_MAX_ITER`` steps of gradient descent with
-    Armijo backtracking.  The lowest objective wins; ties break toward the
-    smaller start index.  The result carries the winning start's accepted
-    steps and whether its squared gradient norm reached ``GRAD_SQ_TOL``.
+    On the active set S = {i : x_i beta > 0} the objective is least squares;
+    each step moves toward ``lstsq(X_S, y_S)`` with Armijo backtracking.  A
+    start is ``"certified"`` at a local minimum: after a full step that keeps
+    S with no row at ``x_i beta = 0``, or at once if every ``x_i beta < 0``.
+    Otherwise it stops at a kink, where the line search finds no decrease,
+    or after ``RELU_MAX_ITER`` steps.  The lowest objective wins; ties break
+    toward the smaller start index.
     """
     xm = as_matrix(x, "protected features")
     yv = as_vector(y_corrected, "corrected predictions")
     if xm.shape[0] != yv.shape[0]:
         raise DimensionMismatch("X rows and prediction length differ")
-    p = xm.shape[1]
+    if starts < 1:
+        raise InvalidSpec(f"starts={starts}: need at least one start")
+    if seed < 0:
+        raise InvalidSpec(f"seed={seed}: must be >= 0")
 
-    best: ReluEvaluation | None = None
+    best = None
     for s in range(starts):
         rng = np.random.Generator(np.random.Philox(key=(seed << 16) + s))
-        beta = 0.1 * rng.standard_normal(p)
-        obj = _relu_objective(xm, yv, beta)
+        beta = 0.1 * rng.standard_normal(xm.shape[1])
+        eta = xm @ beta
+        obj = _rectified_loss(yv, eta)
         steps = 0
-        converged = False
+        reason = f"reached max_iter={RELU_MAX_ITER}"
         for _ in range(RELU_MAX_ITER):
-            g = _relu_grad(xm, yv, beta)
-            gn = float(g @ g)
-            if gn <= GRAD_SQ_TOL:
-                converged = True
+            act = eta > 0.0
+            if not act.any() and eta.max() < 0.0:
+                reason = "certified"
                 break
+            d = np.linalg.lstsq(xm[act], yv[act], rcond=None)[0] - beta
+            xd = xm[act] @ d
+            slope = -2.0 * float(xd @ xd) / xm.shape[0]
             step = 1.0
-            improved = False
             for _ in range(40):
-                cand = beta - step * g
-                cand_obj = _relu_objective(xm, yv, cand)
-                if cand_obj <= obj - 1e-4 * step * gn:
-                    beta, obj = cand, cand_obj
-                    steps += 1
-                    improved = True
+                cand = beta + step * d
+                cand_eta = xm @ cand
+                cand_obj = _rectified_loss(yv, cand_eta)
+                if cand_obj < obj + 1e-4 * step * slope:
                     break
                 step *= 0.5
-            if not improved:
+            else:
+                reason = "kink: no decrease along the Gauss-Newton step"
                 break
-        if best is None or obj < best.objective - 0.0:
+            beta, eta, obj = cand, cand_eta, cand_obj
+            steps += 1
+            if step == 1.0 and np.array_equal(eta > 0.0, act) and eta.all():
+                reason = "certified"
+                break
+        if best is None or obj < best.objective:
             best = ReluEvaluation(
                 beta=beta,
                 objective=obj,
-                relu_norm=float(np.linalg.norm(np.maximum(xm @ beta, 0.0))),
-                objective_at_zero=_relu_objective(xm, yv, np.zeros(p)),
+                relu_norm=float(np.linalg.norm(np.maximum(eta, 0.0))),
+                objective_at_zero=float(yv @ yv) / xm.shape[0],
                 start_index=s,
                 iterations=steps,
-                converged=converged,
+                converged=reason == "certified",
+                stop_reason=reason,
             )
-    assert best is not None
     return best
 
 

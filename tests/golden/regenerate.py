@@ -53,7 +53,6 @@ CASES = {
                        "--method", "tensor", "--tensor", "{in}/tensor.csv"],
     "evaluate-glm": ["evaluate", "--predictions", "{in}/predictions.csv",
                      "--protected-data", "{in}/data.csv", "--protected", PROTECTED],
-    # two columns: with grp too, stalled starts make this case take 1 s
     "evaluate-relu": ["evaluate", "--predictions", "{in}/predictions.csv",
                       "--protected-data", "{in}/data.csv", "--protected", "x0,x1",
                       "--relu"],

@@ -527,6 +527,22 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
     test_bad_input_exits_2_with_one_line(case, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["correct", "--data", "{data}", "--outcome", "y", "--protected", ","],
+    ["evaluate", "--predictions", "{data}", "--prediction-column", "nope",
+     "--protected-data", "{data}"],
+    ["simulate", "--grid", "{tmp}/missing.json"],
+    ["demo", "--which", "nope"],
+], ids=["correct", "evaluate", "simulate", "demo"])
+def test_refused_command_leaves_no_out_directory(argv, bernoulli_csv, tmp_path, capsys):
+    data, _ = bernoulli_csv
+    out = tmp_path / "out"
+    args = [a.format(data=data, tmp=tmp_path) for a in argv]
+    assert main(args + ["--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 class TestReaderParity:
     """Files without quotes or bare CRs are split directly; the others go
     through csv.reader.  Both must read the same table."""

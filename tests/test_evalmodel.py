@@ -19,6 +19,7 @@ from orthokit.correct import (
     fit_constrained_glm,
     relu,
 )
+from orthokit.errors import InvalidSpec
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import BERNOULLI, GAUSSIAN, fit_glm
 from orthokit.synth import SyntheticSpec, generate
@@ -145,13 +146,70 @@ class TestEvaluateReluL2:
         assert a.start_index == b.start_index
 
     def test_iteration_budget_reported_as_not_converged(self, monkeypatch):
+        # with seed 1 no start is certified by its first step, so the
+        # winning start runs out of a one-step budget
         g = rng(16)
         x = g.standard_normal((50, 2))
         yc = relu(x @ np.array([1.0, -0.5])) + 0.1 * g.standard_normal(50)
         monkeypatch.setattr(evalmodel_module, "RELU_MAX_ITER", 1)
-        res = evaluate_relu_l2(x, yc, seed=4)
+        res = evaluate_relu_l2(x, yc, seed=1)
         assert res.converged is False
-        assert res.iterations <= 1
+        assert res.iterations == evalmodel_module.RELU_MAX_ITER
+        assert res.stop_reason == "reached max_iter=1"
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_certified_result_solves_its_active_set(self, case):
+        # certified: no row on a kink, and beta is the least-squares fit of
+        # the rows it activates
+        g = rng(100 + case)
+        n, p = (40, 2) if case < 6 else (300, 4)
+        x = g.standard_normal((n, p))
+        z = g.standard_normal((n, 5))
+        z[:, :p] += 2.0 * x
+        feats = correct_features_relu(x, z) if case % 2 else z
+        y = relu(feats @ g.standard_normal(5)) + 0.1 * (case % 3) * g.standard_normal(n)
+        res = evaluate_relu_l2(x, y, starts=8, seed=case)
+        assert res.converged is (res.stop_reason == "certified")
+        assert res.converged, res.stop_reason
+        eta = x @ res.beta
+        assert np.all(eta != 0.0)
+        act = eta > 0.0
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        grad = x[act].T @ (y[act] - x[act] @ res.beta)
+        assert np.max(np.abs(grad), initial=0.0) <= 1e-10 * scale
+
+    def test_start_inside_dead_region_is_certified_flat(self):
+        # every row of x is negative along the first start, so its active
+        # set is empty: the objective is flat there and the start stays put
+        g = rng(17)
+        start = 0.1 * np.random.Generator(np.random.Philox(key=(5 << 16))).standard_normal(2)
+        x = -np.abs(g.standard_normal((30, 2))) * np.sign(start)
+        y = relu(g.standard_normal(30))
+        res = evaluate_relu_l2(x, y, starts=1, seed=5)
+        assert (res.converged, res.stop_reason, res.iterations) == (True, "certified", 0)
+        np.testing.assert_array_equal(res.beta, start)
+        assert res.objective == res.objective_at_zero
+
+    def test_criterion4_winners_are_certified(self):
+        # the first 20 instances of acceptance criterion 4, in its draw order
+        g = np.random.Generator(np.random.Philox(key=2004))
+        for i in range(20):
+            x = g.standard_normal((50, 2))
+            z = g.standard_normal((50, 5))
+            z[:, :2] += 2.0 * x
+            zc = correct_features_relu(x, z)
+            gamma = g.standard_normal(5)
+            g.standard_normal(2)  # the criterion's beta, unused here
+            for y in (relu(z @ gamma), relu(zc @ gamma)):
+                res = evaluate_relu_l2(x, y, starts=8, seed=i)
+                assert res.converged, (i, res.stop_reason)
+
+    @pytest.mark.parametrize("kwargs, name", [({"starts": 0}, "starts"),
+                                              ({"seed": -1}, "seed")])
+    def test_rejects_bad_starts_and_seed(self, kwargs, name):
+        x = rng(18).standard_normal((20, 2))
+        with pytest.raises(InvalidSpec, match=name):
+            evaluate_relu_l2(x, np.ones(20), **kwargs)
 
 
 class TestEvaluateTensor:

@@ -1,6 +1,6 @@
 """The benchmark ledger's summary, refusal and diff, on canned runner output.
 
-No benchmark runs here: ``collect`` is handed a fake runner that returns
+No benchmark runs here: ``gather`` is handed a fake runner that returns
 what ``perfbench/run.py`` prints.
 """
 
@@ -57,8 +57,8 @@ def test_summary_is_median_and_inclusive_quartiles():
 def test_collect_summarizes_each_workload_and_mode():
     e2e = [(0, runner_output({"wall_s": (v, "s")})) for v in (1.0, 3.0)]
     traced = [(0, runner_output({"glm.irls_steps": (646, "count")}, failed=1))] * 2
-    got = ledger.collect(["study-grid"], 2, fake_runner({
-        ("study-grid", 0): e2e, ("study-grid", 1): traced}))
+    got = ledger.gather(["study-grid"], 2, {"change": fake_runner({
+        ("study-grid", 0): e2e, ("study-grid", 1): traced})})["change"]
     assert got["end_to_end"]["study-grid"]["wall_s"]["median"] == 2.0
     assert got["layers"]["study-grid"]["glm.irls_steps"]["q3"] == 646
     assert got["operations"] == {"study-grid": {"attempted": 100, "failed": 2}}
@@ -70,7 +70,7 @@ def test_collect_refuses_a_failed_or_wrong_run(bad):
     good = (0, runner_output({"wall_s": (1.0, "s")}))
     run = fake_runner({("study-grid", 0): [good, bad], ("study-grid", 1): [good, good]})
     with pytest.raises(ledger.LedgerError):
-        ledger.collect(["study-grid"], 2, run)
+        ledger.gather(["study-grid"], 2, {"change": run})["change"]
 
 
 def test_main_writes_nothing_when_a_run_fails(tmp_path, monkeypatch):

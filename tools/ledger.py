@@ -144,11 +144,6 @@ def summarize_side(results: dict, env: dict, workloads: list) -> dict:
     return side
 
 
-def collect(workloads: list, runs: int, run) -> dict:
-    """``gather`` with the one side ``run(workload, trace)``."""
-    return gather(workloads, runs, {"change": run})["change"]
-
-
 @contextlib.contextmanager
 def paired_trees(checkout: Path, rev: str):
     """``(parent, change)``: ``rev`` of the checkout's repository, checked
