@@ -111,10 +111,10 @@ def evaluate_relu_l2(
         steps = 0
         reason = f"reached max_iter={RELU_MAX_ITER}"
         for _ in range(RELU_MAX_ITER):
-            act = eta > 0.0
-            if not act.any() and eta.max() < 0.0:
+            if eta.max() < 0.0:  # strictly inside the dead region: flat
                 reason = "certified"
                 break
+            act = eta > 0.0
             d = np.linalg.lstsq(xm[act], yv[act], rcond=None)[0] - beta
             xd = xm[act] @ d
             slope = -2.0 * float(xd @ xd) / xm.shape[0]
