@@ -102,7 +102,7 @@ def evaluate_relu_l2(
     if seed < 0:
         raise InvalidSpec(f"seed={seed}: must be >= 0")
 
-    best = None
+    best: ReluEvaluation | None = None
     for s in range(starts):
         rng = np.random.Generator(np.random.Philox(key=(seed << 16) + s))
         beta = 0.1 * rng.standard_normal(xm.shape[1])

@@ -4,8 +4,10 @@ The GLM evaluator is checked against direct OLS and a self-consistency
 recovery; the tensor evaluator against the explicit Kronecker least-squares
 oracle.  For the ReLU + L2 evaluator the tests pin the measured geometry:
 projection-corrected predictions still admit rectified explanations better
-than the zero coefficient, so certification hinges on the reported
-``relu_norm`` and objective rather than on an assumed null optimum.
+than the zero coefficient, so the objective is judged against the objective
+at zero rather than against an assumed null optimum.  A ``converged``
+result carries the Gauss-Newton certificate: no row on a kink, and the
+least-squares fit of the rows it activates.
 """
 
 import numpy as np
