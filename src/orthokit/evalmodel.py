@@ -89,6 +89,8 @@ def evaluate_relu_l2(
     each step moves toward ``lstsq(X_S, y_S)`` with Armijo backtracking.  A
     start is ``"certified"`` at a local minimum: after a full step that keeps
     S with no row at ``x_i beta = 0``, or at once if every ``x_i beta < 0``.
+    Rows with ``x_i = 0`` are left out of both tests: their ``x_i beta`` is 0
+    for every beta, so they are no kink, and an all-zero X is certified at once.
     Otherwise it stops at a kink, where the line search finds no decrease,
     or after ``RELU_MAX_ITER`` steps.  The lowest objective wins; ties break
     toward the smaller start index.
@@ -102,6 +104,7 @@ def evaluate_relu_l2(
     if seed < 0:
         raise InvalidSpec(f"seed={seed}: must be >= 0")
 
+    live = xm.any(axis=1)  # rows whose x_i beta can leave 0
     best: ReluEvaluation | None = None
     for s in range(starts):
         rng = np.random.Generator(np.random.Philox(key=(seed << 16) + s))
@@ -111,7 +114,7 @@ def evaluate_relu_l2(
         steps = 0
         reason = f"reached max_iter={RELU_MAX_ITER}"
         for _ in range(RELU_MAX_ITER):
-            if eta.max() < 0.0:  # strictly inside the dead region: flat
+            if np.all(eta < 0.0, where=live):  # strictly inside the dead region: flat
                 reason = "certified"
                 break
             act = eta > 0.0
@@ -131,7 +134,8 @@ def evaluate_relu_l2(
                 break
             beta, eta, obj = cand, cand_eta, cand_obj
             steps += 1
-            if step == 1.0 and np.array_equal(eta > 0.0, act) and eta.all():
+            if (step == 1.0 and np.array_equal(eta > 0.0, act)
+                    and np.all(eta, where=live)):
                 reason = "certified"
                 break
         if best is None or obj < best.objective:

@@ -192,6 +192,24 @@ class TestEvaluateReluL2:
         np.testing.assert_array_equal(res.beta, start)
         assert res.objective == res.objective_at_zero
 
+    def test_all_zero_rows_are_no_kink(self):
+        # x_i beta is 0 for every beta on a zero row, so such rows cannot
+        # keep a start from its certificate
+        g = rng(19)
+        x = g.standard_normal((200, 2))
+        y = relu(x @ np.array([1.0, -0.5])) + 0.1 * g.standard_normal(200)
+        assert evaluate_relu_l2(x, y).stop_reason == "certified"
+        x[:20] = 0.0
+        res = evaluate_relu_l2(x, y)
+        assert (res.converged, res.stop_reason) == (True, "certified")
+        assert np.all((x @ res.beta)[20:] != 0.0)
+
+    def test_all_zero_design_is_certified_at_once(self):
+        y = relu(rng(20).standard_normal(30))
+        res = evaluate_relu_l2(np.zeros((30, 2)), y, starts=3)
+        assert (res.converged, res.stop_reason, res.iterations) == (True, "certified", 0)
+        assert res.objective == res.objective_at_zero
+
     def test_criterion4_winners_are_certified(self):
         # the first 20 instances of acceptance criterion 4, in its draw order
         g = np.random.Generator(np.random.Philox(key=2004))
