@@ -1,7 +1,7 @@
-"""The benchmark ledger's summary, refusal and diff, on canned runner output.
+"""The benchmark ledger's summary, refusal, pairing and trees.
 
-No benchmark runs here: ``gather`` is handed a fake runner that returns
-what ``perfbench/run.py`` prints.
+No benchmark runs here: ``gather`` is handed a fake runner, and ``main`` a
+fake ``run_perfbench``, that return what ``perfbench/run.py`` prints.
 """
 
 import importlib.util
@@ -17,10 +17,7 @@ ledger = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger)
 
 ENV = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31", "nproc": 2}
-BOUNDS = {
-    "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
-    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
-}
+WALL_S = {"name": "wall_s", "better": "lower", "bound": 0.25}
 
 
 def runner_output(metrics: dict, correct=True, failed=0) -> str:
@@ -73,39 +70,6 @@ def test_collect_refuses_a_failed_or_wrong_run(bad):
         ledger.gather(["study-grid"], 2, {"change": run})["change"]
 
 
-def test_main_writes_nothing_when_a_run_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(ledger, "run_perfbench", lambda *a: subprocess.CompletedProcess([], 2, "", "boom"))
-    assert ledger.main(["--pr", "5", "--runs", "1", "--out", str(tmp_path)]) == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-def stats(median, unit="s"):
-    return {"median": median, "q1": median, "q3": median, "n": 3, "unit": unit}
-
-
-def test_diff_marks_only_moves_beyond_the_bound():
-    old = {"end_to_end": {"w": {"wall_s": stats(1.0), "peak_rss_mb": stats(50.0, "MB")}},
-           "layers": {"w": {"glm.irls_steps": stats(646, "count"), "synth.jobs": stats(24, "count")}}}
-    new = {"end_to_end": {"w": {"wall_s": stats(1.3), "peak_rss_mb": stats(54.0, "MB")}},
-           "layers": {"w": {"glm.irls_steps": stats(650, "count"), "synth.jobs": stats(24, "count")}}}
-    lines = ledger.diff(old, new, BOUNDS)
-    assert [line[0] for line in lines] == ["!", " ", " "]
-    assert "wall_s: 1 -> 1.3 s (+30.0%)" in lines[0]
-    assert "peak_rss_mb" in lines[1]
-    assert "glm.irls_steps: 646 -> 650" in lines[2]  # unchanged layers are left out
-    better = {"end_to_end": {"w": {"wall_s": stats(0.5), "peak_rss_mb": stats(40.0, "MB")}},
-              "layers": {}}
-    assert all(line[0] == " " for line in ledger.diff(old, better, BOUNDS))
-
-
-def test_newest_earlier_ledger_by_pr_number(tmp_path):
-    for name in ("BENCH_9.json", "BENCH_17.json", "BENCH_18.json", "BENCH_x.json"):
-        (tmp_path / name).write_text("{}")
-    assert ledger.newest_earlier(tmp_path, 18).name == "BENCH_17.json"
-    assert ledger.newest_earlier(tmp_path, 10).name == "BENCH_9.json"
-    assert ledger.newest_earlier(tmp_path, 9) is None
-
-
 def logging_runner(side, log, outputs=None):
     """``run(workload, trace)`` for one side of a pair: logs the call and
     returns the next of ``outputs`` (a good run when None)."""
@@ -140,7 +104,7 @@ def test_gather_refuses_when_either_side_fails(side, bad):
         ledger.gather(["w"], 2, runners)
 
 
-SPEC = {"end_to_end": [dict(BOUNDS["wall_s"])], "per_layer": [
+SPEC = {"end_to_end": [WALL_S], "per_layer": [
     {"name": "correct.constrained_feasible", "better": "higher"}]}
 
 
@@ -193,57 +157,108 @@ def test_paired_lists_a_metric_the_parent_lacks_as_new():
     assert ledger.paired(book, SPEC)[-1] == "  end_to_end w setup_s: new, 0.2 s"
 
 
+def test_paired_lists_a_metric_the_change_lacks_as_gone():
+    book = paired_ledger({"wall_s": [1.0] * 3, "setup_s": [0.2] * 3}, {"wall_s": [1.0] * 3})
+    assert ledger.paired(book, SPEC)[-1] == "  end_to_end w setup_s: gone, 0.2 s"
+
+
 def git(repo, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                           cwd=repo, capture_output=True, text=True, check=True).stdout
 
 
 @pytest.fixture
-def repo(tmp_path):
-    """A git repository whose one commit holds a one-workload BENCHMARK.json."""
+def repo(tmp_path, monkeypatch):
+    """A git repository whose one commit holds a one-workload
+    BENCHMARK.json and a runner; the ledger's temporary trees go to
+    ``tmp_path / "tmp"``."""
     path = tmp_path / "repo"
-    path.mkdir()
+    (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1, "workloads": [{"name": "w"}],
-        "end_to_end": [BOUNDS["wall_s"]], "per_layer": []}))
+        "end_to_end": [WALL_S], "per_layer": []}))
+    (path / "perfbench" / "run.py").write_bytes(b"print('run')\n")
     git(path, "init", "-q")
-    git(path, "add", "BENCHMARK.json")
+    git(path, "add", ".")
     git(path, "commit", "-q", "-m", "one")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(ledger.tempfile, "tempdir", str(tmp_path / "tmp"))
     return path
 
 
-@pytest.mark.parametrize("returncode", [0, 3])
-def test_against_removes_the_worktree_however_the_runs_end(repo, tmp_path, monkeypatch,
-                                                           returncode):
-    (repo / "new.py").write_text("")
-    (repo / ".gitignore").write_text("*.log\n")
-    (repo / "run.log").write_text("")
-    trees, files = {}, {}
+def snapshot(tree: Path) -> dict:
+    """Relative path -> bytes of every file under ``tree``."""
+    return {str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*") if p.is_file()}
 
+
+def fake_perfbench(trees: dict, returncode=0):
+    """``run_perfbench`` recording each side's tree as it runs: the
+    parent reads a ``wall_s`` of 2.0, the change 1.0."""
     def run(checkout, workload, trace, seconds, seed):
-        trees[checkout.name] = checkout
-        files[checkout.name] = sorted(p.name for p in checkout.iterdir())
+        trees[checkout.name] = (checkout, snapshot(checkout))
         value = 2.0 if checkout.name == "parent" else 1.0
         return subprocess.CompletedProcess(
             [], returncode, runner_output({"wall_s": (value, "s")}), "boom")
+    return run
 
-    monkeypatch.setattr(ledger, "run_perfbench", run)
+
+def test_main_needs_a_parent_revision(tmp_path, monkeypatch):
+    monkeypatch.setattr(ledger, "run_perfbench", lambda *a: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        ledger.main(["--pr", "0", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_writes_nothing_when_a_run_fails(repo, tmp_path, monkeypatch):
+    monkeypatch.setattr(ledger, "run_perfbench", lambda *a: subprocess.CompletedProcess([], 2, "", "boom"))
+    out = tmp_path / "out"
+    assert ledger.main(["--pr", "5", "--runs", "1", "--out", str(out),
+                        "--checkout", str(repo), "--against", "HEAD"]) == 1
+    assert not out.exists()
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert not (repo / ".git" / "worktrees").exists()
+
+
+def test_against_head_of_a_clean_repository_runs_two_equal_trees(repo, tmp_path, monkeypatch):
+    trees = {}
+    monkeypatch.setattr(ledger, "run_perfbench", fake_perfbench(trees))
+    assert ledger.main(["--pr", "7", "--runs", "1", "--out", str(tmp_path / "out"),
+                        "--checkout", str(repo), "--against", "HEAD"]) == 0
+    assert set(trees) == {"parent", "change"}
+    assert trees["parent"][1] == trees["change"][1]
+    assert sorted(trees["change"][1]) == ["BENCHMARK.json", "perfbench/run.py"]
+
+
+@pytest.mark.parametrize("returncode", [0, 3])
+def test_against_runs_two_plain_trees_however_the_runs_end(repo, tmp_path, monkeypatch,
+                                                          returncode):
+    (repo / "new.py").write_text("")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "run.log").write_text("")
+    trees = {}
+    monkeypatch.setattr(ledger, "run_perfbench", fake_perfbench(trees, returncode))
     out = tmp_path / "out"
     argv = ["--pr", "7", "--runs", "2", "--seed", "3", "--out", str(out),
             "--checkout", str(repo), "--against", "HEAD"]
     assert ledger.main(argv) == (1 if returncode else 0)
     assert set(trees) == ({"parent"} if returncode else {"parent", "change"})
-    # both sides run side by side, from paths of one length
-    (tmp,) = {tree.parent for tree in trees.values()}
-    assert not tmp.exists()
-    assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    # both sides run side by side, from paths of one length, and neither
+    # is a git checkout
+    (tmp,) = {tree.parent for tree, _ in trees.values()}
+    assert tmp.parent == tmp_path / "tmp"
+    assert list(tmp.parent.iterdir()) == []
+    assert not (repo / ".git" / "worktrees").exists()
+    assert not any(name == ".git" or name.startswith(".git/")
+                   for _, files in trees.values() for name in files)
     if returncode:
         assert not out.exists()
         return
     written = json.loads((out / "BENCH_7.json").read_text())
     # the change side is the working tree: untracked files, not ignored ones
-    assert files == {"parent": [".git", "BENCHMARK.json"],
-                     "change": [".gitignore", "BENCHMARK.json", "new.py"]}
+    assert sorted(trees["parent"][1]) == ["BENCHMARK.json", "perfbench/run.py"]
+    assert sorted(trees["change"][1]) == [".gitignore", "BENCHMARK.json", "new.py",
+                                          "perfbench/run.py"]
     head = git(repo, "rev-parse", "HEAD").strip()
     assert written["parent"]["commit"] == written["commit"] == head
     assert written["parent"]["values"]["end_to_end"]["w"]["wall_s"] == [2.0] * 2
@@ -257,4 +272,5 @@ def test_against_an_unknown_revision_writes_nothing(repo, tmp_path, monkeypatch)
     assert ledger.main(["--pr", "7", "--out", str(out), "--checkout", str(repo),
                         "--against", "no-such-rev"]) == 1
     assert not out.exists()
-    assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert not (repo / ".git" / "worktrees").exists()

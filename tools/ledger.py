@@ -1,26 +1,27 @@
-"""Record the benchmark in a ledger file and compare it with a parent.
+"""Measure the benchmark beside a parent revision and record both in a ledger.
 
-    python tools/ledger.py --pr N --against HEAD~1     # paired, 3 runs of 30 s
+    python tools/ledger.py --pr N --against HEAD~1     # 3 pairs of 30 s runs
     python tools/ledger.py --pr N --against HEAD~1 --runs 10 --seed 5
-    python tools/ledger.py --pr N --runs 5 --seconds 30 --out DIR
-    python tools/ledger.py --pr N --checkout ../parent # measure another tree
+    python tools/ledger.py --pr N --against REV --checkout ../other --out DIR
 
-For every workload in ``BENCHMARK.json`` and both trace modes, runs
-``perfbench/run.py`` of the checkout as a subprocess ``--runs`` times at
+Two plain trees are written into one temporary directory by one writer:
+``parent``, the regular files of ``git archive REV``, and ``change``, the
+checkout's working tree (its tracked files and the untracked files git does
+not ignore).  Neither is a git checkout, and both run from paths of one
+length.  For every workload in ``BENCHMARK.json`` and both trace modes, each
+tree's ``perfbench/run.py`` runs as a subprocess ``--runs`` times at
 ``--seed`` (default ``SEED``), the workloads and modes interleaved within
-each repetition.  With ``--against REV``, REV is checked out by ``git
-worktree add`` into a temporary directory, beside a copy of the checkout's
-working tree, and the two are measured together: each run of one side is
-paired with a run of the other made right after it, and the side that
-goes first alternates from one repetition to the next.  The directory and
-the worktree are removed when the runs end, whether they succeed or not.
-Nothing is written unless every run exits 0 and reports ``correct:
-true``.  Then it writes ``BENCH_<pr>.json`` into ``--out`` (default: this
-repository's root):
+each repetition.  Each run of one side is paired with a run of the other
+made right after it, and the side that goes first alternates from one
+repetition to the next.  The directory is removed when the runs end; a
+killed run may leave it in the system's temporary directory, but nothing
+in the repository.  Nothing is written unless REV names a commit and every
+run exits 0 and reports ``correct: true``.  Then it writes
+``BENCH_<pr>.json`` into ``--out`` (default: this repository's root):
 
 * ``end_to_end``: workload -> metric -> ``median``, ``q1``, ``q3``, ``n``
-  and ``unit`` over the ``--trace 0`` runs;
-* ``layers``: the same over the ``--trace 1`` runs;
+  and ``unit`` over the change's ``--trace 0`` runs;
+* ``layers``: the same over its ``--trace 1`` runs;
 * ``values``: ``end_to_end`` and ``layers`` -> workload -> metric -> the
   value of every run, in run order;
 * ``operations``: workload -> operations attempted and failed, summed over
@@ -29,35 +30,32 @@ repository's root):
   CPUs and thread settings), ``commit`` (``git rev-parse HEAD`` of the
   checkout, with ``+dirty`` when its ``src`` or ``perfbench`` has
   uncommitted changes), and the run settings;
-* with ``--against``, ``parent``: REV's ``end_to_end``, ``layers``,
-  ``values``, ``operations``, ``env`` and ``commit``.
+* ``parent``: REV's ``end_to_end``, ``layers``, ``values``, ``operations``,
+  ``env`` and ``commit``.
 
-Last it compares, taking an end-to-end metric's ``BENCHMARK.json`` bound as
-a fraction of the earlier median, as ``perfbench/README.md`` reads its
-spreads.  With ``--against``, the comparison is read from the file: per
-metric, the parent's and the change's medians, the parent's interquartile
-range and the pairs the change won, a tie counting for neither side.
-``+`` marks a metric that meets the claim rule (at least ten pairs run,
-nine tenths of them won, and a median move larger than the parent's
-interquartile range);
-``!`` marks an end-to-end metric whose median is worse than the parent's
-by more than its bound.  Without it, every metric's median is printed
-beside that of the newest earlier ledger in ``--out`` (the highest PR
-number below ``--pr``), with ``!`` for a move beyond the bound.  The marks
-do not change the exit code.  Layer metrics are listed only where their
-medians differ.
+Last it prints, per metric, the parent's and the change's medians, the
+parent's interquartile range and the pairs the change won, a tie counting
+for neither side.  ``+`` marks a metric that meets the claim rule (at
+least ten pairs run, nine tenths of them won, and a median move larger
+than the parent's interquartile range); ``!`` marks an end-to-end metric
+whose median is worse than the parent's by more than its
+``BENCHMARK.json`` bound, read as a fraction of the parent's median.  The
+marks do not change the exit code.  Layer metrics are listed only where
+their medians differ; a metric only one side reports is listed as
+``new`` or ``gone``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
-import re
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -115,9 +113,7 @@ def gather(workloads: list, runs: int, runners: dict) -> dict:
             for trace in TRACE_MODES:
                 for side in sides if rep % 2 == 0 else sides[::-1]:
                     proc = runners[side](workload, trace)
-                    where = f"{workload} --trace {trace}"
-                    if len(sides) > 1:
-                        where = f"{side} {where}"
+                    where = f"{side} {workload} --trace {trace}"
                     if proc.returncode != 0:
                         raise LedgerError(f"{where}: exit {proc.returncode}\n{proc.stderr}")
                     envs[side], result = parse_run(proc.stdout)
@@ -144,80 +140,68 @@ def summarize_side(results: dict, env: dict, workloads: list) -> dict:
     return side
 
 
+def git(checkout: Path, *args: str, text: bool = True) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=text)
+
+
+def resolve(checkout: Path, rev: str) -> str:
+    """The commit ``rev`` names in the checkout's repository; raises
+    ``LedgerError`` if it names none."""
+    proc = git(checkout, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+    if proc.returncode != 0:
+        raise LedgerError(f"{rev}: not a commit of {checkout}")
+    return proc.stdout.strip()
+
+
+def archived_files(checkout: Path, commit: str):
+    """``(relative path, bytes)`` of every regular file of ``git archive``."""
+    proc = git(checkout, "archive", "--format=tar", commit, text=False)
+    if proc.returncode != 0:
+        raise LedgerError(f"git archive {commit}: {proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        for member in tar:
+            if member.isfile():
+                yield member.name, tar.extractfile(member).read()
+
+
+def working_files(checkout: Path):
+    """``(relative path, bytes)`` of every regular file of the working tree
+    that git tracks or would track: untracked files it does not ignore."""
+    names = git(checkout, "ls-files", "-z", "--cached", "--others",
+                "--exclude-standard").stdout
+    for name in filter(None, names.split("\0")):
+        path = checkout / name
+        if path.is_file() and not path.is_symlink():  # not deleted since
+            yield name, path.read_bytes()
+
+
+def write_tree(root: Path, files) -> None:
+    for name, data in files:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+
+
 @contextlib.contextmanager
-def paired_trees(checkout: Path, rev: str):
-    """``(parent, change)``: ``rev`` of the checkout's repository, checked
-    out by ``git worktree add``, and a copy of the checkout's working tree
-    (its tracked files and the untracked files git does not ignore), at
-    ``parent`` and ``change`` in one temporary directory.  The directory is
-    removed, with the worktree, however the body ends; raises
-    ``LedgerError`` if the checkout fails.  Both sides run from paths of
-    one length because ``peak_rss_mb`` moves with it: the same tree run
-    from a path 14 characters longer read 0.2 MB higher on nonlinear and
-    1.0 MB higher on csv-route."""
+def paired_trees(checkout: Path, commit: str):
+    """``(parent, change)``: the files of ``commit`` and of the checkout's
+    working tree, written at ``parent`` and ``change`` in one temporary
+    directory that is removed however the body ends.  Both sides run from
+    paths of one length because ``peak_rss_mb`` moves with it: the same
+    tree run from a path 14 characters longer read 0.2 MB higher on
+    nonlinear and 1.0 MB higher on csv-route."""
     tmp = Path(tempfile.mkdtemp(prefix="ledger-"))
-    parent, change = tmp / "parent", tmp / "change"
     try:
-        proc = subprocess.run(["git", "worktree", "add", "--detach", str(parent), rev],
-                              cwd=checkout, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise LedgerError(f"git worktree add {rev}: {proc.stderr.strip()}")
-        files = subprocess.run(
-            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-            cwd=checkout, capture_output=True, text=True, check=True).stdout
-        for name in filter(None, files.split("\0")):
-            if (checkout / name).is_file():  # not a tracked file since deleted
-                (change / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(checkout / name, change / name)
-        yield parent, change
+        write_tree(tmp / "parent", archived_files(checkout, commit))
+        write_tree(tmp / "change", working_files(checkout))
+        yield tmp / "parent", tmp / "change"
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent)],
-                       cwd=checkout, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
 def commit_of(checkout: Path) -> str:
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                              text=True).stdout.strip()
-
-    head = git("rev-parse", "HEAD") or "unknown"
-    return head + ("+dirty" if git("status", "--porcelain", "--", "src", "perfbench") else "")
-
-
-def newest_earlier(out: Path, pr: int) -> Path | None:
-    """The ledger in ``out`` with the highest PR number below ``pr``."""
-    earlier = [(int(m.group(1)), path) for path in out.glob("BENCH_*.json")
-               if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))
-               and int(m.group(1)) < pr]
-    return max(earlier)[1] if earlier else None
-
-
-def diff(old: dict, new: dict, bounds: dict) -> list:
-    """One line per end-to-end metric and per layer metric that moved,
-    old median against new; an end-to-end metric worse than the old median
-    by more than its bound (a fraction of that median) starts with ``!``."""
-    lines = []
-    for section in ("end_to_end", "layers"):
-        for workload, metrics in new[section].items():
-            for name, now in metrics.items():
-                was = old.get(section, {}).get(workload, {}).get(name)
-                if was is None:
-                    lines.append(f"  {section} {workload} {name}: new, "
-                                 f"{now['median']:.6g} {now['unit']}")
-                    continue
-                a, b = was["median"], now["median"]
-                if section == "layers" and a == b:
-                    continue
-                change = f"{(b - a) / a:+.1%}" if a else "n/a"
-                mark = " "
-                if section == "end_to_end" and name in bounds:
-                    sign = 1.0 if bounds[name]["better"] == "lower" else -1.0
-                    if sign * (b - a) > bounds[name]["bound"] * abs(a):
-                        mark = "!"
-                lines.append(f"{mark} {section} {workload} {name}: "
-                             f"{a:.6g} -> {b:.6g} {now['unit']} ({change})")
-    return lines
+    head = git(checkout, "rev-parse", "HEAD").stdout.strip() or "unknown"
+    dirty = git(checkout, "status", "--porcelain", "--", "src", "perfbench").stdout.strip()
+    return head + ("+dirty" if dirty else "")
 
 
 def paired(ledger: dict, spec: dict) -> list:
@@ -225,15 +209,17 @@ def paired(ledger: dict, spec: dict) -> list:
     the parent's median against the change's, with the parent's
     interquartile range and the pairs the change won.  ``+`` marks the
     claim rule met, ``!`` an end-to-end metric worse than the parent's
-    median by more than its bound (a fraction of that median)."""
+    median by more than its bound (a fraction of that median).  A metric
+    only one side reports is listed as ``new`` or ``gone``."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent = ledger["parent"]
     lines = []
     for section in ("end_to_end", "layers"):
         for workload, metrics in ledger[section].items():
+            before = parent[section].get(workload, {})
             for name, now in metrics.items():
-                was = parent[section].get(workload, {}).get(name)
+                was = before.get(name)
                 if was is None:  # REV's benchmark does not report it
                     lines.append(f"  {section} {workload} {name}: new, "
                                  f"{now['median']:.6g} {now['unit']}")
@@ -258,64 +244,52 @@ def paired(ledger: dict, spec: dict) -> list:
                 lines.append(f"{mark} {section} {workload} {name}: {a:.6g} -> {b:.6g} "
                              f"{now['unit']} ({change}), parent IQR {iqr:.3g}, "
                              f"won {won}/{len(pairs)}")
+            lines += [f"  {section} {workload} {name}: gone, "
+                      f"{was['median']:.6g} {was['unit']}"
+                      for name, was in before.items() if name not in metrics]
     return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--against", metavar="REV", required=True,
+                        help="measure REV of the checkout's repository beside it")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--out", type=Path, default=ROOT)
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--against", metavar="REV",
-                        help="measure REV of the checkout's repository beside it")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     workloads = [w["name"] for w in spec["workloads"]]
 
-    def runner(checkout):
-        return lambda w, t: run_perfbench(checkout, w, t, seconds, args.seed)
+    def runner(tree):
+        return lambda w, t: run_perfbench(tree, w, t, seconds, args.seed)
 
     try:
-        with contextlib.ExitStack() as stack:
-            trees = {"change": args.checkout}
-            commits = {"change": commit_of(args.checkout)}
-            if args.against:
-                trees = dict(zip(("parent", "change"), stack.enter_context(
-                    paired_trees(args.checkout, args.against))))
-                commits["parent"] = commit_of(trees["parent"])
+        parent_commit = resolve(args.checkout, args.against)
+        commit = commit_of(args.checkout)
+        with paired_trees(args.checkout, parent_commit) as (parent, change):
             sides = gather(workloads, args.runs,
-                           {side: runner(tree) for side, tree in trees.items()})
+                           {"parent": runner(parent), "change": runner(change)})
     except LedgerError as exc:
         print(f"error: {exc}\nno ledger written", file=sys.stderr)
         return 1
     ledger = sides["change"]
-    ledger.update(pr=args.pr, commit=commits["change"],
+    ledger.update(pr=args.pr, commit=commit,
+                  parent={**sides["parent"], "commit": parent_commit},
                   settings={"runs": args.runs, "seconds": seconds, "seed": args.seed})
-    if args.against:
-        ledger["parent"] = {**sides["parent"], "commit": commits["parent"]}
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
-
-    if args.against:
-        print(f"parent {commits['parent']} -> change {commits['change']}, "
-              f"{args.runs} pairs (+ meets the claim rule, ! a move beyond its bound):")
-        print("\n".join(paired(ledger, spec)))
-        return 0
-    earlier = newest_earlier(args.out, args.pr)
-    if earlier is None:
-        print(f"no earlier BENCH_*.json in {args.out} to compare with")
-        return 0
-    bounds = {m["name"]: m for m in spec["end_to_end"]}
-    print(f"against {earlier.name} (! marks a move beyond its bound):")
-    print("\n".join(diff(json.loads(earlier.read_text()), ledger, bounds)))
+    print(f"parent {parent_commit} -> change {commit}, "
+          f"{args.runs} pairs (+ meets the claim rule, ! a move beyond its bound):")
+    print("\n".join(paired(ledger, spec)))
     return 0
 
 
