@@ -171,7 +171,7 @@ def working_files(checkout: Path):
                 "--exclude-standard").stdout
     for name in filter(None, names.split("\0")):
         path = checkout / name
-        if path.is_file() and not path.is_symlink():  # not deleted since
+        if path.is_file() and not path.is_symlink():  # not deleted, not a link
             yield name, path.read_bytes()
 
 
