@@ -37,6 +37,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -317,7 +318,7 @@ def read_tensor(path: str):
         raise CliError(f"{path}: dims must be positive integers")
     if len(widths) != dims[0]:
         raise CliError(f"{path}: expected {dims[0]} data rows, got {len(widths)}")
-    d = int(np.prod(dims[1:]))
+    d = math.prod(dims[1:])
     _check_widths(path, widths, d)
     tensor = np.empty((dims[0], d))
     columns = {j: _Column(tensor[:, j]) for j in range(d)}
@@ -445,11 +446,6 @@ def _naming_dependent_column(kind, columns, earlier, rows):
 
 
 def cmd_correct(args) -> int:
-    if args.retired:
-        raise CliError(
-            f"{args.retired} is retired: the constrained solver takes Newton "
-            "steps and has no step size; use --max-iter and --tol"
-        )
     family = family_by_name(args.family)
     out_dir = Path(args.out)
     protected_cols = [c.strip() for c in args.protected.split(",") if c.strip()]
@@ -677,7 +673,7 @@ def _grid_from_args(args) -> list:
                     seed=int(cell.get("seed", args.seed)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"bad grid cell {cell!r}: {exc}")
     return grid
 
@@ -749,13 +745,6 @@ def cmd_demo(args) -> int:
 # parser
 
 
-class _Retired(argparse.Action):
-    """Records a retired flag; ``cmd_correct`` refuses it with exit code 2."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.retired = option_string
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthokit",
@@ -779,9 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Newton-step budget of method=glm-constrained")
     c.add_argument("--tol", type=float, default=ConstrainedConfig.constraint_tol,
                    help="constraint-residual tolerance of method=glm-constrained")
-    for retired in ("--lr", "--zeta"):
-        c.add_argument(retired, action=_Retired, help=argparse.SUPPRESS)
-    c.set_defaults(func=cmd_correct, retired=None)
+    c.set_defaults(func=cmd_correct)
 
     e = sub.add_parser("evaluate", help="test protected influence on predictions")
     e.add_argument("--predictions", required=True,

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularInformation
+from .errors import DimensionMismatch, DomainError, SingularInformation
 from .linalg import as_matrix, as_vector, least_squares
 
 # Clamp applied to means before weight/likelihood evaluation, keeping the
@@ -305,7 +305,7 @@ def fit_glm(
     zm = as_matrix(z, "design matrix")
     yv = as_vector(y, "response")
     if zm.shape[0] != yv.shape[0]:
-        raise DomainError(
+        raise DimensionMismatch(
             f"design has {zm.shape[0]} rows but response has {yv.shape[0]}"
         )
     if check_domain:
@@ -378,7 +378,7 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     if fit.with_intercept:
         zm = np.column_stack([np.ones(zm.shape[0]), zm])
     if zm.shape[1] != fit.coefficients.shape[0]:
-        raise DomainError("design width does not match coefficient length")
+        raise DimensionMismatch("design width does not match coefficient length")
     n, k = zm.shape
 
     factor, rcond = _cholesky(_weighted_gram(zm, fit.weight_diag))

@@ -10,15 +10,17 @@ package's one projection verb: vectors, matrices and tensors alike are
 projected along their leading (observation) axis, i.e. on their n-by-d
 matricization, which is the mode-1 product with ``I - Q Q^T``.  A
 ``Projector`` is the one fitted object: it holds a Householder QR
-``(q, r)`` of a full-column-rank matrix, whose factoring carries the hard
-rank check, and serves both projection (``complement``) and regression on
-the same rows (``solve``, back substitution for any number of right-hand
-sides); ``least_squares`` is ``Projector.fit`` and one solve.  The QR also
-factors a ``(b, n, p)`` stack of equal-shape blocks in one
-``numpy.linalg.qr`` call, with the rank check applied block by block:
-per-call overhead, not arithmetic, dominates the QR of a 128-by-2 block, so
-the projectors of many small blocks (an MLP epoch's batches) are built
-together, each bitwise equal to its own ``build_projector``.  IRLS
+``(q, r)`` of a full-column-rank matrix and serves both projection
+(``complement``) and regression on the same rows (``solve``, back
+substitution for any number of right-hand sides).  Every projector comes
+from one factorization, ``_projectors``: one ``numpy.linalg.qr`` call over
+a ``(b, n, p)`` stack of equal-shape blocks, with the hard rank check
+applied block by block.  ``Projector.fit`` (and so ``least_squares``, which
+is ``Projector.fit`` and one solve) and ``build_projector`` factor a matrix
+as the stack of one, each with its own validation and errors; an MLP
+epoch's batches are factored together, because per-call overhead, not
+arithmetic, dominates the QR of a 128-by-2 block, and each block is
+bitwise equal to its own ``build_projector``.  IRLS
 (``glm.fit_glm``) does use the normal equations: it solves each step on
 the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted Gram in
 the package, by ``glm._weighted_gram``, one row block at a time), guarded
@@ -73,38 +75,6 @@ def as_tensor(t, name: str = "tensor") -> np.ndarray:
     return a
 
 
-def _qr(a: np.ndarray):
-    """Thin Householder QR with a hard rank check, of a matrix or of each
-    block of a stack.
-
-    ``a`` is one n-by-p matrix or a ``(b, n, p)`` stack of them, factored by
-    one ``numpy.linalg.qr`` call; a matrix is the stack of one, and each
-    block's factors are bitwise those of its own 2-D call.  A block is rank
-    deficient at the first column, in input order, whose diagonal
-    ``|r_jj|`` (its distance from the span of the columns before it) is at
-    most ``RANK_RTOL`` times the block's largest column norm, taken from R
-    (``||A e_j|| = ||R e_j||``, as Q has orthonormal columns).  For a matrix
-    returns ``(q, r)`` and raises its ``RankDeficient``; for a stack returns
-    ``(q, r, errors)``, with ``errors[k]`` block k's ``RankDeficient`` or
-    None.
-    """
-    if a.shape[-1] == 0:
-        raise RankDeficient(0, "matrix has no columns")
-    stack = a if a.ndim == 3 else a[None]
-    q, r = np.linalg.qr(stack)
-    sq_norms = np.maximum.reduce(np.add.reduce(r * r, axis=1), axis=1)
-    thresh = RANK_RTOL * np.sqrt(sq_norms)
-    bad = np.abs(np.diagonal(r, axis1=1, axis2=2)) <= thresh[:, None]
-    errors = [
-        RankDeficient(int(np.argmax(row))) if row.any() else None for row in bad
-    ]
-    if a.ndim == 3:
-        return q, r, errors
-    if errors[0]:
-        raise errors[0]
-    return q[0], r[0]
-
-
 @dataclass(frozen=True)
 class Projector:
     """The thin Householder QR ``(q, r)`` of a full-column-rank n-by-p
@@ -124,12 +94,12 @@ class Projector:
         """Validate the design ``a`` and factor it; raises ``RankDeficient``
         if its columns are (numerically) linearly dependent."""
         am = as_matrix(a, "design matrix")
-        if am.shape[0] < am.shape[1]:
-            raise RankDeficient(
-                am.shape[0],
-                f"{am.shape[0]}x{am.shape[1]} design cannot have full column rank",
-            )
-        return cls(*_qr(am))
+        n, p = am.shape
+        if p == 0:
+            raise RankDeficient(0, "matrix has no columns")
+        if n < p:
+            raise RankDeficient(n, f"{n}x{p} design cannot have full column rank")
+        return _projector(am)
 
     def complement(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Project ``a`` along its leading axis onto the orthogonal complement.
@@ -185,21 +155,38 @@ def build_projector(x) -> Projector:
     xm = as_matrix(x, "protected features")
     if xm.shape[1] < 1:
         raise DimensionMismatch("need at least one column")
-    (proj,) = _projectors(xm[None])
-    if isinstance(proj, Exception):
-        raise proj
-    return proj
+    return _projector(xm)
 
 
 def _projectors(stack: np.ndarray) -> list:
-    """``build_projector`` of each block of a ``(b, n, p)`` stack, from one
-    stacked QR: the block's ``Projector``, or the ``DimensionMismatch`` or
-    ``RankDeficient`` that ``build_projector`` raises for it."""
+    """The ``Projector`` of each block of a ``(b, n, p)`` stack, p >= 1,
+    from one Householder QR of the whole stack, or the error of a block
+    with none: ``DimensionMismatch`` for every block when n < p, else
+    ``RankDeficient`` at the block's first column, in input order, whose
+    diagonal ``|r_jj|`` (its distance from the span of the columns before
+    it) is at most ``RANK_RTOL`` times the block's largest column norm,
+    taken from R (``||A e_j|| = ||R e_j||``, as Q has orthonormal columns).
+    Each block's factors are bitwise those of its own stack of one."""
     _, n, p = stack.shape
     if n < p:
         return [DimensionMismatch(f"need n >= p, got n={n} < p={p}") for _ in stack]
-    q, r, errors = _qr(stack)
-    return [err or Projector(qk, rk) for qk, rk, err in zip(q, r, errors)]
+    q, r = np.linalg.qr(stack)
+    sq_norms = np.maximum.reduce(np.add.reduce(r * r, axis=1), axis=1)
+    thresh = RANK_RTOL * np.sqrt(sq_norms)
+    bad = np.abs(np.diagonal(r, axis1=1, axis2=2)) <= thresh[:, None]
+    return [
+        RankDeficient(int(np.argmax(row))) if row.any() else Projector(qk, rk)
+        for qk, rk, row in zip(q, r, bad)
+    ]
+
+
+def _projector(m: np.ndarray) -> Projector:
+    """The projector of one n-by-p matrix, ``_projectors`` of its stack of
+    one; raises that block's error."""
+    (proj,) = _projectors(m[None])
+    if isinstance(proj, Exception):
+        raise proj
+    return proj
 
 
 def center_columns(x) -> np.ndarray:

@@ -151,17 +151,19 @@ class TestCorrectCommand:
     @pytest.mark.parametrize("flag", ["--lr", "--zeta"])
     def test_retired_step_size_flags_exit_2(self, bernoulli_csv, tmp_path,
                                             capsys, flag):
+        # the constrained solver has no step size: argparse refuses the
+        # flags as unknown
         path, _ = bernoulli_csv
-        rc = main([
-            "correct", "--data", str(path), "--outcome", "y",
-            "--protected", "x0,x1,x2", "--family", "bernoulli",
-            "--method", "glm-constrained", "--out", str(tmp_path / "o"),
-            flag, "0.01",
-        ])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "correct", "--data", str(path), "--outcome", "y",
+                "--protected", "x0,x1,x2", "--family", "bernoulli",
+                "--method", "glm-constrained", "--out", str(tmp_path / "o"),
+                flag, "0.01",
+            ])
+        assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert flag in err[0] and "--max-iter" in err[0] and "--tol" in err[0]
+        assert "unrecognized arguments" in err[-1] and flag in err[-1]
         assert not (tmp_path / "o").exists()
 
     def test_separated_design_exits_3_with_feasible_report(self, tmp_path):
@@ -416,6 +418,9 @@ def _bad_input(case, tmp_path):
         # both are checked before the rows' widths, which would match a zero
         "zero_tensor_dim": (tensor_argv, ["tensor.csv", "dims must be positive"]),
         "negative_tensor_dim": (tensor_argv, ["tensor.csv", "dims must be positive"]),
+        # 2**32 * 2**32 cells, a width no int64 product holds
+        "overflowing_tensor_width": (tensor_argv, [
+            "tensor.csv", "row 2 has 0 cells", "expected 18446744073709551616"]),
         "tensor_row_count": (tensor_argv, ["tensor.csv", "40", "39"]),
         "non_numeric_tensor_cell": (tensor_argv, ["tensor.csv", "'abc'", "row 4"]),
         "ragged_tensor_row": (tensor_argv, ["tensor.csv", "row 7", "5 cells", "expected 6"]),
@@ -448,6 +453,8 @@ def _bad_input(case, tmp_path):
         tensor = [[f"#dims {n} 0"]] + [[] for _ in range(n)]
     elif case == "negative_tensor_dim":
         tensor[0] = [f"#dims {n} -1"]
+    elif case == "overflowing_tensor_width":
+        tensor = [[f"#dims {n} 4294967296 4294967296"]] + [[] for _ in range(n)]
     elif case == "tensor_row_count":
         del tensor[-1]
     elif case == "non_numeric_tensor_cell":
@@ -496,7 +503,7 @@ def _bad_input(case, tmp_path):
 
 BAD_INPUT_CASES = [
     "data_row_width", "single_level_category", "malformed_dims",
-    "zero_tensor_dim", "negative_tensor_dim",
+    "zero_tensor_dim", "negative_tensor_dim", "overflowing_tensor_width",
     "tensor_row_count", "non_numeric_tensor_cell", "ragged_tensor_row",
     "non_finite_data_cell", "non_finite_prediction_cell",
     "non_finite_tensor_cell", "empty_numeric_cell", "empty_categorical_cell",
@@ -1042,6 +1049,16 @@ class TestSimulateCommand:
         rc = main(["simulate", "--grid", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_overflowing_grid_cell_exits_2(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which no integer holds
+        bad = tmp_path / "big.json"
+        bad.write_text('[{"n": 1e400, "p": 1, "q": 2}]')
+        rc = main(["simulate", "--grid", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "bad grid cell" in err[0]
+        assert not (tmp_path / "o").exists()
 
 
 class TestDemoCommand:

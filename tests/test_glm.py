@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 import orthokit.glm as glm_module
 from orthokit.correct import augment_intercept
-from orthokit.errors import DomainError, RankDeficient, SingularInformation
+from orthokit.errors import (
+    DimensionMismatch,
+    DomainError,
+    RankDeficient,
+    SingularInformation,
+)
 from orthokit.glm import (
     BERNOULLI,
     GAUSSIAN,
@@ -241,6 +246,10 @@ class TestFitGlm:
         with pytest.raises(DomainError):
             fit_glm(z, [-1.0, 2.0, 1.0], POISSON)
 
+    def test_response_length_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="design has 3 rows but response has 2"):
+            fit_glm(np.ones((3, 1)), [0.0, 1.0], BERNOULLI)
+
     def test_soft_targets_allowed_for_bernoulli(self):
         g = rng(16)
         z = g.standard_normal((50, 2))
@@ -453,6 +462,13 @@ class TestWaldInference:
         )
         with pytest.raises(SingularInformation):
             wald_inference(fit, z)
+
+    def test_design_width_mismatch(self):
+        g = rng(23)
+        z = g.standard_normal((30, 2))
+        fit = fit_glm(z, (g.random(30) < 0.5).astype(float), BERNOULLI)
+        with pytest.raises(DimensionMismatch, match="does not match coefficient length"):
+            wald_inference(fit, z[:, :1])
 
     @settings(max_examples=30, deadline=None)
     @given(z=st.floats(-30, 30, allow_nan=False))

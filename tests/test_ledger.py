@@ -1,12 +1,18 @@
 """The benchmark ledger's summary, refusal, pairing and trees.
 
 No benchmark runs here: ``gather`` is handed a fake runner, and ``main`` a
-fake ``run_perfbench``, that return what ``perfbench/run.py`` prints.
+fake ``run_perfbench``, that return what ``perfbench/run.py`` prints.  One
+test runs the ledger script on a repository whose runner only sleeps, and
+stops it with SIGTERM.
 """
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -274,3 +280,33 @@ def test_against_an_unknown_revision_writes_nothing(repo, tmp_path, monkeypatch)
     assert not out.exists()
     assert list((tmp_path / "tmp").iterdir()) == []
     assert not (repo / ".git" / "worktrees").exists()
+
+
+def test_sigterm_removes_the_trees_and_kills_the_run(repo, tmp_path):
+    # a run that records its pid in its tree, then outlasts the test
+    (repo / "perfbench" / "run.py").write_text(
+        "import os, time\n"
+        "open('started', 'w').write(str(os.getpid()))\n"
+        "time.sleep(30)\n")
+    git(repo, "commit", "-q", "-am", "sleep")
+    tmp = tmp_path / "tmp"
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "ledger.py"), "--pr", "0", "--runs", "1",
+         "--out", str(tmp_path / "out"), "--checkout", str(repo), "--against", "HEAD"],
+        env={**os.environ, "TMPDIR": str(tmp)}, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 20
+        while not (started := list(tmp.glob("ledger-*/*/started"))):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        while not (pid := started[0].read_text()):  # the run is writing it
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.returncode != 0
+    assert list(tmp.iterdir()) == []
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)

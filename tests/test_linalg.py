@@ -17,7 +17,6 @@ from orthokit.linalg import (
     RANK_RTOL,
     Projector,
     _projectors,
-    _qr,
     build_projector,
     center_columns,
     least_squares,
@@ -106,54 +105,58 @@ class TestBuildProjector:
             build_projector(x)
 
 
-def qr_of_block(block):
-    """Oracle: the 2-D ``_qr`` call of one block, as (q, r, error)."""
+def fit_of_block(block):
+    """Oracle: ``Projector.fit`` of one block, or the error it raises."""
     try:
-        return (*_qr(block), None)
+        return Projector.fit(block)
     except RankDeficient as exc:
-        q, r = np.linalg.qr(block)
-        return q, r, exc
+        return exc
+
+
+def col_indices(projs):
+    """Each block's rank-deficient column, or None for a projector."""
+    return [p.col_index if isinstance(p, RankDeficient) else None for p in projs]
 
 
 class TestStackedQr:
-    """A stack's factors and rank decisions are block for block those of
-    the 2-D call."""
+    """``_projectors`` of a stack is block for block ``Projector.fit`` of
+    each block: bitwise the same factors and the same rank decisions."""
 
     def assert_blockwise(self, stack):
-        q, r, errors = _qr(stack)
-        assert len(errors) == stack.shape[0]
-        for k, block in enumerate(stack):
-            q_k, r_k, err_k = qr_of_block(block)
-            np.testing.assert_array_equal(q[k], q_k)
-            np.testing.assert_array_equal(r[k], r_k)
-            assert type(errors[k]) is type(err_k)
-            if err_k is not None:
-                assert errors[k].col_index == err_k.col_index
-                assert str(errors[k]) == str(err_k)
-        return errors
+        projs = _projectors(stack)
+        assert len(projs) == stack.shape[0]
+        for proj, block in zip(projs, stack):
+            want = fit_of_block(block)
+            assert type(proj) is type(want)
+            if isinstance(want, Projector):
+                assert proj.q.tobytes() == want.q.tobytes()
+                assert proj.r.tobytes() == want.r.tobytes()
+            else:
+                assert proj.col_index == want.col_index
+                assert str(proj) == str(want)
+        return col_indices(projs)
 
     def test_full_rank_blocks(self):
-        errors = self.assert_blockwise(rng(30).standard_normal((12, 128, 2)))
-        assert errors == [None] * 12
+        assert self.assert_blockwise(rng(30).standard_normal((12, 128, 2))) == [None] * 12
 
     def test_dependent_block_among_good_ones(self):
         stack = rng(31).standard_normal((5, 40, 3))
         stack[2, :, 2] = stack[2, :, 0] - 3.0 * stack[2, :, 1]
-        errors = self.assert_blockwise(stack)
-        assert [e is None for e in errors] == [True, True, False, True, True]
-        assert errors[2].col_index == 2
+        assert self.assert_blockwise(stack) == [None, None, 2, None, None]
 
     def test_numerically_zero_column_zero(self):
         stack = rng(32).standard_normal((3, 64, 2))
         stack[1, :, 0] *= 1e-13
         stack[2] *= 1e-12  # tiny, but at one scale: the rule is per block
-        errors = self.assert_blockwise(stack)
-        assert [e and e.col_index for e in errors] == [None, 0, None]
+        assert self.assert_blockwise(stack) == [None, 0, None]
 
     def test_blocks_with_fewer_rows_than_columns(self):
+        # no rank decision is made: every block gets build_projector's error
         stack = np.array([[[1.0, 2.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
-        errors = self.assert_blockwise(stack)
-        assert [e and e.col_index for e in errors] == [None, 0, 0]
+        for proj, block in zip(_projectors(stack), stack):
+            with pytest.raises(DimensionMismatch) as exc:
+                build_projector(block)
+            assert type(proj) is DimensionMismatch and str(proj) == str(exc.value)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-16, 1e-13, 3e-12, 3.5e-12, 1e-9, 1e-6])
     def test_threshold_from_r_matches_column_norm_rule(self, scale):
@@ -170,24 +173,15 @@ class TestStackedQr:
         diag = np.abs(np.diagonal(np.linalg.qr(stack)[1], axis1=1, axis2=2))
         bad = diag <= thresh[:, None]
         expected = [int(np.argmax(row)) if row.any() else None for row in bad]
-        _, _, errors = _qr(stack)
-        assert [e and e.col_index for e in errors] == expected
-        for block, want in zip(stack, expected):
-            if want is None:
-                _qr(block)
-            else:
-                with pytest.raises(RankDeficient) as exc:
-                    _qr(block)
-                assert exc.value.col_index == want
+        assert self.assert_blockwise(stack) == expected
 
     def test_matrix_is_the_stack_of_one(self):
         x = rng(33).standard_normal((50, 4))
-        q, r = _qr(x)
-        q1, r1, errors = _qr(x[None])
-        np.testing.assert_array_equal(q, np.linalg.qr(x)[0])
-        np.testing.assert_array_equal(q, q1[0])
-        np.testing.assert_array_equal(r, r1[0])
-        assert errors == [None]
+        q, r = np.linalg.qr(x)
+        fit, (stacked,) = Projector.fit(x), _projectors(x[None])
+        for proj in (fit, stacked, build_projector(x)):
+            assert proj.q.tobytes() == q.tobytes()
+            assert proj.r.tobytes() == r.tobytes()
 
     @pytest.mark.parametrize("rows", [128, 1])
     def test_projectors_match_build_projector(self, rows):

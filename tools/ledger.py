@@ -13,9 +13,10 @@ tree's ``perfbench/run.py`` runs as a subprocess ``--runs`` times at
 ``--seed`` (default ``SEED``), the workloads and modes interleaved within
 each repetition.  Each run of one side is paired with a run of the other
 made right after it, and the side that goes first alternates from one
-repetition to the next.  The directory is removed when the runs end; a
-killed run may leave it in the system's temporary directory, but nothing
-in the repository.  Nothing is written unless REV names a commit and every
+repetition to the next.  The directory is removed when the runs end, also
+on SIGTERM, which kills the run in progress; a run killed outright may
+leave it in the system's temporary directory, but nothing in the
+repository.  Nothing is written unless REV names a commit and every
 run exits 0 and reports ``correct: true``.  Then it writes
 ``BENCH_<pr>.json`` into ``--out`` (default: this repository's root):
 
@@ -52,6 +53,7 @@ import contextlib
 import io
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -294,4 +296,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # a SIGTERM (as from `timeout`) unwinds as SystemExit, so paired_trees
+    # removes its trees and subprocess.run kills the run it waits on
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
