@@ -2,7 +2,8 @@
 
 Derived expectations are computed from independent oracles: explicit
 normal-equations projectors, brute-force Kronecker products, and per-column
-mean subtraction.
+mean subtraction.  A stack's projectors are compared with ``Projector.fit``
+of each block on its own.
 """
 
 import tracemalloc
@@ -113,16 +114,13 @@ def fit_of_block(block):
         return exc
 
 
-def col_indices(projs):
-    """Each block's rank-deficient column, or None for a projector."""
-    return [p.col_index if isinstance(p, RankDeficient) else None for p in projs]
-
-
 class TestStackedQr:
     """``_projectors`` of a stack is block for block ``Projector.fit`` of
     each block: bitwise the same factors and the same rank decisions."""
 
     def assert_blockwise(self, stack):
+        """Check each block against the oracle; return each block's
+        rank-deficient column, or None for a projector."""
         projs = _projectors(stack)
         assert len(projs) == stack.shape[0]
         for proj, block in zip(projs, stack):
@@ -134,7 +132,7 @@ class TestStackedQr:
             else:
                 assert proj.col_index == want.col_index
                 assert str(proj) == str(want)
-        return col_indices(projs)
+        return [p.col_index if isinstance(p, RankDeficient) else None for p in projs]
 
     def test_full_rank_blocks(self):
         assert self.assert_blockwise(rng(30).standard_normal((12, 128, 2))) == [None] * 12
