@@ -13,29 +13,22 @@ Three ways to remove the linear influence of protected features:
 * ``fit_constrained_glm`` refits a GLM subject to the corrected predictions
   being empirically uncorrelated with every (centered) protected column,
   solved by equality-constrained Newton steps (SQP) on one constraint per
-  protected column, from the exactly feasible start ``gamma = 0``.  Each
-  step costs one weighted Gram product for the Lagrangian Hessian plus
-  small factorizations: an SVD of the constraint Jacobian and a solve with
-  the Hessian on its null space, both from ``numpy.linalg``.  It returns its
-  best iterate whether or not it converged.
+  protected column, from the exactly feasible start ``gamma = 0``, by
+  ``glm._newton``, the Newton loop ``fit_glm`` runs with no constraints.
+  Each step costs one weighted Gram product (the Lagrangian Hessian), an
+  SVD of the constraint Jacobian and a solve on its null space.  It
+  returns its best iterate whether or not it converged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, RankDeficient
-from .glm import MEAN_EPS, GlmFamily, _weighted_gram
-from .linalg import (
-    RANK_RTOL,
-    as_matrix,
-    as_tensor,
-    as_vector,
-    build_projector,
-    center_columns,
-)
+from .errors import DimensionMismatch, DomainError, InvalidSpec, RankDeficient
+from .glm import GlmFamily, _newton
+from .linalg import as_matrix, as_tensor, as_vector, build_projector, center_columns
 
 
 def relu(x) -> np.ndarray:
@@ -122,23 +115,22 @@ class ConstrainedConfig:
     """Stopping rule of the constrained-GLM solver.
 
     ``max_iter`` bounds the number of Newton steps and ``constraint_tol``
-    the reported ``constraint_residual`` of an accepted fit.
+    the reported ``constraint_residual`` of an accepted fit; a negative or
+    non-finite ``constraint_tol`` raises ``InvalidSpec``.
     """
 
     max_iter: int = 100
     constraint_tol: float = 1e-6
 
+    def __post_init__(self):
+        if not 0.0 <= self.constraint_tol < float("inf"):
+            raise InvalidSpec(f"constraint_tol must be finite and non-negative, "
+                              f"got {self.constraint_tol}")
+
 
 # KKT stationarity ||grad f + J^T lam||_inf (f = NLL / n) below which a
 # feasible iterate is accepted as the constrained optimum
 STATIONARITY_TOL = 1e-8
-
-# Relative rounding allowance of the line search: a trial whose merit
-# exceeds the Armijo bound by at most MERIT_RTOL * (|merit0| + 1) is
-# accepted, so that a step whose merit change is below the rounding of a
-# sum over thousands of rows is not halved on noise in the last digits
-# (``fit_glm`` accepts its steps on the same rule)
-MERIT_RTOL = 1e-12
 
 
 @dataclass
@@ -150,9 +142,10 @@ class CorrectionOutcome:
     ``||Xc^T h(Z gamma) / n||^2`` (equal to ``constraint_value(...) / n^2``).
     ``loss`` is the family negative log-likelihood (total, not per-row) and
     ``stationarity`` the KKT residual ``||grad f + J^T lam||_inf`` of the
-    per-row loss f at the least-squares multipliers.  ``stop_reason`` says
-    why the solver stopped: ``"converged"``, ``"reached max_iter=..."``,
-    ``"line search stalled"``, or quasi-separation of the design.
+    per-row loss f at the least-squares multipliers.  ``stop_reason`` is
+    one of the Newton loop's: ``"converged"``, ``"reached max_iter=N"``,
+    ``"line search stalled"`` or ``"means reached the clamp: the design
+    is quasi-separated"``.
     """
 
     gamma_c: np.ndarray
@@ -163,40 +156,6 @@ class CorrectionOutcome:
     converged: bool
     stationarity: float = float("nan")
     stop_reason: str = ""
-
-
-def _newton_step(hess, jac, grad, c):
-    """The SQP step ``d`` of the KKT system
-    ``[[H, J^T], [J, 0]] [d, lam] = -[grad, c]`` by the null-space method.
-
-    One SVD ``J^T = U S V^T``, cut at rank r where the singular values fall
-    to ``RANK_RTOL * s_0``, splits d into a range part ``Y dy`` (Y the first
-    r columns of U) that solves the r independent linearized constraints
-    and a null-space part ``N dz`` (N the other columns) from a solve with
-    the reduced Hessian ``N^T H N``.  When that block's smallest eigenvalue
-    is at most ``1e-10 * scale`` (the Cholesky factorization of the block
-    less that much fails) the Hessian gets a Levenberg shift, so that d
-    descends on the merit.  Returns ``(d, H)`` with the Hessian the step
-    used, shifted or not.
-    """
-    k = hess.shape[0]
-    u, s, vt = np.linalg.svd(jac.T)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-    y, null = u[:, :rank], u[:, rank:]
-    d = y @ (-(vt[:rank] @ c) / s[:rank])
-    if rank == k:  # the linearized constraints alone determine d
-        return d, hess
-    reduced = null.T @ hess @ null
-    scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
-    eye = np.eye(k - rank)
-    try:
-        np.linalg.cholesky(reduced - 1e-10 * scale * eye)
-    except np.linalg.LinAlgError:
-        shift = 1e-4 * scale - 2.0 * np.linalg.eigvalsh(reduced).min()
-        hess = hess + shift * np.eye(k)
-        reduced = reduced + shift * eye
-    dz = np.linalg.solve(reduced, -null.T @ (grad + hess @ d))
-    return d + null @ dz, hess
 
 
 def fit_constrained_glm(
@@ -256,56 +215,7 @@ def fit_constrained_glm(
     if n < k:
         raise RankDeficient(n, f"{n}x{k} design cannot have full column rank")
 
-    def evaluate(g: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mu = family.h(zd @ g)
-            return mu, xc.T @ mu / n, family.nll(yv, mu) / n
-
-    gamma, rho, best = np.zeros(k), 0.0, None
-    mu, c, loss = evaluate(gamma)
-    reason = f"reached max_iter={cfg.max_iter}"
-    for it in range(cfg.max_iter + 1):
-        hp = family.variance(mu)  # h' for a canonical link
-        grad = zd.T @ (mu - yv) / n
-        jac = (xc * hp[:, None]).T @ zd / n
-        lam = np.linalg.lstsq(jac.T, -grad, rcond=None)[0]
-        stat = float(np.max(np.abs(grad + jac.T @ lam)))
-        out = CorrectionOutcome(gamma, mu, float(c @ c), loss * n, it, False, stat)
-        feasible = out.constraint_residual <= cfg.constraint_tol
-        if feasible and (best is None or out.loss < best.loss):
-            best = out
-        if family.name == "bernoulli" and not np.all(
-            (mu > MEAN_EPS) & (mu < 1.0 - MEAN_EPS)
-        ):
-            reason = "means reached the clamp: the design is quasi-separated"
-            break
-        if feasible and stat <= STATIONARITY_TOL:
-            return replace(out, converged=True, stop_reason="converged")
-        if it == cfg.max_iter:
-            break
-
-        w = hp * (1.0 + family.variance_prime(mu) * (xc @ lam))
-        d, hess = _newton_step(_weighted_gram(zd, w) / n, jac, grad, c)
-
-        # l1 merit f + rho ||c||_1 with rho from Nocedal & Wright eq. 18.36
-        # (sigma = 1, rho-bar = 1/2), so that d is a descent direction
-        c1, slope = float(np.sum(np.abs(c))), float(grad @ d)
-        if c1 > 0.0:
-            curv = max(float(d @ hess @ d), 0.0)
-            rho = max(rho, (slope + 0.5 * curv) / (0.5 * c1))
-        merit0, descent = loss + rho * c1, slope - rho * c1
-        bound = merit0 + MERIT_RTOL * (abs(merit0) + 1.0)
-        step = 1.0
-        for _ in range(34):  # Armijo backtracking down to a step of ~1e-10
-            trial = gamma + step * d
-            mu_t, c_t, loss_t = evaluate(trial)
-            merit = loss_t + rho * float(np.sum(np.abs(c_t)))
-            if merit <= bound + 1e-4 * step * descent:
-                break
-            step *= 0.5
-        else:
-            reason = "line search stalled"
-            break
-        gamma, mu, c, loss = trial, mu_t, c_t, loss_t
-
-    return replace(best or out, iterations=it, stop_reason=reason)
+    gamma, mu, nll, c, stat, it, converged, reason = _newton(
+        zd, yv, xc, family, cfg.max_iter, STATIONARITY_TOL, cfg.constraint_tol)
+    return CorrectionOutcome(gamma, mu, float(c @ c), nll / n * n, it, converged,
+                             stat, reason)

@@ -1,14 +1,15 @@
-"""GLM engine: canonical families, IRLS fitting, and Wald inference.
+"""GLM engine: canonical families, the Newton loop, and Wald inference.
 
 The three canonical families are supported: gaussian/identity,
 bernoulli/sigmoid, and poisson/exp.  For a canonical link the derivative of
 the activation is the variance function, ``h'(eta) = V(mu)``, and the link
 derivative is ``g'(mu) = 1 / V(mu)``, so a family is defined by ``h`` and
-``V`` alone.  Fitting uses Fisher scoring (expected Hessian), for which the
-weight of observation i is ``1 / (g'(mu_i)^2 V(mu_i)) = V(mu_i)`` and the
-working response is ``g'(mu_i) (y_i - mu_i) = (y_i - mu_i) / V(mu_i)``, both
-formed inside ``fit_glm`` from ``family.variance``; the score reduces to
-``Z^T (y - mu)``, which is also the convergence criterion.
+``V`` alone.
+One Newton loop, ``_newton``, fits every GLM in the package: it minimizes
+the per-row NLL subject to p constraints ``Xc^T h(Z gamma) / n = 0``.
+``fit_glm`` is the case p = 0: no multipliers, and for a canonical link
+the Newton step is Fisher scoring's, the IRLS weighted least-squares step
+with weights ``V(mu)`` and working response ``eta + (y - mu) / V(mu)``.
 Each weighted least-squares step is solved on the Gram matrix ``Z^T W Z``
 once its Cholesky factor shows it positive definite and well conditioned,
 with Householder QR as the fallback for ill-conditioned or rank-deficient
@@ -31,8 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SingularInformation
-from .linalg import as_matrix, as_vector, least_squares
+from .errors import (DimensionMismatch, DomainError, InvalidSpec, RankDeficient,
+                     SingularInformation)
+from .linalg import RANK_RTOL, as_matrix, as_vector, least_squares
 
 # Clamp applied to means before weight/likelihood evaluation, keeping the
 # link derivative and variance function away from their boundary
@@ -56,6 +58,11 @@ GRAM_RCOND_MIN = 1e-10
 # as the unblocked product or faster on 50000x10, 5000x101, 5000x11,
 # 2000x101 and 200x101 designs; 64 KiB blocks were up to 40 % slower.
 GRAM_BLOCK_BYTES = 256 * 1024
+
+# Relative rounding allowance of the line search: a trial whose merit
+# exceeds the Armijo bound by at most MERIT_RTOL * (|merit0| + 1) is taken,
+# so a merit change below the rounding of a sum over many rows halves no step
+MERIT_RTOL = 1e-12
 
 # Default certification thresholds: a report is null-certified when every
 # slope is non-significant at this level and numerically small.
@@ -164,10 +171,11 @@ def family_by_name(name: str) -> GlmFamily:
 class GlmFit:
     """Result of an IRLS fit.
 
-    ``stop_reason`` says why IRLS stopped: ``"converged"``,
-    ``"reached max_iter=N"`` or ``"step halving found no decrease"``.
-    ``loss`` is the negative log-likelihood (``GlmFamily.nll``) of the
-    returned iterate, the quantity IRLS minimized.
+    ``stop_reason`` is one of the Newton loop's: ``"converged"``,
+    ``"reached max_iter=N"``, ``"line search stalled"`` or ``"means
+    reached the clamp: the design is quasi-separated"``.  ``loss`` is the
+    negative log-likelihood (``GlmFamily.nll``) of the returned iterate,
+    reached in ``iterations`` accepted steps.
     """
 
     coefficients: np.ndarray
@@ -273,6 +281,113 @@ def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
     return least_squares(zm * sw[:, None], resp * sw)
 
 
+def _newton_step(hess, jac, grad, c):
+    """The SQP step ``d`` of the KKT system
+    ``[[H, J^T], [J, 0]] [d, lam] = -[grad, c]`` by the null-space method.
+
+    One SVD ``J^T = U S V^T``, cut at rank r where the singular values fall
+    to ``RANK_RTOL * s_0``, splits d into a range part ``Y dy`` (Y the first
+    r columns of U) that solves the r independent linearized constraints
+    and a null-space part ``N dz`` (N the other columns) from a solve with
+    the reduced Hessian ``N^T H N``.  When that block's smallest eigenvalue
+    is at most ``1e-10 * scale`` (the Cholesky factorization of the block
+    less that much fails) the Hessian gets a Levenberg shift, so that d
+    descends on the merit.  Returns ``(d, H)`` with the Hessian the step
+    used, shifted or not.
+    """
+    k = hess.shape[0]
+    u, s, vt = np.linalg.svd(jac.T)
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    y, null = u[:, :rank], u[:, rank:]
+    d = y @ (-(vt[:rank] @ c) / s[:rank])
+    if rank == k:  # the linearized constraints alone determine d
+        return d, hess
+    reduced = null.T @ hess @ null
+    scale = max(1.0, float(np.max(np.abs(np.diag(hess)))))
+    eye = np.eye(k - rank)
+    try:
+        np.linalg.cholesky(reduced - 1e-10 * scale * eye)
+    except np.linalg.LinAlgError:
+        shift = 1e-4 * scale - 2.0 * np.linalg.eigvalsh(reduced).min()
+        hess = hess + shift * np.eye(k)
+        reduced = reduced + shift * eye
+    dz = np.linalg.solve(reduced, -null.T @ (grad + hess @ d))
+    return d + null @ dz, hess
+
+
+def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
+    """Minimize NLL / n subject to ``xc^T h(zd gamma) / n = 0`` from
+    ``gamma = 0`` by the SQP loop ``fit_constrained_glm`` describes, to
+    ``c^T c <= constraint_tol`` and stationarity at most ``tol``.  With
+    p = 0 columns in ``xc`` there are no multipliers, rho = 0, and the step
+    is the IRLS solve on the clamped means.  Returns ``(gamma, mu, nll, c,
+    stationarity, steps, converged, stop_reason)`` with unclamped means."""
+    if max_iter < 0:
+        raise InvalidSpec(f"max_iter must be non-negative, got {max_iter}")
+    n, k = zd.shape
+    p = xc.shape[1]
+
+    def evaluate(g: np.ndarray):
+        eta = zd @ g
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mu = family.h(eta)
+            return eta, mu, xc.T @ mu / n, family.nll(yv, mu)
+
+    gamma, rho, best = np.zeros(k), 0.0, None
+    eta, mu, c, nll = evaluate(gamma)
+    reason = f"reached max_iter={max_iter}"
+    for it in range(max_iter + 1):
+        hp = family.variance(mu)  # h' for a canonical link
+        grad = zd.T @ (mu - yv) / n
+        jac = (xc * hp[:, None]).T @ zd / n
+        lam = np.linalg.lstsq(jac.T, -grad, rcond=None)[0] if p else np.zeros(0)
+        stat = float(np.max(np.abs(grad + jac.T @ lam)))
+        loss, out = nll / n, (gamma, mu, nll, c, stat)
+        feasible = float(c @ c) <= constraint_tol
+        if feasible and (best is None or loss < best_loss):
+            best, best_loss = out, loss
+        if family.name == "bernoulli" and not (
+            MEAN_EPS < mu.min() and mu.max() < 1.0 - MEAN_EPS
+        ):
+            reason = "means reached the clamp: the design is quasi-separated"
+            break
+        if feasible and stat <= tol:
+            return (*out, it, True, "converged")
+        if it == max_iter:
+            break
+
+        if p:  # the KKT system with the Lagrangian Hessian
+            w = hp * (1.0 + family.variance_prime(mu) * (xc @ lam))
+            d, hess = _newton_step(_weighted_gram(zd, w) / n, jac, grad, c)
+        else:  # H d = -grad: Fisher scoring's weighted least squares
+            m = family.clip_mean(mu)
+            w = family.variance(m)
+            d = _irls_solve(zd, w, eta + (yv - m) / w) - gamma
+
+        # l1 merit f + rho ||c||_1 with rho from Nocedal & Wright eq. 18.36
+        # (sigma = 1, rho-bar = 1/2), so that d is a descent direction
+        c1, slope = float(np.sum(np.abs(c))), float(grad @ d)
+        if c1 > 0.0:
+            curv = max(float(d @ hess @ d), 0.0)
+            rho = max(rho, (slope + 0.5 * curv) / (0.5 * c1))
+        merit0, descent = loss + rho * c1, slope - rho * c1
+        bound = merit0 + MERIT_RTOL * (abs(merit0) + 1.0)
+        step = 1.0
+        for _ in range(34):  # Armijo backtracking down to a step of ~1e-10
+            trial = gamma + step * d
+            eta_t, mu_t, c_t, nll_t = evaluate(trial)
+            merit = nll_t / n + rho * float(np.sum(np.abs(c_t)))
+            if merit <= bound + 1e-4 * step * descent:
+                break
+            step *= 0.5
+        else:
+            reason = "line search stalled"
+            break
+        gamma, eta, mu, c, nll = trial, eta_t, mu_t, c_t, nll_t
+
+    return (*(best or out), it, False, reason)
+
+
 def fit_glm(
     z,
     y,
@@ -282,21 +397,16 @@ def fit_glm(
     with_intercept: bool = False,
     check_domain: bool = True,
 ) -> GlmFit:
-    """Fit a canonical GLM by Fisher-scoring IRLS with step-halving.
-
-    Each step solves the weighted normal equations ``Z^T W Z b = Z^T W r``.
-    When the Gram matrix has no Cholesky factor (it is not positive
-    definite), the factor's condition estimate falls below
-    ``GRAM_RCOND_MIN``, or n < k, the step falls back to QR least squares
-    on ``sqrt(W) Z``, which raises ``RankDeficient`` naming the first
-    dependent column in input order (or, for n < k, the row count).
+    """Fit a canonical GLM by Fisher-scoring IRLS: ``_newton`` with no
+    constraints.  Each step solves the weighted normal equations, or, when
+    their Cholesky factor is missing or ill-conditioned or n < k, QR least
+    squares on ``sqrt(W) Z``, which raises ``RankDeficient`` naming the
+    first dependent column in input order (or, for n < k, the row count).
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
-    ``tol``.  The loss (``family.nll``) does not increase across accepted
-    steps beyond a rounding allowance; if a full IRLS step increases it,
-    the step is halved (up to 30 times).  After ``max_iter`` steps, or when
-    no halving decreases it, the fit so far is returned with
-    ``converged=False``; ``stop_reason`` names which.
+    ``tol`` (both divided by n).  Steps are halved on the Armijo rule for
+    the loss (``family.nll``).  Stops short of that, and the stop reasons,
+    are those of ``fit_constrained_glm``.
 
     ``check_domain=False`` skips the response-domain check, which evaluation
     models need when regressing corrected predictions that can leave the
@@ -305,60 +415,22 @@ def fit_glm(
     zm = as_matrix(z, "design matrix")
     yv = as_vector(y, "response")
     if zm.shape[0] != yv.shape[0]:
-        raise DimensionMismatch(
-            f"design has {zm.shape[0]} rows but response has {yv.shape[0]}"
-        )
+        raise DimensionMismatch(f"design has {zm.shape[0]} rows but response "
+                                f"has {yv.shape[0]}")
     if check_domain:
         family.check_y(yv)
     if with_intercept:
         zm = np.column_stack([np.ones(zm.shape[0]), zm])
-
     n, k = zm.shape
-    beta = np.zeros(k)
-    eta = zm @ beta
-    mu = family.clip_mean(family.h(eta))
-    nll = family.nll(yv, mu)
+    if not zm.size:
+        raise RankDeficient(0, f"{n}x{k} design has no entries")
 
-    iterations = 0
-    converged = False
-    reason = f"reached max_iter={max_iter}"
-    for iterations in range(1, max_iter + 1):
-        # mu is clipped into the family's open domain, so V(mu) > 0
-        w = family.variance(mu)
-        beta_new = _irls_solve(zm, w, eta + (yv - mu) / w)
-
-        step = beta_new - beta
-        accepted = False
-        for _ in range(31):
-            cand = beta + step
-            eta_c = zm @ cand
-            mu_c = family.clip_mean(family.h(eta_c))
-            nll_c = family.nll(yv, mu_c)
-            if np.isfinite(nll_c) and nll_c <= nll + 1e-12 * (abs(nll) + 1.0):
-                beta, eta, mu, nll = cand, eta_c, mu_c, nll_c
-                accepted = True
-                break
-            step *= 0.5
-        score = zm.T @ (yv - mu)
-        if np.max(np.abs(score)) <= tol:
-            converged, reason = True, "converged"
-            break
-        if not accepted:
-            # No descent direction left at floating-point resolution.
-            reason = "step halving found no decrease"
-            break
-
-    return GlmFit(
-        coefficients=beta,
-        fitted_means=mu,
-        iterations=iterations,
-        converged=converged,
-        loss=nll,
-        weight_diag=family.variance(mu),
-        family=family,
-        with_intercept=with_intercept,
-        stop_reason=reason,
+    beta, mu, nll, _, _, iterations, converged, reason = _newton(
+        zm, yv, np.empty((n, 0)), family, max_iter, tol / n, 0.0
     )
+    mu = family.clip_mean(mu)
+    return GlmFit(beta, mu, iterations, converged, nll, family.variance(mu),
+                  family, with_intercept, reason)
 
 
 def wald_inference(fit: GlmFit, z) -> EvaluationReport:

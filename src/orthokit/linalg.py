@@ -20,14 +20,13 @@ is ``Projector.fit`` and one solve) and ``build_projector`` factor a matrix
 as the stack of one, each with its own validation and errors; an MLP
 epoch's batches are factored together, because per-call overhead, not
 arithmetic, dominates the QR of a 128-by-2 block, and each block is
-bitwise equal to its own ``build_projector``.  IRLS
-(``glm.fit_glm``) does use the normal equations: it solves each step on
-the weighted Gram matrix ``Z^T W Z`` (formed, like every weighted Gram in
-the package, by ``glm._weighted_gram``, one row block at a time), guarded
-by its Cholesky factor, and falls back to ``least_squares`` when that
-factor shows a poor condition.  The constrained fit's Newton steps use
-``RANK_RTOL`` to cut the numerical rank of the constraint Jacobian's
-singular values.  Everything here runs on ``numpy.linalg`` alone.
+bitwise equal to its own ``build_projector``.  The one Newton loop,
+``glm._newton``, does use the normal equations: without constraints (IRLS,
+``glm.fit_glm``) it solves each step on the weighted Gram matrix
+``Z^T W Z`` (formed by ``glm._weighted_gram``, one row block at a time),
+guarded by its Cholesky factor, with ``least_squares`` as the fallback;
+with constraints it cuts the numerical rank of the constraint Jacobian at
+``RANK_RTOL``.  Everything here runs on ``numpy.linalg`` alone.
 """
 
 from __future__ import annotations

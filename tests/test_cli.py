@@ -166,6 +166,26 @@ class TestCorrectCommand:
         assert "unrecognized arguments" in err[-1] and flag in err[-1]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iter", "-1"), ("--tol", "-1"), ("--tol", "nan"),
+    ])
+    def test_budget_or_tolerance_that_cannot_be_met_exits_2(
+        self, bernoulli_csv, tmp_path, capsys, flag, value
+    ):
+        # a negative step budget runs no step, and a negative or NaN
+        # residual tolerance is never met: refused before any output
+        path, _ = bernoulli_csv
+        out = tmp_path / "o"
+        rc = main([
+            "correct", "--data", str(path), "--outcome", "y",
+            "--protected", "x0,x1,x2", "--family", "bernoulli",
+            "--method", "glm-constrained", "--out", str(out), flag, value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InvalidSpec: ")
+        assert not out.exists()
+
     def test_separated_design_exits_3_with_feasible_report(self, tmp_path):
         data = generate(
             SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli", seed=0)
@@ -1031,7 +1051,7 @@ class TestSimulateCommand:
         assert list(summary["ch"]) == list(SUMMARY_COLUMNS)
         assert summary["ch"]["median_p_value"] == ""
         assert (summary["ch"]["rows"], summary["ch"]["unconverged"]) == ("0", "5")
-        assert summary["uncorrected"]["unconverged"] == "0"
+        assert summary["uncorrected"]["unconverged"] == "5"
 
     def test_byte_identical_reruns(self, tmp_path):
         grid = self.grid_file(tmp_path)

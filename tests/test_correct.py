@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import orthokit.correct as correct_module
+import orthokit.glm as glm_module
 from orthokit.correct import (
     ConstrainedConfig,
     augment_intercept,
@@ -29,7 +29,7 @@ from orthokit.correct import (
     relu,
     relu_dot_terms,
 )
-from orthokit.errors import DimensionMismatch, RankDeficient
+from orthokit.errors import DimensionMismatch, InvalidSpec, RankDeficient
 from orthokit.evalmodel import evaluate_glm, evaluate_tensor
 from orthokit.glm import (
     BERNOULLI,
@@ -245,6 +245,19 @@ class TestFitConstrainedGlm:
         assert "quasi-separated" in out.stop_reason
         assert out.constraint_residual <= 1e-6
 
+    @pytest.mark.parametrize("cfg", [
+        {"max_iter": -1}, {"constraint_tol": -1e-6},
+        {"constraint_tol": float("nan")}, {"constraint_tol": float("inf")},
+    ], ids=["negative-budget", "negative-tol", "nan-tol", "inf-tol"])
+    def test_unmeetable_stopping_rule_raises_invalid_spec(self, cfg):
+        data = appendix_design(seed=5, n=200)
+        with pytest.raises(InvalidSpec):
+            fit_constrained_glm(data.z, data.y, data.x, BERNOULLI,
+                                ConstrainedConfig(**cfg))
+        if "max_iter" in cfg:  # the shared Newton loop refuses it for both fits
+            with pytest.raises(InvalidSpec, match="max_iter"):
+                fit_glm(data.z, data.y, BERNOULLI, max_iter=cfg["max_iter"])
+
     def test_no_feasible_iterate_returns_last_one(self):
         # at constraint_tol = 0 not even gamma = 0 (residual at rounding
         # level) is feasible: the last iterate comes back, unconverged
@@ -297,14 +310,14 @@ def record_newton_steps(monkeypatch):
     """Record ``(hessian in, hessian used, jac, grad, c, d)`` of every
     Newton step ``fit_constrained_glm`` takes."""
     steps = []
-    solve = correct_module._newton_step
+    solve = glm_module._newton_step
 
     def recording(hess, jac, grad, c):
         d, used = solve(hess, jac, grad, c)
         steps.append((hess, used, jac, grad, c, d))
         return d, used
 
-    monkeypatch.setattr(correct_module, "_newton_step", recording)
+    monkeypatch.setattr(glm_module, "_newton_step", recording)
     return steps
 
 
@@ -378,7 +391,7 @@ class TestNewtonStep:
         jac = (xc * hp[:, None]).T @ data.z / n
         grad = data.z.T @ (mu - data.y) / n
         c = xc.T @ mu / n
-        d, used = correct_module._newton_step(hess, jac, grad, c)
+        d, used = glm_module._newton_step(hess, jac, grad, c)
         assert used is hess
         np.testing.assert_allclose(jac @ d, -c, rtol=0.0, atol=1e-15)
 
@@ -405,7 +418,7 @@ class TestLineSearch:
         # loss(t e_2) - loss0 = t^2 ||z_1||^2 / (2n) when z_1 is orthogonal to y
         d = np.zeros(4)
         d[2] = np.sqrt(2.0 * n * growth * loss0) / np.linalg.norm(z[:, 1])
-        monkeypatch.setattr(correct_module, "_newton_step",
+        monkeypatch.setattr(glm_module, "_newton_step",
                             lambda hess, jac, grad, c: (d, hess))
         etas = []
 
@@ -425,13 +438,13 @@ class TestLineSearch:
         loss0, loss_full, armijo, etas, eta_full = self.one_step(monkeypatch, 1e-14)
         # the full step fails the plain Armijo test by a rounding-level margin
         assert armijo < loss_full
-        assert loss_full - loss0 <= correct_module.MERIT_RTOL * (abs(loss0) + 1.0)
+        assert loss_full - loss0 <= glm_module.MERIT_RTOL * (abs(loss0) + 1.0)
         assert len(etas) == 2  # gamma = 0, then the full step only
         np.testing.assert_array_equal(etas[1], eta_full)
 
     def test_larger_increase_is_halved(self, monkeypatch):
         loss0, loss_full, armijo, etas, _ = self.one_step(monkeypatch, 1e-9)
-        assert loss_full - loss0 > correct_module.MERIT_RTOL * (abs(loss0) + 1.0)
+        assert loss_full - loss0 > glm_module.MERIT_RTOL * (abs(loss0) + 1.0)
         assert len(etas) > 2
 
 

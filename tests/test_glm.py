@@ -24,6 +24,7 @@ from orthokit.glm import (
     BERNOULLI,
     GAUSSIAN,
     GRAM_RCOND_MIN,
+    MEAN_EPS,
     POISSON,
     GlmFit,
     _irls_solve,
@@ -278,9 +279,24 @@ class TestFitGlm:
         assert fit.iterations == 3
         assert fit.stop_reason == "reached max_iter=3"
 
+    def test_stop_reason_names_quasi_separation(self):
+        # n = 200 rows against 101 coefficients: the fitted probabilities
+        # reach the 1e-10 clamp and no finite MLE exists.  Iterating until
+        # the clamped score meets tol takes 34 steps and reads converged.
+        data = generate(
+            SyntheticSpec(n=200, p=5, q=100, rho=2.0, family="bernoulli", seed=0)
+        )
+        fit = fit_glm(data.z, data.y, BERNOULLI, with_intercept=True)
+        assert fit.converged is False
+        assert "quasi-separated" in fit.stop_reason
+        assert fit.iterations < 34
+        mu = fit.fitted_means
+        assert mu.min() == MEAN_EPS or mu.max() == 1.0 - MEAN_EPS
+
     def test_stop_reason_names_failed_step_halving(self, monkeypatch):
         # a solver that returns the reflected Newton step: from beta = 0 it
-        # points uphill, so no halving of it decreases the loss
+        # points uphill, so no halving of it decreases the loss.  With no
+        # constraints the Newton loop's step is the IRLS solve itself.
         solve = glm_module._irls_solve
         monkeypatch.setattr(
             glm_module, "_irls_solve", lambda zm, w, resp: -solve(zm, w, resp)
@@ -288,8 +304,8 @@ class TestFitGlm:
         z, y = draw_problem(BERNOULLI, rng(19))
         fit = fit_glm(z, y, BERNOULLI)
         assert fit.converged is False
-        assert fit.iterations == 1
-        assert fit.stop_reason == "step halving found no decrease"
+        assert fit.iterations == 0
+        assert fit.stop_reason == "line search stalled"
         np.testing.assert_array_equal(fit.coefficients, 0.0)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)

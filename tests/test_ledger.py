@@ -272,6 +272,24 @@ def test_against_runs_two_plain_trees_however_the_runs_end(repo, tmp_path, monke
     assert written["settings"]["seed"] == 3
 
 
+@pytest.mark.parametrize("runner, line", [(None, "'run'"), (b"", "''")],
+                         ids=["no-json", "no-output"])
+def test_a_run_without_a_result_object_writes_nothing(repo, tmp_path, capsys,
+                                                       runner, line):
+    # the stub runner exits 0 printing `run`, or nothing at all
+    if runner is not None:
+        (repo / "perfbench" / "run.py").write_bytes(runner)
+        git(repo, "commit", "-q", "-am", "silent")
+    out = tmp_path / "out"
+    assert ledger.main(["--pr", "7", "--runs", "1", "--out", str(out),
+                        "--checkout", str(repo), "--against", "HEAD"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: parent w --trace 0: the last line is not a result "
+                   f"object: {line}", "no ledger written"]
+    assert not out.exists()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
 def test_against_an_unknown_revision_writes_nothing(repo, tmp_path, monkeypatch):
     monkeypatch.setattr(ledger, "run_perfbench", lambda *a: pytest.fail("ran"))
     out = tmp_path / "out"

@@ -70,12 +70,19 @@ class LedgerError(Exception):
     """A run failed or reported wrong outputs; no ledger is written."""
 
 
-def parse_run(stdout: str) -> tuple[dict, dict]:
-    """The ``# env`` line and the closing result object of one run."""
-    lines = stdout.strip().splitlines()
+def parse_run(stdout: str, where: str = "run") -> tuple[dict, dict]:
+    """The ``# env`` line and the closing result object of one run; raises
+    ``LedgerError`` naming ``where`` when the last line is not an object."""
+    lines = stdout.strip().splitlines() or [""]
     env = next((json.loads(line[len("# env "):]) for line in lines
                 if line.startswith("# env ")), {})
-    return env, json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise LedgerError(f"{where}: the last line is not a result object: {lines[-1]!r}")
+    return env, result
 
 
 def summarize(results: list) -> dict:
@@ -118,7 +125,7 @@ def gather(workloads: list, runs: int, runners: dict) -> dict:
                     where = f"{side} {workload} --trace {trace}"
                     if proc.returncode != 0:
                         raise LedgerError(f"{where}: exit {proc.returncode}\n{proc.stderr}")
-                    envs[side], result = parse_run(proc.stdout)
+                    envs[side], result = parse_run(proc.stdout, where)
                     if result["correct"] is not True:
                         raise LedgerError(f"{where}: outputs not correct: {result}")
                     results[side][workload, trace].append(result)
