@@ -423,16 +423,13 @@ def write_tensor(path, tensor) -> None:
 
 
 @contextlib.contextmanager
-def _naming_dependent_column(kind, columns, earlier, rows):
+def _naming_dependent_column(kind, columns, earlier):
     """Re-raise ``RankDeficient`` from a design whose columns are
     ``columns`` as a ``CliError`` naming the first dependent column, which
-    is a combination of ``earlier``.  With fewer ``rows`` than columns the
-    error's index is the row count, and it passes through unchanged."""
+    is a combination of ``earlier``."""
     try:
         yield
     except RankDeficient as exc:
-        if rows < len(columns):
-            raise
         j = exc.col_index
         if j == 0:
             raise CliError(f"column {columns[0]!r} is numerically zero next to "
@@ -476,9 +473,7 @@ def cmd_correct(args) -> int:
         tensor = read_tensor(args.tensor)
         if tensor.shape[0] != x.shape[0]:
             raise CliError("tensor rows do not match data rows")
-        with _naming_dependent_column(
-            "protected", x_names, "earlier protected columns", x.shape[0]
-        ):
+        with _naming_dependent_column("protected", x_names, "earlier protected columns"):
             corrected = correct_features_linear(x, tensor)
         write_tensor(out_dir / "corrected_tensor.csv", corrected)
         report = {
@@ -507,16 +502,13 @@ def cmd_correct(args) -> int:
             "reference_levels": refs,
         }
     else:
-        with _naming_dependent_column(
-            "protected", ["(intercept)"] + x_names,
-            "the intercept and earlier protected columns", x.shape[0],
-        ):
+        with _naming_dependent_column("protected", ["(intercept)"] + x_names,
+                                      "the intercept and earlier protected columns"):
             design = corrected_design(x, z)
         if args.method == "linear":
             with _naming_dependent_column(
                 "feature", ["(intercept)"] + z_names,
                 "the intercept, the protected columns and earlier feature columns",
-                z.shape[0],
             ):
                 fit = fit_glm(design, y, family)
             gamma, y_hat, converged = fit.coefficients, fit.fitted_means, fit.converged
@@ -606,10 +598,8 @@ def cmd_evaluate(args) -> int:
         )
         return 0
 
-    with _naming_dependent_column(
-        "protected", ["(intercept)"] + x_names,
-        "the intercept and earlier protected columns", x.shape[0],
-    ):
+    with _naming_dependent_column("protected", ["(intercept)"] + x_names,
+                                  "the intercept and earlier protected columns"):
         report = evaluate_glm(x, y_hat, family)
     _write_csv(
         out_dir / "evaluation.csv",

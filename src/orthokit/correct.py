@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidSpec, RankDeficient
+from .errors import DimensionMismatch, DomainError, InvalidSpec
 from .glm import GlmFamily, _newton
-from .linalg import as_matrix, as_tensor, as_vector, build_projector, center_columns
+from .linalg import (as_matrix, as_tensor, as_vector, build_projector, center_columns,
+                     shape_error)
 
 
 def relu(x) -> np.ndarray:
@@ -211,9 +212,8 @@ def fit_constrained_glm(
     xc = center_columns(xm)
     if np.any(xc.std(axis=0) <= 0.0):
         raise DomainError("protected features must not be constant columns")
-    k = zd.shape[1]
-    if n < k:
-        raise RankDeficient(n, f"{n}x{k} design cannot have full column rank")
+    if (err := shape_error(n, zd.shape[1])) is not None:
+        raise err  # the Newton loop never factors Z, so no QR would raise it
 
     gamma, mu, nll, c, stat, it, converged, reason = _newton(
         zd, yv, xc, family, cfg.max_iter, STATIONARITY_TOL, cfg.constraint_tol)

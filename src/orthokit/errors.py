@@ -16,8 +16,9 @@ class RankDeficient(OrthokitError):
 
     ``col_index`` is the index, in input order, of the first column whose
     QR diagonal (its distance from the span of the columns before it) is
-    at most ``linalg.RANK_RTOL`` times the largest column norm.  When a
-    design has fewer rows than columns it is the row count instead.
+    at most ``linalg.RANK_RTOL`` times the largest column norm.  A matrix
+    with no columns or fewer rows than columns raises ``DimensionMismatch``
+    instead (``linalg.shape_error``).
     """
 
     def __init__(self, col_index: int, message: str | None = None):

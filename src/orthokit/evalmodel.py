@@ -28,16 +28,18 @@ from .linalg import as_matrix, as_tensor, as_vector, least_squares
 def evaluate_glm(x, y_corrected, family: GlmFamily) -> EvaluationReport:
     """Fit the evaluation GLM of corrected predictions on protected features.
 
-    An intercept is appended internally and excluded from the report; only
-    the protected-feature slopes are tested.  Soft (and, for corrected
+    An intercept is prepended internally, to the one design both the fit
+    and its Wald test use, and excluded from the report; only the
+    protected-feature slopes are tested.  Soft (and, for corrected
     predictions, out-of-range) responses are accepted.
     """
     xm = as_matrix(x, "protected features")
     yv = as_vector(y_corrected, "corrected predictions")
     if xm.shape[0] != yv.shape[0]:
         raise DimensionMismatch("X rows and prediction length differ")
-    fit = fit_glm(xm, yv, family, with_intercept=True, check_domain=False)
-    report = wald_inference(fit, xm)
+    design = np.column_stack([np.ones(xm.shape[0]), xm])
+    fit = fit_glm(design, yv, family, check_domain=False)
+    report = wald_inference(fit, design)
     # drop the internal intercept (index 0) from the reported arrays
     slopes = slice(1, None)
     coef = report.coefficients[slopes]

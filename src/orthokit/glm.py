@@ -32,9 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DomainError, InvalidSpec, RankDeficient,
-                     SingularInformation)
-from .linalg import RANK_RTOL, as_matrix, as_vector, least_squares
+from .errors import DimensionMismatch, DomainError, InvalidSpec, SingularInformation
+from .linalg import RANK_RTOL, as_matrix, as_vector, least_squares, shape_error
 
 # Clamp applied to means before weight/likelihood evaluation, keeping the
 # link derivative and variance function away from their boundary
@@ -185,7 +184,6 @@ class GlmFit:
     loss: float
     weight_diag: np.ndarray
     family: GlmFamily
-    with_intercept: bool = False
     stop_reason: str = ""
 
 
@@ -267,16 +265,15 @@ def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
 
     Solves the normal equations ``Z^T W Z b = Z^T W resp`` when the Gram
     matrix has a Cholesky factor with a reciprocal condition estimate of at
-    least ``GRAM_RCOND_MIN``.  Otherwise, and when n < k or k = 0, the step
-    is QR ``least_squares`` on the weighted design, which raises
-    ``RankDeficient`` for a rank-deficient design.
+    least ``GRAM_RCOND_MIN``.  Otherwise the step is QR ``least_squares``
+    on the weighted design, which raises ``RankDeficient`` for a
+    rank-deficient design.  ``zm`` has at least as many rows as columns.
     """
-    if zm.shape[0] >= zm.shape[1] > 0:
-        gram = _weighted_gram(zm, w)
-        if _cholesky(gram)[1] >= GRAM_RCOND_MIN:
-            # numpy has no triangular solver: one LU of the Gram matrix
-            # costs less than two LU-based solves with its factor
-            return np.linalg.solve(gram, zm.T @ (w * resp))
+    gram = _weighted_gram(zm, w)
+    if _cholesky(gram)[1] >= GRAM_RCOND_MIN:
+        # numpy has no triangular solver: one LU of the Gram matrix
+        # costs less than two LU-based solves with its factor
+        return np.linalg.solve(gram, zm.T @ (w * resp))
     sw = np.sqrt(w)
     return least_squares(zm * sw[:, None], resp * sw)
 
@@ -324,6 +321,9 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
     stationarity, steps, converged, stop_reason)`` with unclamped means."""
     if max_iter < 0:
         raise InvalidSpec(f"max_iter must be non-negative, got {max_iter}")
+    if not 0.0 <= tol < float("inf"):
+        # fit_glm passes its tol over n, so the value is not the caller's
+        raise InvalidSpec("tol must be finite and non-negative")
     n, k = zd.shape
     p = xc.shape[1]
 
@@ -398,10 +398,12 @@ def fit_glm(
     check_domain: bool = True,
 ) -> GlmFit:
     """Fit a canonical GLM by Fisher-scoring IRLS: ``_newton`` with no
-    constraints.  Each step solves the weighted normal equations, or, when
-    their Cholesky factor is missing or ill-conditioned or n < k, QR least
-    squares on ``sqrt(W) Z``, which raises ``RankDeficient`` naming the
-    first dependent column in input order (or, for n < k, the row count).
+    constraints.  A design with no columns or fewer rows than columns
+    raises ``DimensionMismatch``.  Each step solves the weighted normal
+    equations, or, when their Cholesky factor is missing or ill-conditioned,
+    QR least squares on ``sqrt(W) Z``, which raises ``RankDeficient`` naming
+    the first dependent column in input order.  A negative or non-finite
+    ``tol`` raises ``InvalidSpec``.
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
     ``tol`` (both divided by n).  Steps are halved on the Armijo rule for
@@ -422,15 +424,15 @@ def fit_glm(
     if with_intercept:
         zm = np.column_stack([np.ones(zm.shape[0]), zm])
     n, k = zm.shape
-    if not zm.size:
-        raise RankDeficient(0, f"{n}x{k} design has no entries")
+    if (err := shape_error(n, k)) is not None:
+        raise err
 
     beta, mu, nll, _, _, iterations, converged, reason = _newton(
         zm, yv, np.empty((n, 0)), family, max_iter, tol / n, 0.0
     )
     mu = family.clip_mean(mu)
     return GlmFit(beta, mu, iterations, converged, nll, family.variance(mu),
-                  family, with_intercept, reason)
+                  family, reason)
 
 
 def wald_inference(fit: GlmFit, z) -> EvaluationReport:
@@ -447,8 +449,6 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     ``numpy.linalg.matrix_rank`` uses.
     """
     zm = as_matrix(z, "design matrix")
-    if fit.with_intercept:
-        zm = np.column_stack([np.ones(zm.shape[0]), zm])
     if zm.shape[1] != fit.coefficients.shape[0]:
         raise DimensionMismatch("design width does not match coefficient length")
     n, k = zm.shape

@@ -15,12 +15,14 @@ matricization, which is the mode-1 product with ``I - Q Q^T``.  A
 substitution for any number of right-hand sides).  Every projector comes
 from one factorization, ``_projectors``: one ``numpy.linalg.qr`` call over
 a ``(b, n, p)`` stack of equal-shape blocks, with the hard rank check
-applied block by block.  ``Projector.fit`` (and so ``least_squares``, which
-is ``Projector.fit`` and one solve) and ``build_projector`` factor a matrix
-as the stack of one, each with its own validation and errors; an MLP
-epoch's batches are factored together, because per-call overhead, not
-arithmetic, dominates the QR of a 128-by-2 block, and each block is
-bitwise equal to its own ``build_projector``.  The one Newton loop,
+applied block by block.  ``build_projector`` factors one matrix as the
+stack of one, and ``least_squares`` is ``build_projector`` and one solve;
+an MLP epoch's batches are factored together, because per-call overhead,
+not arithmetic, dominates the QR of a 128-by-2 block, and each block is
+bitwise equal to its own ``build_projector``.  One rule names the two ways
+a matrix can lack full column rank, wherever it is checked: no columns or
+fewer rows than columns is ``DimensionMismatch`` (``shape_error``), and a
+dependent column is ``RankDeficient`` carrying that column's index.  The one Newton loop,
 ``glm._newton``, does use the normal equations: without constraints (IRLS,
 ``glm.fit_glm``) it solves each step on the weighted Gram matrix
 ``Z^T W Z`` (formed by ``glm._weighted_gram``, one row block at a time),
@@ -88,18 +90,6 @@ class Projector:
     q: np.ndarray
     r: np.ndarray
 
-    @classmethod
-    def fit(cls, a) -> Projector:
-        """Validate the design ``a`` and factor it; raises ``RankDeficient``
-        if its columns are (numerically) linearly dependent."""
-        am = as_matrix(a, "design matrix")
-        n, p = am.shape
-        if p == 0:
-            raise RankDeficient(0, "matrix has no columns")
-        if n < p:
-            raise RankDeficient(n, f"{n}x{p} design cannot have full column rank")
-        return _projector(am)
-
     def complement(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Project ``a`` along its leading axis onto the orthogonal complement.
 
@@ -146,29 +136,38 @@ class Projector:
 
 
 def build_projector(x) -> Projector:
-    """Build the complement projector for a full-column-rank matrix.
+    """The ``Projector`` of a full-column-rank matrix: ``_projectors`` of
+    its stack of one.  Raises ``DimensionMismatch`` for a matrix with no
+    columns or fewer rows than columns, and ``RankDeficient`` at the first
+    (numerically) linearly dependent column."""
+    (proj,) = _projectors(as_matrix(x)[None])
+    if isinstance(proj, Exception):
+        raise proj
+    return proj
 
-    Raises ``DimensionMismatch`` if there are fewer rows than columns and
-    ``RankDeficient`` if the columns are (numerically) linearly dependent.
-    """
-    xm = as_matrix(x, "protected features")
-    if xm.shape[1] < 1:
-        raise DimensionMismatch("need at least one column")
-    return _projector(xm)
+
+def shape_error(n: int, p: int) -> DimensionMismatch | None:
+    """The error of an n-by-p matrix that cannot have full column rank by
+    its shape alone (no columns, or fewer rows than columns), else None."""
+    if p < 1:
+        return DimensionMismatch("need at least one column")
+    if n < p:
+        return DimensionMismatch(f"need n >= p, got n={n} < p={p}")
+    return None
 
 
 def _projectors(stack: np.ndarray) -> list:
-    """The ``Projector`` of each block of a ``(b, n, p)`` stack, p >= 1,
-    from one Householder QR of the whole stack, or the error of a block
-    with none: ``DimensionMismatch`` for every block when n < p, else
+    """The ``Projector`` of each block of a ``(b, n, p)`` stack from one
+    Householder QR of the whole stack, or the error of a block with none:
+    ``shape_error(n, p)`` for every block when there is one, else
     ``RankDeficient`` at the block's first column, in input order, whose
     diagonal ``|r_jj|`` (its distance from the span of the columns before
     it) is at most ``RANK_RTOL`` times the block's largest column norm,
     taken from R (``||A e_j|| = ||R e_j||``, as Q has orthonormal columns).
     Each block's factors are bitwise those of its own stack of one."""
     _, n, p = stack.shape
-    if n < p:
-        return [DimensionMismatch(f"need n >= p, got n={n} < p={p}") for _ in stack]
+    if (err := shape_error(n, p)) is not None:
+        return [err] * len(stack)
     q, r = np.linalg.qr(stack)
     sq_norms = np.maximum.reduce(np.add.reduce(r * r, axis=1), axis=1)
     thresh = RANK_RTOL * np.sqrt(sq_norms)
@@ -177,15 +176,6 @@ def _projectors(stack: np.ndarray) -> list:
         RankDeficient(int(np.argmax(row))) if row.any() else Projector(qk, rk)
         for qk, rk, row in zip(q, r, bad)
     ]
-
-
-def _projector(m: np.ndarray) -> Projector:
-    """The projector of one n-by-p matrix, ``_projectors`` of its stack of
-    one; raises that block's error."""
-    (proj,) = _projectors(m[None])
-    if isinstance(proj, Exception):
-        raise proj
-    return proj
 
 
 def center_columns(x) -> np.ndarray:
@@ -201,4 +191,4 @@ def least_squares(a, b) -> np.ndarray:
     column span.  ``b`` may be a vector or a matrix of right-hand sides;
     the result matches its shape convention.
     """
-    return Projector.fit(a).solve(b)
+    return build_projector(a).solve(b)

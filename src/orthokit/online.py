@@ -23,7 +23,7 @@ training split's pass fits that regression (``gamma_hat``) on its
 uncorrected pre-activation at the projected layer, and every split's pass
 subtracts ``[1, protected] @ gamma_hat`` there.  The training split's
 ``[1, protected]`` is fixed, so its QR is factored once per training by
-``linalg.Projector.fit``, and each epoch's fit is one ``solve`` on it.
+``build_projector``, and each epoch's fit is one ``solve`` on it.
 Training fits no GLM: ``TrainingResult.confounder_report`` runs the Wald
 test of the protected rows on the model's predictions when a caller asks
 for it.
@@ -48,7 +48,7 @@ from .correct import augment_intercept
 from .errors import InvalidSpec
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
-from .linalg import Projector, _projectors
+from .linalg import _projectors, build_projector
 from .synth import stream
 
 logger = logging.getLogger(__name__)
@@ -242,7 +242,7 @@ def _regressed(params, x, xa, ortho_layer, gamma_hat=None, fit=None):
     def subtract(h):
         nonlocal gamma_hat
         if gamma_hat is None:
-            gamma_hat = (fit or Projector.fit(xa)).solve(h)
+            gamma_hat = (fit or build_projector(xa)).solve(h)
         h -= xa @ gamma_hat
         return h
 
@@ -402,7 +402,7 @@ def train_mlp(
         )
         result.skipped_batches += skipped
         if with_correction and fit_tr is None:
-            fit_tr = Projector.fit(xa_tr)
+            fit_tr = build_projector(xa_tr)
 
         epoch_residual = (
             float(np.add.reduce(batch_residuals) / len(batch_residuals))

@@ -990,8 +990,8 @@ class TestDependentColumnNamed:
         assert message in err[0], err[0]
 
     def test_too_few_rows_name_no_column(self, tmp_path, capsys):
-        # with 3 rows and 5 feature columns the error's index is the row
-        # count, not a column
+        # 3 rows cannot fit 5 design columns: a shape error, which names no
+        # column
         rows = [["z0", "z1", "z2", "z3", "x0", "y"], ["1", "2", "3", "4", "1", "0.5"],
                 ["2", "1", "5", "3", "0", "0.1"], ["4", "3", "2", "8", "1", "0.9"]]
         _write_rows(tmp_path / "data.csv", rows)
@@ -1000,7 +1000,7 @@ class TestDependentColumnNamed:
                    "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err.strip()
         assert rc == 2
-        assert err == "error: RankDeficient: 3x5 design cannot have full column rank"
+        assert err == "error: DimensionMismatch: need n >= p, got n=3 < p=5"
 
     def test_constrained_fit_drops_the_implied_constraint(self, tmp_path):
         data, _, _ = _collinear_files(tmp_path)

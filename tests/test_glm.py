@@ -17,6 +17,7 @@ from orthokit.correct import augment_intercept
 from orthokit.errors import (
     DimensionMismatch,
     DomainError,
+    InvalidSpec,
     RankDeficient,
     SingularInformation,
 )
@@ -265,6 +266,15 @@ class TestFitGlm:
         assert fit.converged is False
         assert isinstance(fit, GlmFit)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_invalid_tol_rejected(self, tol):
+        # no score meets a negative or NaN tol, so the fit would run its
+        # whole budget; every score meets an infinite one at beta = 0
+        z, y = draw_problem(BERNOULLI, rng(17))
+        with pytest.raises(InvalidSpec) as exc:
+            fit_glm(z, y, BERNOULLI, tol=tol)
+        assert str(exc.value) == "tol must be finite and non-negative"
+
     def test_stop_reason_converged(self):
         z, y = draw_problem(BERNOULLI, rng(19))
         fit = fit_glm(z, y, BERNOULLI)
@@ -353,17 +363,19 @@ class TestIrlsStep:
         assert len(qr_calls) == 1
 
     def test_fewer_rows_than_columns(self, qr_calls):
+        # the shape is rejected before any step is factored
         z = rng(31).standard_normal((3, 5))
-        with pytest.raises(RankDeficient) as exc:
+        with pytest.raises(DimensionMismatch) as exc:
             fit_glm(z, [0.0, 1.0, 1.0], BERNOULLI)
-        assert exc.value.col_index == 3
-        assert "3x5 design cannot have full column rank" in str(exc.value)
-        assert len(qr_calls) == 1
+        assert type(exc.value) is DimensionMismatch
+        assert str(exc.value) == "need n >= p, got n=3 < p=5"
+        assert len(qr_calls) == 0
 
     def test_no_columns(self):
-        with pytest.raises(RankDeficient) as exc:
+        with pytest.raises(DimensionMismatch) as exc:
             fit_glm(np.zeros((5, 0)), np.full(5, 0.5), BERNOULLI)
-        assert exc.value.col_index == 0
+        assert type(exc.value) is DimensionMismatch
+        assert str(exc.value) == "need at least one column"
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_well_conditioned_design_skips_qr(self, family, qr_calls):

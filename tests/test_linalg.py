@@ -2,7 +2,7 @@
 
 Derived expectations are computed from independent oracles: explicit
 normal-equations projectors, brute-force Kronecker products, and per-column
-mean subtraction.  A stack's projectors are compared with ``Projector.fit``
+mean subtraction.  A stack's projectors are compared with ``build_projector``
 of each block on its own.
 """
 
@@ -107,15 +107,15 @@ class TestBuildProjector:
 
 
 def fit_of_block(block):
-    """Oracle: ``Projector.fit`` of one block, or the error it raises."""
+    """Oracle: ``build_projector`` of one block, or the error it raises."""
     try:
-        return Projector.fit(block)
+        return build_projector(block)
     except RankDeficient as exc:
         return exc
 
 
 class TestStackedQr:
-    """``_projectors`` of a stack is block for block ``Projector.fit`` of
+    """``_projectors`` of a stack is block for block ``build_projector`` of
     each block: bitwise the same factors and the same rank decisions."""
 
     def assert_blockwise(self, stack):
@@ -176,8 +176,8 @@ class TestStackedQr:
     def test_matrix_is_the_stack_of_one(self):
         x = rng(33).standard_normal((50, 4))
         q, r = np.linalg.qr(x)
-        fit, (stacked,) = Projector.fit(x), _projectors(x[None])
-        for proj in (fit, stacked, build_projector(x)):
+        (stacked,) = _projectors(x[None])
+        for proj in (stacked, build_projector(x)):
             assert proj.q.tobytes() == q.tobytes()
             assert proj.r.tobytes() == r.tobytes()
 
@@ -437,7 +437,7 @@ class TestLeastSquares:
         g = rng(66)
         a = g.standard_normal((128, 2))
         a[:, 0] = 1.0
-        fit = Projector.fit(a)
+        fit = build_projector(a)
         for b in (g.standard_normal(128), g.standard_normal((128, 16)),
                   g.standard_normal((128, 1))):
             got = fit.solve(b)
@@ -446,11 +446,14 @@ class TestLeastSquares:
             assert got.tobytes() == want.tobytes()
 
     def test_fitted_object_validates_its_inputs(self):
-        with pytest.raises(RankDeficient):
-            Projector.fit(np.ones((6, 2)))
-        with pytest.raises(RankDeficient):
-            Projector.fit(np.ones((1, 2)))
-        fit = Projector.fit(rng(67).standard_normal((6, 2)))
+        with pytest.raises(RankDeficient) as exc:
+            build_projector(np.ones((6, 2)))
+        assert exc.value.col_index == 1
+        with pytest.raises(DimensionMismatch) as exc:
+            build_projector(np.ones((1, 2)))
+        assert type(exc.value) is DimensionMismatch
+        assert str(exc.value) == "need n >= p, got n=1 < p=2"
+        fit = build_projector(rng(67).standard_normal((6, 2)))
         with pytest.raises(DimensionMismatch):
             fit.solve(np.ones(5))
         with pytest.raises(ValueError, match="right-hand side"):
