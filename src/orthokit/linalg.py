@@ -22,13 +22,13 @@ not arithmetic, dominates the QR of a 128-by-2 block, and each block is
 bitwise equal to its own ``build_projector``.  One rule names the two ways
 a matrix can lack full column rank, wherever it is checked: no columns or
 fewer rows than columns is ``DimensionMismatch`` (``shape_error``), and a
-dependent column is ``RankDeficient`` carrying that column's index.  The one Newton loop,
-``glm._newton``, does use the normal equations: without constraints (IRLS,
-``glm.fit_glm``) it solves each step on the weighted Gram matrix
-``Z^T W Z`` (formed by ``glm._weighted_gram``, one row block at a time),
-guarded by its Cholesky factor, with ``least_squares`` as the fallback;
-with constraints it cuts the numerical rank of the constraint Jacobian at
-``RANK_RTOL``.  Everything here runs on ``numpy.linalg`` alone.
+dependent column is ``RankDeficient`` carrying that column's index.  The
+one Newton loop, ``glm._newton``, does use the normal equations: without
+constraints (IRLS, ``glm.fit_glm``) it solves each step on the weighted
+Gram matrix ``Z^T W Z`` (formed by ``glm._weighted_gram``, one row block
+at a time), guarded by its Cholesky factor, with ``least_squares`` as the
+fallback; with constraints it cuts the numerical rank of the constraint
+Jacobian at ``RANK_RTOL``.  Everything here runs on ``numpy.linalg`` alone.
 """
 
 from __future__ import annotations
