@@ -53,7 +53,7 @@ from .correct import (
 )
 from .errors import OrthokitError, RankDeficient
 from .evalmodel import evaluate_glm, evaluate_relu_l2
-from .glm import ALPHA, family_by_name, fit_glm
+from .glm import ALPHA, FAMILIES, family_by_name, fit_glm
 from .online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
 from .synth import SyntheticSpec, figure1_demo, simulation_study
 
@@ -748,8 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--outcome", help="outcome column name")
     c.add_argument("--protected", required=True,
                    help="comma-separated protected column names")
-    c.add_argument("--family", default="bernoulli",
-                   choices=("gaussian", "bernoulli", "poisson"))
+    c.add_argument("--family", default="bernoulli", choices=tuple(FAMILIES))
     c.add_argument("--method", default="glm-constrained",
                    choices=("linear", "glm-constrained", "relu", "tensor"))
     c.add_argument("--tensor", help="tensor CSV (for method=tensor)")
@@ -768,8 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV of protected features")
     e.add_argument("--protected", default="",
                    help="comma-separated protected columns (default: all)")
-    e.add_argument("--family", default="bernoulli",
-                   choices=("gaussian", "bernoulli", "poisson"))
+    e.add_argument("--family", default="bernoulli", choices=tuple(FAMILIES))
     e.add_argument("--relu", action="store_true",
                    help="use the ReLU + L2 evaluation model")
     e.add_argument("--out", required=True)

@@ -217,5 +217,5 @@ def fit_constrained_glm(
 
     gamma, mu, nll, c, stat, it, converged, reason = _newton(
         zd, yv, xc, family, cfg.max_iter, STATIONARITY_TOL, cfg.constraint_tol)
-    return CorrectionOutcome(gamma, mu, float(c @ c), nll / n * n, it, converged,
+    return CorrectionOutcome(gamma, mu, float(c @ c), nll, it, converged,
                              stat, reason)

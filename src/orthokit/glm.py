@@ -6,15 +6,15 @@ the activation is the variance function, ``h'(eta) = V(mu)``, and the link
 derivative is ``g'(mu) = 1 / V(mu)``, so a family is defined by ``h`` and
 ``V`` alone.
 One Newton loop, ``_newton``, fits every GLM in the package: it minimizes
-the per-row NLL subject to p constraints ``Xc^T h(Z gamma) / n = 0``.
-``fit_glm`` is the case p = 0: no multipliers, and for a canonical link
-the Newton step is Fisher scoring's, the IRLS weighted least-squares step
-with weights ``V(mu)`` and working response ``eta + (y - mu) / V(mu)``.
-Each weighted least-squares step is solved on the Gram matrix ``Z^T W Z``
-once its Cholesky factor shows it positive definite and well conditioned,
-with Householder QR as the fallback for ill-conditioned or rank-deficient
-steps; Wald standard errors come from the inverse of a Cholesky factor of
-the same information matrix.  Only ``numpy.linalg`` is used.
+the per-row NLL subject to p constraints ``Xc^T h(Z gamma) / n = 0`` by
+``_newton_step`` on the KKT system with the Lagrangian Hessian
+``H = Z^T W Z / n``.  ``fit_glm`` is the case p = 0: ``W = V(mu)``, and
+the step ``solve(H, -grad)`` is Fisher scoring's (IRLS) step for a
+canonical link, taken once a Cholesky factor shows H positive definite
+and well conditioned, with Householder QR least squares on ``sqrt(W) Z``
+as the fallback for ill-conditioned or rank-deficient designs.  Wald
+standard errors come from the inverse of a Cholesky factor of the same
+information matrix.  Only ``numpy.linalg`` is used.
 ``_weighted_gram`` forms every such Gram matrix in the package, the
 constrained fit's Lagrangian Hessian included, one row block at a time:
 a fit holds its design plus one block of ``GRAM_BLOCK_BYTES``.  Only the
@@ -41,11 +41,11 @@ from .linalg import RANK_RTOL, as_matrix, as_vector, least_squares, shape_error
 MEAN_EPS = 1e-10
 
 # Smallest reciprocal condition estimate ``(min L_jj / max L_jj)^2`` of the
-# weighted Gram matrix ``Z^T W Z = L L^T`` at which an IRLS step is solved
-# from the normal equations.  Below it the step goes to QR least squares,
-# which also owns the rank check.  ``L_jj`` is ``|R_jj|`` of the QR of
-# ``sqrt(W) Z``, so every QR diagonal of an accepted design is at least
-# 1e-5 times the largest: five orders of magnitude clear of
+# weighted Gram matrix ``Z^T W Z = L L^T`` at which an unconstrained Newton
+# step is solved with the Hessian.  Below it the step goes to QR least
+# squares, which also owns the rank check.  ``L_jj`` is ``|R_jj|`` of the
+# QR of ``sqrt(W) Z``, so every QR diagonal of an accepted design is at
+# least 1e-5 times the largest: five orders of magnitude clear of
 # ``linalg.RANK_RTOL`` (1e-10).  The diagonal ratio bounds cond(R) from
 # below, so it can pass a matrix whose ill-conditioning no diagonal shows;
 # an exact rcond needs an inverse, about four times the cost of the solve
@@ -260,24 +260,6 @@ def _weighted_gram(zm: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _irls_solve(zm: np.ndarray, w: np.ndarray, resp: np.ndarray):
-    """Weighted least squares ``argmin_b ||sqrt(W) (Z b - resp)||``.
-
-    Solves the normal equations ``Z^T W Z b = Z^T W resp`` when the Gram
-    matrix has a Cholesky factor with a reciprocal condition estimate of at
-    least ``GRAM_RCOND_MIN``.  Otherwise the step is QR ``least_squares``
-    on the weighted design, which raises ``RankDeficient`` for a
-    rank-deficient design.  ``zm`` has at least as many rows as columns.
-    """
-    gram = _weighted_gram(zm, w)
-    if _cholesky(gram)[1] >= GRAM_RCOND_MIN:
-        # numpy has no triangular solver: one LU of the Gram matrix
-        # costs less than two LU-based solves with its factor
-        return np.linalg.solve(gram, zm.T @ (w * resp))
-    sw = np.sqrt(w)
-    return least_squares(zm * sw[:, None], resp * sw)
-
-
 def _newton_step(hess, jac, grad, c):
     """The SQP step ``d`` of the KKT system
     ``[[H, J^T], [J, 0]] [d, lam] = -[grad, c]`` by the null-space method.
@@ -290,11 +272,16 @@ def _newton_step(hess, jac, grad, c):
     is at most ``1e-10 * scale`` (the Cholesky factorization of the block
     less that much fails) the Hessian gets a Levenberg shift, so that d
     descends on the merit.  Returns ``(d, H)`` with the Hessian the step
-    used, shifted or not.
+    used, shifted or not.  A 0-row J gives ``solve(H, -grad)`` with no SVD
+    or shift, for a positive definite H.
     """
+    if not jac.shape[0]:
+        # numpy has no triangular solver: one LU of H costs less than two
+        # LU-based solves with its Cholesky factor
+        return np.linalg.solve(hess, -grad), hess
     k = hess.shape[0]
     u, s, vt = np.linalg.svd(jac.T)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     y, null = u[:, :rank], u[:, rank:]
     d = y @ (-(vt[:rank] @ c) / s[:rank])
     if rank == k:  # the linearized constraints alone determine d
@@ -316,9 +303,10 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
     """Minimize NLL / n subject to ``xc^T h(zd gamma) / n = 0`` from
     ``gamma = 0`` by the SQP loop ``fit_constrained_glm`` describes, to
     ``c^T c <= constraint_tol`` and stationarity at most ``tol``.  With
-    p = 0 columns in ``xc`` there are no multipliers, rho = 0, and the step
-    is the IRLS solve on the clamped means.  Returns ``(gamma, mu, nll, c,
-    stationarity, steps, converged, stop_reason)`` with unclamped means."""
+    p = 0 columns in ``xc`` there are no multipliers and rho = 0; a Hessian
+    that fails the ``GRAM_RCOND_MIN`` test gives way to QR least squares on
+    the clamped means.  Returns ``(gamma, mu, nll, c, stationarity, steps,
+    converged, stop_reason)`` with unclamped means."""
     if max_iter < 0:
         raise InvalidSpec(f"max_iter must be non-negative, got {max_iter}")
     if not 0.0 <= tol < float("inf"):
@@ -328,13 +316,12 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
     p = xc.shape[1]
 
     def evaluate(g: np.ndarray):
-        eta = zd @ g
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mu = family.h(eta)
-            return eta, mu, xc.T @ mu / n, family.nll(yv, mu)
+            mu = family.h(zd @ g)
+            return mu, xc.T @ mu / n, family.nll(yv, mu)
 
     gamma, rho, best = np.zeros(k), 0.0, None
-    eta, mu, c, nll = evaluate(gamma)
+    mu, c, nll = evaluate(gamma)
     reason = f"reached max_iter={max_iter}"
     for it in range(max_iter + 1):
         hp = family.variance(mu)  # h' for a canonical link
@@ -356,13 +343,15 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
         if it == max_iter:
             break
 
-        if p:  # the KKT system with the Lagrangian Hessian
-            w = hp * (1.0 + family.variance_prime(mu) * (xc @ lam))
-            d, hess = _newton_step(_weighted_gram(zd, w) / n, jac, grad, c)
-        else:  # H d = -grad: Fisher scoring's weighted least squares
+        # the Hessian of the Lagrangian; with p = 0 the weights are h'(mu)
+        w = hp * (1.0 + family.variance_prime(mu) * (xc @ lam))
+        hess = _weighted_gram(zd, w) / n
+        if p or _cholesky(hess)[1] >= GRAM_RCOND_MIN:
+            d, hess = _newton_step(hess, jac, grad, c)
+        else:  # QR on the clamped means, which names a dependent column
             m = family.clip_mean(mu)
-            w = family.variance(m)
-            d = _irls_solve(zd, w, eta + (yv - m) / w) - gamma
+            sw = np.sqrt(family.variance(m))
+            d = least_squares(zd * sw[:, None], (yv - m) / sw)
 
         # l1 merit f + rho ||c||_1 with rho from Nocedal & Wright eq. 18.36
         # (sigma = 1, rho-bar = 1/2), so that d is a descent direction
@@ -375,7 +364,7 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
         step = 1.0
         for _ in range(34):  # Armijo backtracking down to a step of ~1e-10
             trial = gamma + step * d
-            eta_t, mu_t, c_t, nll_t = evaluate(trial)
+            mu_t, c_t, nll_t = evaluate(trial)
             merit = nll_t / n + rho * float(np.sum(np.abs(c_t)))
             if merit <= bound + 1e-4 * step * descent:
                 break
@@ -383,7 +372,7 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
         else:
             reason = "line search stalled"
             break
-        gamma, eta, mu, c, nll = trial, eta_t, mu_t, c_t, nll_t
+        gamma, mu, c, nll = trial, mu_t, c_t, nll_t
 
     return (*(best or out), it, False, reason)
 
@@ -397,12 +386,12 @@ def fit_glm(
     with_intercept: bool = False,
     check_domain: bool = True,
 ) -> GlmFit:
-    """Fit a canonical GLM by Fisher-scoring IRLS: ``_newton`` with no
-    constraints.  A design with no columns or fewer rows than columns
-    raises ``DimensionMismatch``.  Each step solves the weighted normal
-    equations, or, when their Cholesky factor is missing or ill-conditioned,
-    QR least squares on ``sqrt(W) Z``, which raises ``RankDeficient`` naming
-    the first dependent column in input order.  A negative or non-finite
+    """Fit a canonical GLM by Newton's method (Fisher-scoring IRLS):
+    ``_newton`` with no constraints.  A design with no columns or fewer
+    rows than columns raises ``DimensionMismatch``.  Each step solves with
+    the Hessian ``Z^T W Z / n``, or, when its Cholesky factor is missing or
+    ill-conditioned, is QR least squares on ``sqrt(W) Z``, which raises
+    ``RankDeficient`` naming the first dependent column in input order.  A negative or non-finite
     ``tol`` raises ``InvalidSpec``.
 
     Convergence requires the score ``Z^T (y - mu)`` to have max-norm at most
@@ -444,7 +433,7 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     diagonal is the column sums of squares of ``L^{-1}`` for the Cholesky
     factor ``L`` of the information matrix, which is never inverted itself.
     Raises ``SingularInformation`` when the matrix is not positive definite
-    or the factor's reciprocal condition estimate (as in ``_irls_solve``)
+    or the factor's reciprocal condition estimate (as in ``_cholesky``)
     is below k times machine epsilon, the tolerance
     ``numpy.linalg.matrix_rank`` uses.
     """

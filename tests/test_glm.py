@@ -28,7 +28,7 @@ from orthokit.glm import (
     MEAN_EPS,
     POISSON,
     GlmFit,
-    _irls_solve,
+    _newton_step,
     _weighted_gram,
     family_by_name,
     fit_glm,
@@ -114,7 +114,7 @@ class TestFisherWeights:
 
     def test_boundary_means_clipped(self):
         # saturated activations would give zero weight and an infinite
-        # working response; clip_mean keeps both finite
+        # QR right-hand side (y - mu) / sqrt(w); clip_mean keeps both finite
         for family, eta in ((BERNOULLI, [-800.0, 800.0]), (POISSON, [-800.0])):
             w = family.variance(family.clip_mean(family.h(np.array(eta))))
             assert np.all(w > 0.0) and np.all(np.isfinite(1.0 / w))
@@ -129,18 +129,24 @@ class TestFisherWeights:
             assert np.all(fit.weight_diag > 0.0)
 
 
+def unconstrained_step(z, y, mu, family):
+    """``_newton_step`` with no constraints at means ``mu``."""
+    n, k = z.shape
+    hess = _weighted_gram(z, family.variance(mu)) / n
+    return _newton_step(hess, np.empty((0, k)), z.T @ (mu - y) / n, np.empty(0))[0]
+
+
 class TestWorkingResponse:
-    """The IRLS response is ``eta + (y - mu) / V(mu)``."""
+    """The unconstrained Newton step is the IRLS step of the working
+    response ``eta + (y - mu) / V(mu)``."""
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_zero_at_fitted_mean(self, family):
-        # at convergence a further weighted step leaves beta where it is
+        # at convergence a further Newton step leaves beta where it is
         z, y = draw_problem(family, rng(2))
         fit = fit_glm(z, y, family)
-        eta = z @ fit.coefficients
-        w = fit.weight_diag
-        step = _irls_solve(z, w, eta + (y - fit.fitted_means) / w)
-        np.testing.assert_allclose(step, fit.coefficients, atol=1e-7)
+        step = unconstrained_step(z, y, fit.fitted_means, family)
+        np.testing.assert_allclose(step, 0.0, rtol=0.0, atol=1e-7)
 
     def test_gaussian_is_raw_residual(self):
         # with unit weights the first step is least squares, so it is final
@@ -306,10 +312,12 @@ class TestFitGlm:
     def test_stop_reason_names_failed_step_halving(self, monkeypatch):
         # a solver that returns the reflected Newton step: from beta = 0 it
         # points uphill, so no halving of it decreases the loss.  With no
-        # constraints the Newton loop's step is the IRLS solve itself.
-        solve = glm_module._irls_solve
+        # constraints and a well-conditioned Hessian the Newton loop's step
+        # is _newton_step's.
+        solve = glm_module._newton_step
         monkeypatch.setattr(
-            glm_module, "_irls_solve", lambda zm, w, resp: -solve(zm, w, resp)
+            glm_module, "_newton_step",
+            lambda hess, jac, grad, c: (-solve(hess, jac, grad, c)[0], hess),
         )
         z, y = draw_problem(BERNOULLI, rng(19))
         fit = fit_glm(z, y, BERNOULLI)
@@ -371,6 +379,22 @@ class TestIrlsStep:
         assert str(exc.value) == "need n >= p, got n=3 < p=5"
         assert len(qr_calls) == 0
 
+    def test_unconstrained_newton_step_is_one_solve(self, monkeypatch):
+        # with a 0-row Jacobian the step is the Hessian solve, bitwise, and
+        # no SVD is taken
+        g = rng(34)
+        a = g.standard_normal((40, 5))
+        hess, grad = a.T @ a / 40, g.standard_normal(5)
+        expected = np.linalg.solve(hess, -grad)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        d, used = _newton_step(hess, np.empty((0, 5)), grad, np.empty(0))
+        assert d.tobytes() == expected.tobytes()
+        assert used is hess
+
     def test_no_columns(self):
         with pytest.raises(DimensionMismatch) as exc:
             fit_glm(np.zeros((5, 0)), np.full(5, 0.5), BERNOULLI)
@@ -407,17 +431,15 @@ class TestIrlsStep:
         fam = family_by_name(family)
         data = generate(SyntheticSpec(n=n, p=5, q=q, rho=2.0, family=family, seed=0))
         zd = augment_intercept(data.z)
-        # every iterate the fit visits, up to 30 steps
+        # at every iterate the fit visits, up to 30 steps, the next iterate
+        # beta + d from the Hessian solve and from the QR fallback's solve
         beta = np.zeros(zd.shape[1])
         for m in range(1, 31):
-            eta = zd @ beta
-            mu = fam.clip_mean(fam.h(eta))
-            w = fam.variance(mu)
-            resp = eta + (data.y - mu) / w
-            sw = np.sqrt(w)
-            qr_step = least_squares(zd * sw[:, None], resp * sw)
-            chol_step = _irls_solve(zd, w, resp)
-            err = np.max(np.abs(chol_step - qr_step)) / np.max(np.abs(qr_step))
+            mu = fam.clip_mean(fam.h(zd @ beta))
+            sw = np.sqrt(fam.variance(mu))
+            qr_next = beta + least_squares(zd * sw[:, None], (data.y - mu) / sw)
+            chol_next = beta + unconstrained_step(zd, data.y, mu, fam)
+            err = np.max(np.abs(chol_next - qr_next)) / np.max(np.abs(qr_next))
             assert err <= 1e-10, (m, err)
             fit = fit_glm(data.z, data.y, fam, with_intercept=True, max_iter=m)
             if fit.converged:
