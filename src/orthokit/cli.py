@@ -55,7 +55,7 @@ from .errors import OrthokitError, RankDeficient
 from .evalmodel import evaluate_glm, evaluate_relu_l2
 from .glm import ALPHA, FAMILIES, family_by_name, fit_glm
 from .online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
-from .synth import SyntheticSpec, figure1_demo, simulation_study
+from .synth import SUMMARY_COLUMNS, SyntheticSpec, figure1_demo, simulation_study
 
 
 class CliError(Exception):
@@ -442,32 +442,21 @@ def _naming_dependent_column(kind, columns, earlier):
 # correct
 
 
-def cmd_correct(args) -> int:
-    family = family_by_name(args.family)
-    out_dir = Path(args.out)
-    protected_cols = [c.strip() for c in args.protected.split(",") if c.strip()]
-    if not protected_cols:
+def _protected_columns(text):
+    """The column names of a comma-separated ``--protected`` value."""
+    columns = [c.strip() for c in text.split(",") if c.strip()]
+    if not columns:
         raise CliError("--protected must name at least one column")
-    tensor_method = args.method == "tensor"
-    if not tensor_method and args.outcome in protected_cols:
-        raise CliError(f"outcome column {args.outcome!r} is also listed in --protected")
+    return columns
 
-    header, body = read_table(args.data, protected_cols if tensor_method else None)
-    x, x_names, refs = encode_columns(header, body, protected_cols)
-    if not tensor_method:
-        if args.outcome not in header:
-            raise CliError(f"outcome column {args.outcome!r} not found in input")
-        y = _numbers(body, args.outcome)
-        feature_cols = [
-            c for c in header if c != args.outcome and c not in protected_cols
-        ]
-        if not feature_cols:
-            raise CliError("no feature columns remain after outcome/protected removal")
-        z, z_names, z_refs = encode_columns(header, body, feature_cols)
-        refs.update(z_refs)
-    del body  # decoded: not held through the tensor file and the fit
 
-    if tensor_method:
+def cmd_correct(args) -> int:
+    out_dir = Path(args.out)
+    if args.method == "tensor":
+        protected = _protected_columns(args.protected)
+        header, body = read_table(args.data, protected)
+        x, x_names, refs = encode_columns(header, body, protected)
+        del body  # decoded: not held through the tensor file
         if not args.tensor:
             raise CliError("--tensor <file> is required for method=tensor")
         tensor = read_tensor(args.tensor)
@@ -476,31 +465,37 @@ def cmd_correct(args) -> int:
         with _naming_dependent_column("protected", x_names, "earlier protected columns"):
             corrected = correct_features_linear(x, tensor)
         write_tensor(out_dir / "corrected_tensor.csv", corrected)
-        report = {
-            "method": "tensor",
-            "protected": x_names,
-            "reference_levels": refs,
-            "dims": list(tensor.shape),
-        }
-        _write_report(out_dir, report)
+        _write_report(out_dir, {"method": "tensor", "protected": x_names,
+                                "reference_levels": refs, "dims": list(tensor.shape)})
         return 0
 
+    if not args.outcome:
+        raise CliError("--outcome is required unless method=tensor")
+    protected = _protected_columns(args.protected)
+    if args.outcome in protected:
+        raise CliError(f"outcome column {args.outcome!r} is also listed in --protected")
+    header, body = read_table(args.data)
+    x, x_names, refs = encode_columns(header, body, protected)
+    if args.outcome not in header:
+        raise CliError(f"outcome column {args.outcome!r} not found in input")
+    y = _numbers(body, args.outcome)
+    feature_cols = [c for c in header if c != args.outcome and c not in protected]
+    if not feature_cols:
+        raise CliError("no feature columns remain after outcome/protected removal")
+    z, z_names, z_refs = encode_columns(header, body, feature_cols)
+    refs.update(z_refs)
+    del body  # decoded: not held through the fit
+
+    family = family_by_name(args.family)
+    report = {"method": args.method, "family": family.name, "constraint_residual": None}
     if args.method == "glm-constrained":
         cfg = ConstrainedConfig(max_iter=args.max_iter, constraint_tol=args.tol)
         out = fit_constrained_glm(z, y, x, family, cfg)
-        gamma, y_hat, converged = out.gamma_c, out.corrected_predictions, out.converged
-        report = {
-            "method": args.method,
-            "family": family.name,
-            "constraint_residual": out.constraint_residual,
-            "iterations": out.iterations,
-            "converged": converged,
-            "stop_reason": out.stop_reason,
-            "loss": out.loss,
-            "stationarity": out.stationarity,
-            "protected": x_names,
-            "reference_levels": refs,
-        }
+        gamma, y_hat = out.gamma_c, out.corrected_predictions
+        report.update(constraint_residual=out.constraint_residual,
+                      iterations=out.iterations, converged=out.converged,
+                      stop_reason=out.stop_reason, loss=out.loss,
+                      stationarity=out.stationarity)
     else:
         with _naming_dependent_column("protected", ["(intercept)"] + x_names,
                                       "the intercept and earlier protected columns"):
@@ -511,26 +506,17 @@ def cmd_correct(args) -> int:
                 "the intercept, the protected columns and earlier feature columns",
             ):
                 fit = fit_glm(design, y, family)
-            gamma, y_hat, converged = fit.coefficients, fit.fitted_means, fit.converged
-            loss = family.nll(y, y_hat)
-            iterations, stop = fit.iterations, {}
+            gamma, y_hat = fit.coefficients, fit.fitted_means
+            report.update(iterations=fit.iterations, converged=fit.converged,
+                          stop_reason=fit.stop_reason, loss=fit.loss)
         else:  # least-squares ReLU prediction model on the corrected features
             best = evaluate_relu_l2(design, y, starts=8)
-            gamma, iterations, converged = best.beta, best.iterations, best.converged
-            stop = {"stop_reason": best.stop_reason}
+            gamma = best.beta
             y_hat = np.maximum(design @ gamma, 0.0)
-            loss = float(np.sum((y - y_hat) ** 2))
-        report = {
-            "method": args.method,
-            "family": family.name,
-            "constraint_residual": None,
-            "iterations": iterations,
-            "converged": converged,
-            **stop,
-            "loss": loss,
-            "protected": x_names,
-            "reference_levels": refs,
-        }
+            report.update(iterations=best.iterations, converged=best.converged,
+                          stop_reason=best.stop_reason,
+                          loss=float(np.sum((y - y_hat) ** 2)))
+    report.update(protected=x_names, reference_levels=refs)
 
     _write_csv(
         out_dir / "corrected_predictions.csv",
@@ -543,7 +529,7 @@ def cmd_correct(args) -> int:
         zip(["(intercept)"] + z_names, gamma.tolist()),
     )
     _write_report(out_dir, report)
-    return 0 if converged else 3
+    return 0 if report["converged"] else 3
 
 
 def _write_report(out_dir, report) -> None:
@@ -570,11 +556,8 @@ def cmd_evaluate(args) -> int:
     y_hat = _numbers(body, pred_col)
     del body  # decoded: not held while the protected file is read
 
-    cols = None  # every column of the protected file
-    if args.protected:
-        cols = [c.strip() for c in args.protected.split(",") if c.strip()]
-        if not cols:
-            raise CliError("--protected must name at least one column")
+    # every column of the protected file when --protected is not given
+    cols = _protected_columns(args.protected) if args.protected else None
     p_header, p_body = read_table(args.protected_data, cols)
     x, x_names, _refs = encode_columns(p_header, p_body, p_header if cols is None else cols)
     del p_body
@@ -583,54 +566,48 @@ def cmd_evaluate(args) -> int:
 
     if args.relu:
         res = evaluate_relu_l2(x, y_hat)
-        _write_csv(
-            out_dir / "evaluation.csv",
-            ("coefficient", "estimate", "std_error", "z", "p_value"),
-            [(n, b, None, None, None) for n, b in zip(x_names, res.beta.tolist())],
-        )
+        rows = [(n, b, None, None, None) for n, b in zip(x_names, res.beta.tolist())]
         # zero is never the rectified minimizer once the mixed term is
         # positive, so report how much of the objective the fit explains
         zero = res.objective_at_zero
         share = 1.0 - res.objective / zero if zero > 0.0 else 0.0
-        print(
-            f"relu-evaluation objective={_fmt(res.objective)} "
-            f"objective_at_zero={_fmt(zero)} explained_share={_fmt(share)}"
-        )
-        return 0
-
-    with _naming_dependent_column("protected", ["(intercept)"] + x_names,
-                                  "the intercept and earlier protected columns"):
-        report = evaluate_glm(x, y_hat, family)
-    _write_csv(
-        out_dir / "evaluation.csv",
-        ("coefficient", "estimate", "std_error", "z", "p_value"),
-        zip(x_names, report.coefficients.tolist(), report.std_errors.tolist(),
-            report.z_stats.tolist(), report.p_values.tolist()),
-    )
-    # a p-value of an unconverged fit (separated data, say) certifies nothing
-    for j, n in enumerate(x_names):
-        passed = report.converged and report.p_values[j] >= ALPHA
-        print(
-            f"{n}: estimate={report.coefficients[j]:+.4f} "
-            f"(p={report.p_values[j]:.4g}) {'PASS' if passed else 'FAIL'}"
-        )
-    return 0 if report.converged else 3
+        lines = [f"relu-evaluation objective={_fmt(res.objective)} "
+                 f"objective_at_zero={_fmt(zero)} explained_share={_fmt(share)}"]
+        code = 0
+    else:
+        with _naming_dependent_column("protected", ["(intercept)"] + x_names,
+                                      "the intercept and earlier protected columns"):
+            report = evaluate_glm(x, y_hat, family)
+        rows = zip(x_names, report.coefficients.tolist(), report.std_errors.tolist(),
+                   report.z_stats.tolist(), report.p_values.tolist())
+        # a p-value of an unconverged fit (separated data, say) certifies nothing
+        passed = report.converged & (report.p_values >= ALPHA)
+        lines = [f"{n}: estimate={b:+.4f} (p={p:.4g}) {'PASS' if ok else 'FAIL'}"
+                 for n, b, p, ok in zip(x_names, report.coefficients, report.p_values, passed)]
+        code = 0 if report.converged else 3
+    _write_csv(out_dir / "evaluation.csv",
+               ("coefficient", "estimate", "std_error", "z", "p_value"), rows)
+    for line in lines:
+        print(line)
+    return code
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-SUMMARY_COLUMNS = (
-    "family", "n", "p", "q", "rho", "method",
-    "median_abs_estimate", "median_p_value", "fraction_significant",
-    "max_constraint_residual", "rows", "unconverged",
-)
-
 PRESETS = {
     "appendix-g-bernoulli": "bernoulli",
     "appendix-g-poisson": "poisson",
 }
+
+
+def _exact(kind, value):
+    """``kind(value)``, refusing a JSON boolean and a fraction for an int."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fraction:
+        raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
+    return kind(value)
 
 
 def _grid_from_args(args) -> list:
@@ -655,12 +632,12 @@ def _grid_from_args(args) -> list:
         try:
             grid.append(
                 SyntheticSpec(
-                    n=int(cell["n"]),
-                    p=int(cell["p"]),
-                    q=int(cell["q"]),
-                    rho=float(cell.get("rho", 2.0)),
+                    n=_exact(int, cell["n"]),
+                    p=_exact(int, cell["p"]),
+                    q=_exact(int, cell["q"]),
+                    rho=_exact(float, cell.get("rho", 2.0)),
                     family=str(cell.get("family", "bernoulli")),
-                    seed=int(cell.get("seed", args.seed)),
+                    seed=_exact(int, cell.get("seed", args.seed)),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -795,8 +772,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "correct" and args.method != "tensor" and not args.outcome:
-            raise CliError("--outcome is required unless method=tensor")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

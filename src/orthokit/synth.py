@@ -128,6 +128,14 @@ STUDY_COLUMNS = (
     "error",
 )
 
+# The keys of a ``StudyTable.summarize`` row, in order: a cell and method,
+# its pooled statistics and its row counts.
+SUMMARY_COLUMNS = (
+    "family", "n", "p", "q", "rho", "method",
+    "median_abs_estimate", "median_p_value", "fraction_significant",
+    "max_constraint_residual", "rows", "unconverged",
+)
+
 
 @dataclass
 class StudyTable:
@@ -149,10 +157,7 @@ class StudyTable:
         for row in self.rows:
             if row.get("error"):
                 continue
-            key = (
-                row["family"], row["n"], row["p"], row["q"], row["rho"],
-                row["method"],
-            )
+            key = tuple(row[c] for c in SUMMARY_COLUMNS[:6])  # cell and method
             groups.setdefault(key, []).append(row)
         out = []
         for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
@@ -176,12 +181,7 @@ class StudyTable:
             ]
             out.append(
                 {
-                    "family": key[0],
-                    "n": key[1],
-                    "p": key[2],
-                    "q": key[3],
-                    "rho": key[4],
-                    "method": key[5],
+                    **dict(zip(SUMMARY_COLUMNS[:6], key)),
                     **stats,
                     "max_constraint_residual": (
                         float(np.max(res)) if res else None

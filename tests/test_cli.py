@@ -12,7 +12,6 @@ import pytest
 from orthokit import cli
 from orthokit.cli import (
     BLOCK_ROWS,
-    SUMMARY_COLUMNS,
     _fmt,
     _write_csv,
     main,
@@ -22,7 +21,7 @@ from orthokit.cli import (
 from orthokit.correct import augment_intercept, correct_features_linear
 from orthokit.evalmodel import evaluate_relu_l2
 from orthokit.glm import GAUSSIAN, fit_glm
-from orthokit.synth import SyntheticSpec, generate
+from orthokit.synth import SUMMARY_COLUMNS, SyntheticSpec, generate
 
 
 def write_dataset(path, data):
@@ -204,6 +203,21 @@ class TestCorrectCommand:
         assert report["converged"] is False
         assert "quasi-separated" in report["stop_reason"]
         assert report["constraint_residual"] <= 1e-6
+
+    def test_linear_report_names_quasi_separation(self, tmp_path):
+        # y = (f > 0): the refit on the corrected f separates the classes
+        rng = np.random.Generator(np.random.Philox(key=29))
+        f, x = rng.standard_normal(200), rng.standard_normal(200)
+        path = tmp_path / "separated.csv"
+        _write_rows(path, [["f", "x", "y"]] + [
+            [f"{a:.17g}", f"{b:.17g}", str(int(a > 0))] for a, b in zip(f, x)])
+        out = tmp_path / "out"
+        rc = main(["correct", "--data", str(path), "--outcome", "y", "--protected", "x",
+                   "--method", "linear", "--out", str(out)])
+        assert rc == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["stop_reason"] == "means reached the clamp: the design is quasi-separated"
 
     def test_seventeen_digit_roundtrip(self, bernoulli_csv, tmp_path):
         path, _ = bernoulli_csv
@@ -552,6 +566,46 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
     # every diagnostic names the same cell when blocks end next to it
     monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
     test_bad_input_exits_2_with_one_line(case, tmp_path, capsys)
+
+
+def _usage_files(tmp_path):
+    """A 6-row data file with a bad protected cell in a copy, a 5-row
+    tensor file and a 5-row predictions file."""
+    rows = [["z0", "x0", "y"]] + [[str(k), str(k % 2), str(k % 3)] for k in range(6)]
+    _write_rows(tmp_path / "data.csv", rows)
+    rows[3][1] = "nan"
+    _write_rows(tmp_path / "bad.csv", rows)
+    _write_rows(tmp_path / "tensor.csv", [["#dims 5 2"]] + [["1", "2"]] * 5)
+    _write_rows(tmp_path / "preds.csv", [["row_id", "y_hat"]] + [[k, "0.5"] for k in range(5)])
+    _write_rows(tmp_path / "no_features.csv", [r[1:] for r in rows[:3] + rows[4:]])
+
+
+TENSOR_ARGV = ["correct", "--data", "{tmp}/data.csv", "--protected", "x0", "--method", "tensor"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["correct", "--data", "{tmp}/data.csv", "--protected", "x0", "--method", "linear"],
+     "--outcome is required unless method=tensor"),
+    # the outcome rule comes before the --protected list is read
+    (["correct", "--data", "{tmp}/data.csv", "--protected", ","],
+     "--outcome is required unless method=tensor"),
+    (TENSOR_ARGV, "--tensor <file> is required for method=tensor"),
+    # the protected column is read before the tensor file is asked for
+    (["correct", "--data", "{tmp}/bad.csv", "--protected", "x0", "--method", "tensor"],
+     "column 'x0' contains non-finite cell 'nan' (row 4)"),
+    (TENSOR_ARGV + ["--tensor", "{tmp}/tensor.csv"], "tensor rows do not match data rows"),
+    (["correct", "--data", "{tmp}/no_features.csv", "--outcome", "y", "--protected", "x0"],
+     "no feature columns remain after outcome/protected removal"),
+    (["evaluate", "--predictions", "{tmp}/preds.csv", "--protected-data", "{tmp}/data.csv",
+      "--protected", "x0"], "predictions and protected data differ in row count"),
+], ids=["no_outcome", "no_outcome_empty_protected", "tensor_without_file",
+        "tensor_without_file_bad_cell", "tensor_rows", "no_features", "evaluate_rows"])
+def test_usage_rule_exits_2_with_its_line(argv, line, tmp_path, capsys):
+    _usage_files(tmp_path)
+    out = tmp_path / "out"
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1071,14 +1125,23 @@ class TestSimulateCommand:
         assert "grid" in capsys.readouterr().err
 
     def test_overflowing_grid_cell_exits_2(self, tmp_path, capsys):
-        # JSON reads 1e400 as inf, which no integer holds
-        bad = tmp_path / "big.json"
-        bad.write_text('[{"n": 1e400, "p": 1, "q": 2}]')
-        rc = main(["simulate", "--grid", str(bad), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "bad grid cell" in err[0]
-        assert not (tmp_path / "o").exists()
+        # JSON reads 1e400 as inf, which no integer holds; a boolean or a
+        # fraction would be truncated to an integer
+        for k, cell in enumerate([
+            '{"n": 1e400, "p": 1, "q": 2}',
+            '{"n": 60.9, "p": 1, "q": 2, "seed": 1.5, "rho": true}',
+            '{"n": 60, "p": 1.5, "q": 2}', '{"n": 60, "p": 1, "q": 2.5}',
+            '{"n": 60, "p": 1, "q": 2, "seed": 1.5}', '{"n": 60, "p": 1, "q": 2, "rho": true}',
+            '{"n": true, "p": 1, "q": 2}',
+        ]):
+            bad = tmp_path / f"bad{k}.json"
+            bad.write_text(f"[{cell}]")
+            out = tmp_path / f"o{k}"
+            rc = main(["simulate", "--grid", str(bad), "--out", str(out)])
+            assert rc == 2, cell
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "bad grid cell" in err[0]
+            assert not out.exists()
 
 
 class TestDemoCommand:

@@ -158,6 +158,16 @@ def test_paired_marks_a_move_beyond_the_bound_and_needs_a_move_past_the_iqr():
     assert line.startswith("  ") and line.endswith("won 5/5")
 
 
+def test_paired_claims_no_layer_metric():
+    # every pair won and the median moved past the parent's IQR, as the
+    # claim rule's letter asks, but a layer row is a report
+    parent = {"wall_s": [1.0] * 10, "correct.constrained_feasible": [3.0] * 9 + [2.0]}
+    change = {"wall_s": [1.0] * 10, "correct.constrained_feasible": [5.0] * 10}
+    _, feasible = ledger.paired(paired_ledger(parent, change), SPEC)
+    assert feasible.startswith("  layers w correct.constrained_feasible: 3 -> 5")
+    assert feasible.endswith("won 10/10")
+
+
 def test_paired_lists_a_metric_the_parent_lacks_as_new():
     book = paired_ledger({"wall_s": [1.0] * 3}, {"wall_s": [1.0] * 3, "setup_s": [0.2] * 3})
     assert ledger.paired(book, SPEC)[-1] == "  end_to_end w setup_s: new, 0.2 s"

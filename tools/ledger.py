@@ -36,9 +36,10 @@ run exits 0 and reports ``correct: true``.  Then it writes
 
 Last it prints, per metric, the parent's and the change's medians, the
 parent's interquartile range and the pairs the change won, a tie counting
-for neither side.  ``+`` marks a metric that meets the claim rule (at
-least ten pairs run, nine tenths of them won, and a median move larger
-than the parent's interquartile range); ``!`` marks an end-to-end metric
+for neither side.  ``+`` marks an end-to-end metric that meets the claim
+rule (at least ten pairs run, nine tenths of them won, and a median move
+larger than the parent's interquartile range); a layer metric is a report,
+never a claim, so it gets no ``+``.  ``!`` marks an end-to-end metric
 whose median is worse than the parent's by more than its
 ``BENCHMARK.json`` bound, read as a fraction of the parent's median.  The
 marks do not change the exit code.  Layer metrics are listed only where
@@ -216,9 +217,9 @@ def commit_of(checkout: Path) -> str:
 def paired(ledger: dict, spec: dict) -> list:
     """One line per end-to-end metric and per layer metric that moved,
     the parent's median against the change's, with the parent's
-    interquartile range and the pairs the change won.  ``+`` marks the
-    claim rule met, ``!`` an end-to-end metric worse than the parent's
-    median by more than its bound (a fraction of that median).  A metric
+    interquartile range and the pairs the change won.  ``+`` marks an
+    end-to-end metric that meets the claim rule, ``!`` one worse than the
+    parent's median by more than its bound (a fraction of that median).  A metric
     only one side reports is listed as ``new`` or ``gone``."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -243,12 +244,12 @@ def paired(ledger: dict, spec: dict) -> list:
                 won = sum(sign * (c - p) < 0 for p, c in pairs)
                 iqr = was["q3"] - was["q1"]
                 mark = " "
-                if (section == "end_to_end" and name in bounds
-                        and sign * (b - a) > bounds[name] * abs(a)):
-                    mark = "!"
-                elif (len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
-                      and -sign * (b - a) > iqr):
-                    mark = "+"
+                if section == "end_to_end":  # a layer row is a report, never a claim
+                    if name in bounds and sign * (b - a) > bounds[name] * abs(a):
+                        mark = "!"
+                    elif (len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
+                          and -sign * (b - a) > iqr):
+                        mark = "+"
                 change = f"{(b - a) / a:+.1%}" if a else "n/a"
                 lines.append(f"{mark} {section} {workload} {name}: {a:.6g} -> {b:.6g} "
                              f"{now['unit']} ({change}), parent IQR {iqr:.3g}, "
