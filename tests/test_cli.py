@@ -569,15 +569,15 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
 
 
 def _usage_files(tmp_path):
-    """A 6-row data file with a bad protected cell in a copy, a 5-row
-    tensor file and a 5-row predictions file."""
+    """A 6-row data file, copies of it without the feature column and with
+    a bad protected cell, a 5-row tensor file and a 5-row predictions file."""
     rows = [["z0", "x0", "y"]] + [[str(k), str(k % 2), str(k % 3)] for k in range(6)]
     _write_rows(tmp_path / "data.csv", rows)
+    _write_rows(tmp_path / "no_features.csv", [r[1:] for r in rows])
     rows[3][1] = "nan"
     _write_rows(tmp_path / "bad.csv", rows)
     _write_rows(tmp_path / "tensor.csv", [["#dims 5 2"]] + [["1", "2"]] * 5)
     _write_rows(tmp_path / "preds.csv", [["row_id", "y_hat"]] + [[k, "0.5"] for k in range(5)])
-    _write_rows(tmp_path / "no_features.csv", [r[1:] for r in rows[:3] + rows[4:]])
 
 
 TENSOR_ARGV = ["correct", "--data", "{tmp}/data.csv", "--protected", "x0", "--method", "tensor"]

@@ -219,8 +219,8 @@ def paired(ledger: dict, spec: dict) -> list:
     the parent's median against the change's, with the parent's
     interquartile range and the pairs the change won.  ``+`` marks an
     end-to-end metric that meets the claim rule, ``!`` one worse than the
-    parent's median by more than its bound (a fraction of that median).  A metric
-    only one side reports is listed as ``new`` or ``gone``."""
+    parent's median by more than its bound (a fraction of that median).
+    A metric only one side reports is listed as ``new`` or ``gone``."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent = ledger["parent"]
