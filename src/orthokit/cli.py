@@ -51,7 +51,7 @@ from .correct import (
     corrected_design,
     fit_constrained_glm,
 )
-from .errors import OrthokitError, RankDeficient
+from .errors import InvalidSpec, OrthokitError, RankDeficient
 from .evalmodel import evaluate_glm, evaluate_relu_l2
 from .glm import ALPHA, FAMILIES, family_by_name, fit_glm
 from .online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
@@ -603,9 +603,9 @@ PRESETS = {
 
 
 def _exact(kind, value):
-    """``kind(value)``, refusing a JSON boolean and a fraction for an int."""
+    """``kind(value)``, refusing a string, a boolean and a fraction for an int."""
     fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fraction:
+    if isinstance(value, (str, bool)) or fraction:
         raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
     return kind(value)
 
@@ -647,13 +647,10 @@ def _grid_from_args(args) -> list:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
-    grid = _grid_from_args(args)
-    for spec in grid:
-        try:
-            spec.validate()
-        except OrthokitError as exc:
-            raise CliError(str(exc))
-    table = simulation_study(grid, args.replicates)
+    try:
+        table = simulation_study(_grid_from_args(args), args.replicates)
+    except InvalidSpec as exc:
+        raise CliError(str(exc))
     _write_csv(out_dir / "study.csv", table.columns,
                ([row.get(c) for c in table.columns] for row in table.rows))
     _write_csv(

@@ -31,18 +31,7 @@ class DomainError(OrthokitError):
 
 
 class DidNotConverge(OrthokitError):
-    """An iterative fit hit its iteration budget before meeting tolerance.
-
-    No orthokit function raises it: fits return their best iterate with
-    ``converged=False`` instead.  It stays importable for callers that
-    still catch it.  ``result`` carries a ``GlmFit`` or
-    ``CorrectionOutcome`` when one is given.
-    """
-
-    def __init__(self, message: str, iterations: int = 0, result=None):
-        self.iterations = int(iterations)
-        self.result = result
-        super().__init__(message)
+    """Kept for callers that catch it; no orthokit function raises it."""
 
 
 class SingularInformation(OrthokitError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec
-from .glm import EvaluationReport, GlmFamily, fit_glm, null_certified, wald_inference
+from .glm import EvaluationReport, GlmFamily, fit_glm, wald_inference
 from .linalg import as_matrix, as_tensor, as_vector, least_squares
 
 
@@ -42,15 +42,12 @@ def evaluate_glm(x, y_corrected, family: GlmFamily) -> EvaluationReport:
     report = wald_inference(fit, design)
     # drop the internal intercept (index 0) from the reported arrays
     slopes = slice(1, None)
-    coef = report.coefficients[slopes]
-    pvals = report.p_values[slopes]
     return EvaluationReport(
-        coefficients=coef,
+        coefficients=report.coefficients[slopes],
         std_errors=report.std_errors[slopes],
         z_stats=report.z_stats[slopes],
-        p_values=pvals,
+        p_values=report.p_values[slopes],
         converged=fit.converged,
-        null_certified=null_certified(fit.converged, coef, pvals),
     )
 
 

@@ -189,29 +189,24 @@ class GlmFit:
 
 @dataclass
 class EvaluationReport:
-    """Wald inference summary for an evaluation-model fit.
-
-    ``null_certified`` is the module function of that name applied to the
-    reported coefficients and p-values.
-    """
+    """Wald inference summary for an evaluation-model fit."""
 
     coefficients: np.ndarray
     std_errors: np.ndarray
     z_stats: np.ndarray
     p_values: np.ndarray
     converged: bool
-    null_certified: bool
 
-
-def null_certified(converged: bool, coefficients, p_values) -> bool:
-    """True when the fit converged and every coefficient is both
-    statistically indistinguishable from zero at level ``ALPHA`` and
-    numerically below ``COEF_NULL_THRESHOLD`` in magnitude."""
-    return bool(
-        converged
-        and np.all(np.asarray(p_values) > ALPHA)
-        and np.all(np.abs(coefficients) < COEF_NULL_THRESHOLD)
-    )
+    @property
+    def null_certified(self) -> bool:
+        """True when the fit converged and every coefficient is both
+        statistically indistinguishable from zero at level ``ALPHA`` and
+        numerically below ``COEF_NULL_THRESHOLD`` in magnitude."""
+        return bool(
+            self.converged
+            and np.all(np.asarray(self.p_values) > ALPHA)
+            and np.all(np.abs(self.coefficients) < COEF_NULL_THRESHOLD)
+        )
 
 
 def normal_sf2(z: np.ndarray) -> np.ndarray:
@@ -459,12 +454,10 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     se = np.sqrt(diag)
     with np.errstate(divide="ignore", invalid="ignore"):
         zstat = np.where(se > 0, fit.coefficients / se, 0.0)
-    pvals = normal_sf2(zstat)
     return EvaluationReport(
         coefficients=fit.coefficients.copy(),
         std_errors=se,
         z_stats=zstat,
-        p_values=pvals,
+        p_values=normal_sf2(zstat),
         converged=fit.converged,
-        null_certified=null_certified(fit.converged, fit.coefficients, pvals),
     )

@@ -16,7 +16,6 @@ I/O, and ``cli`` writes the tables in its CSV format.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -25,7 +24,7 @@ import numpy as np
 from .correct import augment_intercept, corrected_design, fit_constrained_glm
 from .errors import InvalidSpec, OrthokitError
 from .evalmodel import evaluate_glm
-from .glm import family_by_name, fit_glm
+from .glm import FAMILIES, family_by_name, fit_glm
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,7 +63,9 @@ class SyntheticSpec:
             raise InvalidSpec(f"need 1 <= p <= q, got p={self.p}, q={self.q}")
         if not np.isfinite(self.rho):
             raise InvalidSpec("rho must be finite")
-        family_by_name(self.family)
+        if self.family not in FAMILIES:
+            raise InvalidSpec(f"unknown family {self.family!r}; "
+                              f"expected one of {sorted(FAMILIES)}")
         if self.true_gamma is not None and len(self.true_gamma) != self.q:
             raise InvalidSpec("true_gamma length must equal q")
 
@@ -215,8 +216,7 @@ def run_method(data: SyntheticDataset, method: str):
     raise InvalidSpec(f"unknown method {method!r}")
 
 
-def _study_cell(job):
-    spec, replicate = job
+def _study_cell(spec: SyntheticSpec, replicate: int) -> list:
     rows = []
     base = {
         "family": spec.family,
@@ -226,19 +226,7 @@ def _study_cell(job):
         "rho": spec.rho,
         "replicate": replicate,
     }
-    try:
-        data = generate(spec, replicate)
-    except OrthokitError as exc:
-        for method in METHODS:
-            rows.append(
-                dict(
-                    base,
-                    method=method,
-                    coefficient_index=-1,
-                    error=f"generate: {exc}",
-                )
-            )
-        return rows
+    data = generate(spec, replicate)
     for method in METHODS:
         try:
             report, outcome, converged = run_method(data, method)
@@ -280,24 +268,26 @@ def simulation_study(
 ) -> StudyTable:
     """Run uncorrected, feature-projection, and constrained fits per cell.
 
-    Each (cell, replicate) draws its own stream, so results do not depend on
-    execution order; failures become error-marker rows instead of aborting
-    the study.  ``threads`` > 1 runs cells concurrently.
+    Every cell is validated before any runs, so an invalid grid raises
+    ``InvalidSpec`` and draws nothing.  Cells then run one after another,
+    each (cell, replicate) on its own stream; a fit that fails becomes an
+    error-marker row instead of aborting the study.  ``threads`` is kept
+    for callers that pass it: None, 0 and 1 are accepted, and more threads
+    raise ``InvalidSpec``.
     """
     grid = list(grid)
     if not grid:
         raise InvalidSpec("grid must contain at least one cell")
+    if threads and threads > 1:
+        raise InvalidSpec(f"threads must be None, 0 or 1, got {threads}")
+    for spec in grid:
+        spec.validate()
     if replicates < 1:
         raise InvalidSpec("replicates must be >= 1")
-    jobs = [(spec, r) for spec in grid for r in range(replicates)]
     table = StudyTable()
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            for rows in ex.map(_study_cell, jobs):
-                table.rows.extend(rows)
-    else:
-        for job in jobs:
-            table.rows.extend(_study_cell(job))
+    for spec in grid:
+        for replicate in range(replicates):
+            table.rows.extend(_study_cell(spec, replicate))
     return table
 
 

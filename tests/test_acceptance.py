@@ -10,7 +10,6 @@ than vanish, so correction reduces rectified explainability without nulling
 it.
 """
 
-import os
 import time
 
 import numpy as np
@@ -113,9 +112,7 @@ class TestCriterion3ConstrainedGlmGrid:
             for q in (10, 100)
             for n in (200, 1000, 5000)
         ]
-        table = simulation_study(
-            grid, replicates=10, threads=os.cpu_count() or 1
-        )
+        table = simulation_study(grid, replicates=10)
         ch = [r for r in table.rows if r["method"] == "ch" and not r.get("error")]
         errors = [r for r in table.rows if r["method"] == "ch" and r.get("error")]
         estimates = np.array([abs(r["estimate"]) for r in ch])

@@ -569,18 +569,28 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
 
 
 def _usage_files(tmp_path):
-    """A 6-row data file, copies of it without the feature column and with
-    a bad protected cell, a 5-row tensor file and a 5-row predictions file."""
+    """A 6-row data file, copies of it without the feature column, with a
+    bad protected cell, without data rows and without any line, 5-row tensor
+    and predictions files, two bad tensor heads and three invalid grid cells."""
     rows = [["z0", "x0", "y"]] + [[str(k), str(k % 2), str(k % 3)] for k in range(6)]
     _write_rows(tmp_path / "data.csv", rows)
     _write_rows(tmp_path / "no_features.csv", [r[1:] for r in rows])
+    _write_rows(tmp_path / "header_only.csv", rows[:1])
+    (tmp_path / "empty.csv").write_bytes(b"")
     rows[3][1] = "nan"
     _write_rows(tmp_path / "bad.csv", rows)
     _write_rows(tmp_path / "tensor.csv", [["#dims 5 2"]] + [["1", "2"]] * 5)
+    _write_rows(tmp_path / "no_dims.csv", [["1", "2"]] * 6)
+    _write_rows(tmp_path / "one_dim.csv", [["#dims 5"]] + [["1"]] * 5)
     _write_rows(tmp_path / "preds.csv", [["row_id", "y_hat"]] + [[k, "0.5"] for k in range(5)])
+    for name, cell in [("n0", {"n": 0, "p": 1, "q": 2}), ("p_above_q", {"n": 60, "p": 3, "q": 2}),
+                       ("family", {"n": 60, "p": 1, "q": 2, "family": "gamma"})]:
+        # the valid first cell must not run before the invalid one is named
+        (tmp_path / f"{name}.json").write_text(json.dumps([{"n": 60, "p": 1, "q": 2}, cell]))
 
 
 TENSOR_ARGV = ["correct", "--data", "{tmp}/data.csv", "--protected", "x0", "--method", "tensor"]
+LINEAR_ARGV = ["correct", "--outcome", "y", "--protected", "x0", "--method", "linear", "--data"]
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -598,13 +608,26 @@ TENSOR_ARGV = ["correct", "--data", "{tmp}/data.csv", "--protected", "x0", "--me
      "no feature columns remain after outcome/protected removal"),
     (["evaluate", "--predictions", "{tmp}/preds.csv", "--protected-data", "{tmp}/data.csv",
       "--protected", "x0"], "predictions and protected data differ in row count"),
+    (LINEAR_ARGV + ["{tmp}/empty.csv"], "{tmp}/empty.csv is empty"),
+    (LINEAR_ARGV + ["{tmp}/header_only.csv"], "{tmp}/header_only.csv has a header but no data rows"),
+    (TENSOR_ARGV + ["--tensor", "{tmp}/no_dims.csv"],
+     "{tmp}/no_dims.csv: first row must be '#dims n d1 ... dR'"),
+    (TENSOR_ARGV + ["--tensor", "{tmp}/one_dim.csv"], "{tmp}/one_dim.csv: need at least two dims"),
+    (["simulate", "--grid", "{tmp}/n0.json"], "n must be >= 1, got 0"),
+    (["simulate", "--grid", "{tmp}/p_above_q.json"], "need 1 <= p <= q, got p=3, q=2"),
+    (["simulate", "--grid", "{tmp}/family.json"],
+     "unknown family 'gamma'; expected one of ['bernoulli', 'gaussian', 'poisson']"),
+    (["simulate", "--grid", "appendix-g-bernoulli", "--replicates", "0"],
+     "replicates must be >= 1"),
 ], ids=["no_outcome", "no_outcome_empty_protected", "tensor_without_file",
-        "tensor_without_file_bad_cell", "tensor_rows", "no_features", "evaluate_rows"])
+        "tensor_without_file_bad_cell", "tensor_rows", "no_features", "evaluate_rows",
+        "empty_data", "header_only_data", "tensor_without_dims", "tensor_one_dim",
+        "grid_n0", "grid_p_above_q", "grid_family", "zero_replicates"])
 def test_usage_rule_exits_2_with_its_line(argv, line, tmp_path, capsys):
     _usage_files(tmp_path)
     out = tmp_path / "out"
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {line}\n"
+    assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"
     assert not out.exists()
 
 
@@ -1133,6 +1156,9 @@ class TestSimulateCommand:
             '{"n": 60, "p": 1.5, "q": 2}', '{"n": 60, "p": 1, "q": 2.5}',
             '{"n": 60, "p": 1, "q": 2, "seed": 1.5}', '{"n": 60, "p": 1, "q": 2, "rho": true}',
             '{"n": true, "p": 1, "q": 2}',
+            # a quoted number is text, not a number
+            '{"n": "60", "p": " 1", "q": 2, "rho": "2"}', '{"n": 60, "p": 1, "q": 2, "rho": "2"}',
+            '{"n": 60, "p": 1, "q": 2, "seed": "3"}',
         ]):
             bad = tmp_path / f"bad{k}.json"
             bad.write_text(f"[{cell}]")

@@ -29,7 +29,7 @@ from orthokit.correct import (
     relu,
     relu_dot_terms,
 )
-from orthokit.errors import DimensionMismatch, InvalidSpec, RankDeficient
+from orthokit.errors import DimensionMismatch, DomainError, InvalidSpec, RankDeficient
 from orthokit.evalmodel import evaluate_glm, evaluate_tensor
 from orthokit.glm import (
     BERNOULLI,
@@ -257,6 +257,20 @@ class TestFitConstrainedGlm:
         if "max_iter" in cfg:  # the shared Newton loop refuses it for both fits
             with pytest.raises(InvalidSpec, match="max_iter"):
                 fit_glm(data.z, data.y, BERNOULLI, max_iter=cfg["max_iter"])
+
+    @pytest.mark.parametrize("short", ["y", "x"])
+    def test_row_mismatch_raises(self, short):
+        data = appendix_design(seed=5, n=200)
+        y = data.y[:-1] if short == "y" else data.y
+        x = data.x[:-1] if short == "x" else data.x
+        with pytest.raises(DimensionMismatch, match="row count"):
+            fit_constrained_glm(data.z, y, x, BERNOULLI)
+
+    def test_constant_protected_column_raises(self):
+        data = appendix_design(seed=5, n=200)
+        x = np.column_stack([data.x, np.full(200, 3.0)])
+        with pytest.raises(DomainError, match="constant"):
+            fit_constrained_glm(data.z, data.y, x, BERNOULLI)
 
     def test_no_feasible_iterate_returns_last_one(self):
         # at constraint_tol = 0 not even gamma = 0 (residual at rounding

@@ -21,7 +21,7 @@ from orthokit.correct import (
     fit_constrained_glm,
     relu,
 )
-from orthokit.errors import InvalidSpec
+from orthokit.errors import DimensionMismatch, InvalidSpec
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import BERNOULLI, GAUSSIAN, fit_glm
 from orthokit.synth import SyntheticSpec, generate
@@ -267,6 +267,17 @@ class TestEvaluateTensor:
         coef = np.linalg.lstsq(big, t.reshape(n, d).flatten(order="F"), rcond=None)[0]
         oracle = coef.reshape((d, p)).T.reshape((p,) + shape[1:])
         np.testing.assert_allclose(res.coefficients, oracle, atol=1e-10)
+
+
+@pytest.mark.parametrize("evaluate, y", [
+    (lambda x, y: evaluate_glm(x, y, BERNOULLI), np.full(19, 0.5)),
+    (evaluate_relu_l2, np.ones(19)),
+    (evaluate_tensor, np.ones((19, 2, 2))),
+], ids=["glm", "relu_l2", "tensor"])
+def test_row_mismatch_raises(evaluate, y):
+    x = rng(23).standard_normal((20, 2))
+    with pytest.raises(DimensionMismatch, match="differ"):
+        evaluate(x, y)
 
 
 class TestGaussianRouteConsistency:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orthokit.synth as synth
 from orthokit.errors import InvalidSpec
 from orthokit.glm import BERNOULLI, GRAM_BLOCK_BYTES, fit_glm
 from orthokit.synth import (
@@ -122,15 +123,33 @@ class TestSimulationStudy:
             assert set(row) <= set(STUDY_COLUMNS)
 
     def test_deterministic_across_thread_counts(self):
+        # the study runs serially: threads is a name kept for callers,
+        # more than one thread is refused, and serial runs repeat exactly
         grid = [
             SyntheticSpec(n=150, p=2, q=4, rho=2.0, seed=6),
             SyntheticSpec(n=150, p=2, q=4, rho=0.0, seed=6),
         ]
-        seq = simulation_study(grid, replicates=2, threads=1)
-        par = simulation_study(grid, replicates=2, threads=4)
-        assert len(seq.rows) == len(par.rows)
-        for a, b in zip(seq.rows, par.rows):
-            assert a == b
+        with pytest.raises(InvalidSpec, match="threads.*4"):
+            simulation_study(grid, replicates=2, threads=4)
+        first = simulation_study(grid, replicates=2, threads=1)
+        assert first.rows == simulation_study(grid, replicates=2, threads=None).rows
+        assert first.rows == simulation_study(grid, replicates=2, threads=0).rows
+
+    @pytest.mark.parametrize("bad", [
+        SyntheticSpec(n=0, p=1, q=2, rho=0.0),
+        SyntheticSpec(n=60, p=3, q=2, rho=0.0),
+        SyntheticSpec(n=60, p=1, q=2, rho=float("nan")),
+        SyntheticSpec(n=60, p=1, q=2, rho=0.0, family="gamma"),
+    ], ids=["n", "p_above_q", "rho", "family"])
+    def test_invalid_cell_raises_before_any_cell_runs(self, bad, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(synth, "generate", lambda *a: drawn.append(a))
+        grid = [SyntheticSpec(n=60, p=1, q=2, rho=0.0), bad]
+        with pytest.raises(InvalidSpec):
+            simulation_study(grid, replicates=1)
+        with pytest.raises(InvalidSpec, match="threads"):
+            simulation_study(grid[:1], replicates=1, threads=2)
+        assert drawn == []
 
     def test_confounded_cell_separates_methods(self):
         grid = [SyntheticSpec(n=1000, p=3, q=8, rho=2.0, seed=8)]
