@@ -143,7 +143,9 @@ class CorrectionOutcome:
     ``||Xc^T h(Z gamma) / n||^2`` (equal to ``constraint_value(...) / n^2``).
     ``loss`` is the family negative log-likelihood (total, not per-row) and
     ``stationarity`` the KKT residual ``||grad f + J^T lam||_inf`` of the
-    per-row loss f at the least-squares multipliers.  ``stop_reason`` is
+    per-row loss f at the least-squares multipliers.  ``iterations`` counts
+    the Newton steps taken; an unconverged fit returns its feasible iterate
+    of lowest loss, which may be an earlier one.  ``stop_reason`` is
     one of the Newton loop's: ``"converged"``, ``"reached max_iter=N"``,
     ``"line search stalled"`` or ``"means reached the clamp: the design
     is quasi-separated"``.

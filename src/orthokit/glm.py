@@ -173,8 +173,9 @@ class GlmFit:
     ``stop_reason`` is one of the Newton loop's: ``"converged"``,
     ``"reached max_iter=N"``, ``"line search stalled"`` or ``"means
     reached the clamp: the design is quasi-separated"``.  ``loss`` is the
-    negative log-likelihood (``GlmFamily.nll``) of the returned iterate,
-    reached in ``iterations`` accepted steps.
+    negative log-likelihood (``GlmFamily.nll``) of the returned iterate.
+    ``iterations`` counts the steps taken; an unconverged fit returns its
+    iterate of lowest loss, which may be an earlier one.
     """
 
     coefficients: np.ndarray
@@ -301,7 +302,9 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
     p = 0 columns in ``xc`` there are no multipliers and rho = 0; a Hessian
     that fails the ``GRAM_RCOND_MIN`` test gives way to QR least squares on
     the clamped means.  Returns ``(gamma, mu, nll, c, stationarity, steps,
-    converged, stop_reason)`` with unclamped means."""
+    converged, stop_reason)`` with unclamped means.  ``steps`` counts the
+    steps taken; an unconverged loop returns its feasible iterate of lowest
+    loss, which may be an earlier one than the last."""
     if max_iter < 0:
         raise InvalidSpec(f"max_iter must be non-negative, got {max_iter}")
     if not 0.0 <= tol < float("inf"):

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .correct import augment_intercept, corrected_design, fit_constrained_glm
+from .correct import ConstrainedConfig, corrected_design, fit_constrained_glm
 from .errors import InvalidSpec, OrthokitError
 from .evalmodel import evaluate_glm
 from .glm import FAMILIES, family_by_name, fit_glm
@@ -311,66 +311,53 @@ def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
 
+def _figure1_data(seed: int):
+    """Figure 1's data: two prediction features Z, one protected feature X
+    (an n x 1 matrix) correlated with the first, and bernoulli responses y."""
+    n = 400
+    rng = stream(seed, 0xF1D)
+    z = rng.standard_normal((n, 2))
+    x = 2.0 * z[:, :1] + rng.standard_normal((n, 1))
+    eta = z @ np.array([1.2, -0.8])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.float64)
+    return z, x, y
+
+
 def figure1_demo(seed: int = 0) -> TrajectoryTable:
     """Two-feature logistic demonstration of the three corrections.
 
     One protected feature is correlated with the first of two prediction
-    features.  All three optimizers start from zero coefficients and use the
-    same learning rate, so iteration 0 is identical across methods.  The
-    table records, per method and iteration, the loss and the Pearson
-    correlation between the activated predictions and the protected feature.
+    features.  Each method is the package's own Newton fit: ``fit_glm`` on
+    ``[1, Z]`` (uncorrected), ``fit_glm`` on ``corrected_design`` (cl) and
+    ``fit_constrained_glm`` (ch).  Each is refit with a step budget of
+    k = 0, 1, ... until the first converged fit, and at most
+    ``ConstrainedConfig.max_iter`` steps.  The table records, per method
+    and budget, the loss (NLL / n) and the Pearson correlation between the
+    activated predictions and the protected feature of the fit that budget
+    returns.  Every fit starts from zero coefficients, so the k = 0 rows
+    are identical across methods.
+
+    The ``iteration`` column is the budget k, not an iterate index: a fit
+    returns its best feasible iterate, so a ``ch`` row can repeat the row
+    before it.
     """
-    n, iterations, learning_rate, record_every = 400, 4000, 0.1, 10
-    rng = stream(seed, 0xF1D)
-    z = rng.standard_normal((n, 2))
-    e = rng.standard_normal(n)
-    x1 = 2.0 * z[:, 0] + e
-    gamma_true = np.array([1.2, -0.8])
-    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(z @ gamma_true)))).astype(
-        np.float64
-    )
+    z, x, y = _figure1_data(seed)
     family = family_by_name("bernoulli")
-    x = x1[:, None]
-    zd = augment_intercept(z)
     zc = corrected_design(x, z)
-
+    fits = {
+        "uncorrected": lambda k: fit_glm(z, y, family, k, with_intercept=True),
+        "cl": lambda k: fit_glm(zc, y, family, k),
+        "ch": lambda k: fit_constrained_glm(
+            z, y, x, family, ConstrainedConfig(max_iter=k)
+        ),
+    }
     table = TrajectoryTable()
-
-    def record(method: str, t: int, mu: np.ndarray) -> None:
-        table.rows.append(
-            {
-                "iteration": t,
-                "method": method,
-                "loss": family.nll(y, mu) / n,
-                "corr_with_protected": _safe_corr(mu, x1),
-            }
-        )
-
-    def run_gd(design: np.ndarray, method: str) -> None:
-        gamma = np.zeros(design.shape[1])
-        for t in range(iterations + 1):
-            mu = family.h(design @ gamma)
-            if t % record_every == 0 or t == iterations:
-                record(method, t, mu)
-            gamma = gamma - learning_rate * (design.T @ (mu - y)) / n
-
-    run_gd(zd, "uncorrected")
-    run_gd(zc, "cl")
-
-    # Constrained trajectory: gradient descent in the coefficients and
-    # ascent in one multiplier on f + lam * c + c^2 / 2, where c is the
-    # covariance of the predictions with the standardized protected feature
-    # (the modified differential method of multipliers, Platt & Barr 1988).
-    xs = (x1 - x1.mean()) / x1.std()
-    gamma, lam = np.zeros(zd.shape[1]), 0.0
-    for t in range(iterations + 1):
-        mu = family.h(zd @ gamma)
-        if t % record_every == 0 or t == iterations:
-            record("ch", t, mu)
-        c = float(xs @ mu) / n
-        grad_c = zd.T @ (family.variance(mu) * xs) / n
-        gamma = gamma - learning_rate * (
-            zd.T @ (mu - y) / n + (lam + c) * grad_c
-        )
-        lam = lam + learning_rate * c
+    for method, fit in fits.items():
+        for k in range(ConstrainedConfig.max_iter + 1):
+            out = fit(k)
+            mu = out.corrected_predictions if method == "ch" else out.fitted_means
+            table.rows.append({"iteration": k, "method": method, "loss": out.loss / len(y),
+                               "corr_with_protected": _safe_corr(mu, x[:, 0])})
+            if out.converged:
+                break
     return table

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import orthokit.synth as synth
+from orthokit.correct import ConstrainedConfig, corrected_design, fit_constrained_glm
 from orthokit.errors import InvalidSpec
 from orthokit.glm import BERNOULLI, GRAM_BLOCK_BYTES, fit_glm
 from orthokit.synth import (
@@ -300,6 +301,20 @@ print(json.dumps({"fit_glm_calls": calls["glm.fit_glm"],
         }
 
 
+def _figure1_fit(method: str, seed: int, max_iter: int = ConstrainedConfig.max_iter):
+    """The shipped fit behind one method of figure 1 at a step budget, and
+    its activated predictions."""
+    z, x, y = synth._figure1_data(seed)
+    if method == "uncorrected":
+        fit = fit_glm(z, y, BERNOULLI, max_iter, with_intercept=True)
+        return fit, fit.fitted_means
+    if method == "cl":
+        fit = fit_glm(corrected_design(x, z), y, BERNOULLI, max_iter)
+        return fit, fit.fitted_means
+    out = fit_constrained_glm(z, y, x, BERNOULLI, ConstrainedConfig(max_iter=max_iter))
+    return out, out.corrected_predictions
+
+
 class TestFigure1Demo:
     def test_final_constrained_correlation_small(self):
         table = figure1_demo(seed=0)
@@ -325,3 +340,38 @@ class TestFigure1Demo:
         assert methods == {"uncorrected", "cl", "ch"}
         for row in table.rows:
             assert set(row) == set(table.columns)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_last_row_is_the_fit_run_to_convergence(self, method):
+        _, x, y = synth._figure1_data(0)
+        fit, mu = _figure1_fit(method, 0)
+        assert fit.converged
+        final = figure1_demo(seed=0).final(method)
+        assert final["loss"] == fit.loss / len(y)
+        assert final["corr_with_protected"] == synth._safe_corr(mu, x[:, 0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_trajectory_ends_at_its_first_converged_fit(self, seed):
+        table = figure1_demo(seed=seed)
+        for method in METHODS:
+            budgets = [r["iteration"] for r in table.rows if r["method"] == method]
+            assert budgets == list(range(len(budgets)))
+            assert len(budgets) <= ConstrainedConfig.max_iter + 1
+            converged = [_figure1_fit(method, seed, k)[0].converged for k in budgets]
+            assert converged == [False] * (len(budgets) - 1) + [True], method
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constrained_correlation_within_1e_6(self, seed):
+        assert abs(figure1_demo(seed=seed).final("ch")["corr_with_protected"]) <= 1e-6
+
+    def test_budget_counts_steps_taken_not_the_returned_iterate(self):
+        # seed 0's budget-2 constrained fit takes two steps and returns
+        # iterate 1, its feasible iterate of lowest loss, so the figure's
+        # budget-2 row repeats its budget-1 row
+        one, _ = _figure1_fit("ch", 0, 1)
+        two, _ = _figure1_fit("ch", 0, 2)
+        assert (one.iterations, two.iterations) == (1, 2)
+        assert two.stop_reason == "reached max_iter=2"
+        np.testing.assert_array_equal(two.gamma_c, one.gamma_c)
+        ch = [r for r in figure1_demo(seed=0).rows if r["method"] == "ch"]
+        assert ch[2] == dict(ch[1], iteration=2)
