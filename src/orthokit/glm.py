@@ -201,11 +201,12 @@ class EvaluationReport:
     @property
     def null_certified(self) -> bool:
         """True when the fit converged and every coefficient is both
-        statistically indistinguishable from zero at level ``ALPHA`` and
+        statistically indistinguishable from zero at level ``ALPHA``
+        (``p >= ALPHA``, the rule of ``orthokit evaluate``'s PASS) and
         numerically below ``COEF_NULL_THRESHOLD`` in magnitude."""
         return bool(
             self.converged
-            and np.all(np.asarray(self.p_values) > ALPHA)
+            and np.all(np.asarray(self.p_values) >= ALPHA)
             and np.all(np.abs(self.coefficients) < COEF_NULL_THRESHOLD)
         )
 
@@ -325,7 +326,8 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
         hp = family.variance(mu)  # h' for a canonical link
         grad = zd.T @ (mu - yv) / n
         jac = (xc * hp[:, None]).T @ zd / n
-        lam = np.linalg.lstsq(jac.T, -grad, rcond=None)[0] if p else np.zeros(0)
+        # multipliers on the rank _newton_step keeps
+        lam = np.linalg.lstsq(jac.T, -grad, rcond=RANK_RTOL)[0] if p else np.zeros(0)
         stat = float(np.max(np.abs(grad + jac.T @ lam)))
         loss, out = nll / n, (gamma, mu, nll, c, stat)
         feasible = float(c @ c) <= constraint_tol

@@ -10,6 +10,8 @@ Randomness comes from counter-based Philox streams keyed by a splitmix64
 chain over ``(seed, *ids)``; identical seeds reproduce datasets bit for bit,
 and every (cell, replicate) pair owns an independent, documented stream.
 
+The paper's three GLM methods (uncorrected, cl and ch) are fit in one
+place, ``fit_method``, which both the simulation study and Figure 1 call.
 The study and demo tables are rows in memory; this module does no file
 I/O, and ``cli`` writes the tables in its CSV format.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from .correct import ConstrainedConfig, corrected_design, fit_constrained_glm
 from .errors import InvalidSpec, OrthokitError
 from .evalmodel import evaluate_glm
-from .glm import FAMILIES, family_by_name, fit_glm
+from .glm import ALPHA, FAMILIES, family_by_name, fit_glm
 
 _MASK64 = (1 << 64) - 1
 
@@ -146,7 +148,7 @@ class StudyTable:
     columns = STUDY_COLUMNS
 
     def summarize(self) -> list:
-        """Per (cell, method) medians and significance fractions.
+        """Per (cell, method) medians and the fraction with p < ``ALPHA``.
 
         Only rows whose own fit converged are pooled: an unconverged fit's
         best iterate is no estimate (an unconverged ``ch`` fit is often
@@ -173,7 +175,7 @@ class StudyTable:
                         np.median([abs(r["estimate"]) for r in rows])
                     ),
                     "median_p_value": float(np.median(pv)),
-                    "fraction_significant": float(np.mean(pv < 0.05)),
+                    "fraction_significant": float(np.mean(pv < ALPHA)),
                 }
             res = [
                 r["constraint_residual"]
@@ -194,26 +196,27 @@ class StudyTable:
         return out
 
 
-def run_method(data: SyntheticDataset, method: str):
-    """Fit one method on a dataset and evaluate the protected influence.
+def fit_method(method: str, z, y, x, family,
+               max_iter: int = ConstrainedConfig.max_iter):
+    """Fit one of the paper's three methods with at most ``max_iter``
+    Newton steps: ``fit_glm`` on ``[1, Z]`` (uncorrected), ``fit_glm`` on
+    ``corrected_design(x, z)`` (cl) or ``fit_constrained_glm`` (ch).
 
-    Returns ``(report, outcome, converged)``: ``outcome`` is the
-    constrained-fit result for method ``ch`` and None otherwise, and
-    ``converged`` is the method's own fit flag (IRLS or constrained), not
-    the evaluation fit's.  An unconverged fit contributes its best iterate.
+    Returns ``(activated predictions, fit)``, with ``fit`` the ``GlmFit``
+    or ``CorrectionOutcome``; its ``converged`` flag is the method's own.
+    An unconverged fit contributes its best iterate.  Any other method
+    raises ``InvalidSpec``.
     """
-    family = family_by_name(data.spec.family)
     if method == "uncorrected":
-        fit = fit_glm(data.z, data.y, family, with_intercept=True)
-        return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
-    if method == "cl":
-        fit = fit_glm(corrected_design(data.x, data.z), data.y, family)
-        return evaluate_glm(data.x, fit.fitted_means, family), None, fit.converged
-    if method == "ch":
-        out = fit_constrained_glm(data.z, data.y, data.x, family)
-        report = evaluate_glm(data.x, out.corrected_predictions, family)
-        return report, out, out.converged
-    raise InvalidSpec(f"unknown method {method!r}")
+        fit = fit_glm(z, y, family, max_iter, with_intercept=True)
+    elif method == "cl":
+        fit = fit_glm(corrected_design(x, z), y, family, max_iter)
+    elif method == "ch":
+        fit = fit_constrained_glm(z, y, x, family, ConstrainedConfig(max_iter=max_iter))
+        return fit.corrected_predictions, fit
+    else:
+        raise InvalidSpec(f"unknown method {method!r}")
+    return fit.fitted_means, fit
 
 
 def _study_cell(spec: SyntheticSpec, replicate: int) -> list:
@@ -227,9 +230,11 @@ def _study_cell(spec: SyntheticSpec, replicate: int) -> list:
         "replicate": replicate,
     }
     data = generate(spec, replicate)
+    family = family_by_name(spec.family)
     for method in METHODS:
         try:
-            report, outcome, converged = run_method(data, method)
+            mu, fit = fit_method(method, data.z, data.y, data.x, family)
+            report = evaluate_glm(data.x, mu, family)
         except OrthokitError as exc:
             rows.append(
                 dict(
@@ -240,6 +245,7 @@ def _study_cell(spec: SyntheticSpec, replicate: int) -> list:
                 )
             )
             continue
+        ch = method == "ch"
         for j in range(spec.p):
             rows.append(
                 dict(
@@ -250,11 +256,9 @@ def _study_cell(spec: SyntheticSpec, replicate: int) -> list:
                     std_error=float(report.std_errors[j]),
                     z_stat=float(report.z_stats[j]),
                     p_value=float(report.p_values[j]),
-                    constraint_residual=(
-                        outcome.constraint_residual if outcome else None
-                    ),
-                    loss=outcome.loss if outcome else None,
-                    converged=converged,
+                    constraint_residual=fit.constraint_residual if ch else None,
+                    loss=fit.loss if ch else None,
+                    converged=fit.converged,
                     error=None,
                 )
             )
@@ -266,7 +270,9 @@ def simulation_study(
     replicates: int,
     threads: int | None = None,
 ) -> StudyTable:
-    """Run uncorrected, feature-projection, and constrained fits per cell.
+    """Run uncorrected, feature-projection, and constrained fits per cell:
+    ``fit_method`` for each of ``METHODS``, then ``evaluate_glm`` of its
+    activated predictions on the protected features.
 
     Every cell is validated before any runs, so an invalid grid raises
     ``InvalidSpec`` and draws nothing.  Cells then run one after another,
@@ -327,9 +333,8 @@ def figure1_demo(seed: int = 0) -> TrajectoryTable:
     """Two-feature logistic demonstration of the three corrections.
 
     One protected feature is correlated with the first of two prediction
-    features.  Each method is the package's own Newton fit: ``fit_glm`` on
-    ``[1, Z]`` (uncorrected), ``fit_glm`` on ``corrected_design`` (cl) and
-    ``fit_constrained_glm`` (ch).  Each is refit with a step budget of
+    features.  Each method is the package's own Newton fit, from
+    ``fit_method``.  Each is refit with a step budget of
     k = 0, 1, ... until the first converged fit, and at most
     ``ConstrainedConfig.max_iter`` steps.  The table records, per method
     and budget, the loss (NLL / n) and the Pearson correlation between the
@@ -343,21 +348,12 @@ def figure1_demo(seed: int = 0) -> TrajectoryTable:
     """
     z, x, y = _figure1_data(seed)
     family = family_by_name("bernoulli")
-    zc = corrected_design(x, z)
-    fits = {
-        "uncorrected": lambda k: fit_glm(z, y, family, k, with_intercept=True),
-        "cl": lambda k: fit_glm(zc, y, family, k),
-        "ch": lambda k: fit_constrained_glm(
-            z, y, x, family, ConstrainedConfig(max_iter=k)
-        ),
-    }
     table = TrajectoryTable()
-    for method, fit in fits.items():
+    for method in METHODS:
         for k in range(ConstrainedConfig.max_iter + 1):
-            out = fit(k)
-            mu = out.corrected_predictions if method == "ch" else out.fitted_means
-            table.rows.append({"iteration": k, "method": method, "loss": out.loss / len(y),
+            mu, fit = fit_method(method, z, y, x, family, k)
+            table.rows.append({"iteration": k, "method": method, "loss": fit.loss / len(y),
                                "corr_with_protected": _safe_corr(mu, x[:, 0])})
-            if out.converged:
+            if fit.converged:
                 break
     return table

@@ -25,6 +25,7 @@ from orthokit.correct import (
     correct_features_relu,
     correct_predictions_glm,
     correct_tensor_preactivation,
+    corrected_design,
     fit_constrained_glm,
     relu,
     relu_dot_terms,
@@ -376,18 +377,28 @@ class TestNewtonStep:
             assert shifted >= 1
 
     def test_duplicated_protected_column_adds_no_constraint(self):
-        # x3 = x1 + x2 makes J rank deficient; the rank cut drops the
-        # implied constraint, so the fit takes the same 4 steps to the same
+        # x3 = x1 + x2 makes J rank deficient, and x3 = x1 + x2 + 1e-13
+        # relative noise leaves it of rank 2 at RANK_RTOL; the rank cut of
+        # the step and of the multipliers drops the implied constraint, so
+        # the fit takes the same steps (4 bernoulli, 6 poisson) to the same
         # gamma as the fit on (x1, x2)
-        data = generate(
-            SyntheticSpec(n=500, p=2, q=6, rho=2.0, family="bernoulli", seed=3)
-        )
-        x = np.column_stack([data.x, data.x[:, 0] + data.x[:, 1]])
-        out = fit_constrained_glm(data.z, data.y, x, BERNOULLI)
-        ref = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
-        assert out.converged and ref.converged
-        assert out.iterations == ref.iterations == 4
-        assert np.max(np.abs(out.gamma_c - ref.gamma_c)) <= 1e-8
+        for family in (BERNOULLI, POISSON):
+            data = generate(
+                SyntheticSpec(n=500, p=2, q=6, rho=2.0, family=family.name, seed=3)
+            )
+            ref = fit_constrained_glm(data.z, data.y, data.x, family)
+            assert ref.converged
+            assert ref.iterations == {"bernoulli": 4, "poisson": 6}[family.name]
+            s = data.x[:, 0] + data.x[:, 1]
+            noise = np.random.default_rng(0).standard_normal(s.shape[0])
+            near = s + 1e-13 * np.linalg.norm(s) / np.sqrt(s.shape[0]) * noise
+            for x3 in (s, near):
+                out = fit_constrained_glm(
+                    data.z, data.y, np.column_stack([data.x, x3]), family
+                )
+                assert out.converged, family.name
+                assert out.iterations == ref.iterations, family.name
+                assert np.max(np.abs(out.gamma_c - ref.gamma_c)) <= 1e-12
 
     @pytest.mark.parametrize("family", (BERNOULLI, POISSON), ids=lambda f: f.name)
     def test_empty_null_space(self, family):
@@ -408,6 +419,62 @@ class TestNewtonStep:
         d, used = glm_module._newton_step(hess, jac, grad, c)
         assert used is hess
         np.testing.assert_allclose(jac @ d, -c, rtol=0.0, atol=1e-15)
+
+
+def conditioned(seed: int, p: int, cond: float) -> np.ndarray:
+    """A p x p matrix ``U diag(s) V^T`` with random orthogonal U and V and
+    singular values from 1 down to ``1 / cond``."""
+    g = rng(seed)
+    u = np.linalg.qr(g.standard_normal((p, p)))[0]
+    v = np.linalg.qr(g.standard_normal((p, p)))[0]
+    return u @ np.diag(np.logspace(0.0, -np.log10(cond), p)) @ v.T
+
+
+def assert_moved_at_most(got, ref, bound):
+    moved = float(np.max(np.abs(got - ref)))
+    assert moved <= bound * max(1.0, float(np.max(np.abs(ref)))), (moved, bound)
+
+
+class TestInvariance:
+    """The protected span, and so ``corrected_design`` and the constrained
+    fit, do not depend on the order of the rows or on an invertible affine
+    map ``X -> X A + b``.  The bounds are rounding allowances fixed by the
+    problem before any run: n eps relative to the largest entry for a row
+    permutation, times cond(A) for the affine map."""
+
+    N, P, Q = 1000, 3, 10
+    EPS = np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", ("bernoulli", "poisson"))
+    def test_row_permutation(self, family, seed):
+        data = appendix_design(seed, self.N, self.P, self.Q, family)
+        perm = rng(100 + seed).permutation(self.N)
+        bound = self.N * self.EPS
+        assert_moved_at_most(corrected_design(data.x[perm], data.z[perm]),
+                             corrected_design(data.x, data.z)[perm], bound)
+        fam = family_by_name(family)
+        ref = fit_constrained_glm(data.z, data.y, data.x, fam)
+        out = fit_constrained_glm(data.z[perm], data.y[perm], data.x[perm], fam)
+        assert ref.converged and out.converged
+        assert_moved_at_most(out.gamma_c, ref.gamma_c, bound)
+
+    @pytest.mark.parametrize("cond", (1.0, 1e3, 1e6))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", ("bernoulli", "poisson"))
+    def test_affine_map_of_protected_features(self, family, seed, cond):
+        data = appendix_design(seed, self.N, self.P, self.Q, family)
+        a = conditioned(200 + seed, self.P, cond)
+        np.testing.assert_allclose(np.linalg.cond(a), cond, rtol=1e-6)
+        xa = data.x @ a + rng(300 + seed).standard_normal(self.P)
+        bound = self.N * self.EPS * cond
+        assert_moved_at_most(corrected_design(xa, data.z),
+                             corrected_design(data.x, data.z), bound)
+        fam = family_by_name(family)
+        ref = fit_constrained_glm(data.z, data.y, data.x, fam)
+        out = fit_constrained_glm(data.z, data.y, xa, fam)
+        assert ref.converged and out.converged
+        assert_moved_at_most(out.gamma_c, ref.gamma_c, bound)
 
 
 class TestLineSearch:

@@ -23,7 +23,7 @@ from orthokit.correct import (
 )
 from orthokit.errors import DimensionMismatch, InvalidSpec
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
-from orthokit.glm import BERNOULLI, GAUSSIAN, fit_glm
+from orthokit.glm import ALPHA, BERNOULLI, GAUSSIAN, EvaluationReport, fit_glm
 from orthokit.synth import SyntheticSpec, generate
 
 
@@ -67,6 +67,13 @@ class TestEvaluateGlm:
         )
         out = fit_constrained_glm(data.z, data.y, data.x, BERNOULLI)
         rep = evaluate_glm(data.x, out.corrected_predictions, BERNOULLI)
+        assert rep.null_certified
+
+    def test_p_value_at_alpha_is_not_significant(self):
+        # evaluate's PASS is p >= ALPHA, so p = ALPHA certifies as well
+        rep = EvaluationReport(coefficients=np.zeros(1), std_errors=np.ones(1),
+                               z_stats=np.zeros(1), p_values=np.array([ALPHA]),
+                               converged=True)
         assert rep.null_certified
 
     def test_accepts_out_of_range_soft_targets(self):

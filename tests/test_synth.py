@@ -17,7 +17,8 @@ import pytest
 import orthokit.synth as synth
 from orthokit.correct import ConstrainedConfig, corrected_design, fit_constrained_glm
 from orthokit.errors import InvalidSpec
-from orthokit.glm import BERNOULLI, GRAM_BLOCK_BYTES, fit_glm
+from orthokit.evalmodel import evaluate_glm
+from orthokit.glm import ALPHA, BERNOULLI, GRAM_BLOCK_BYTES, family_by_name, fit_glm
 from orthokit.synth import (
     METHODS,
     STUDY_COLUMNS,
@@ -25,8 +26,8 @@ from orthokit.synth import (
     SyntheticSpec,
     TrajectoryTable,
     figure1_demo,
+    fit_method,
     generate,
-    run_method,
     simulation_study,
     stream,
 )
@@ -193,6 +194,15 @@ class TestSimulationStudy:
         assert summary["max_constraint_residual"] == 1e-20
         assert (summary["rows"], summary["unconverged"]) == (2, 1)
 
+    def test_summary_counts_p_at_alpha_as_not_significant(self):
+        base = dict(family="bernoulli", n=10, p=1, q=2, rho=2.0, method="cl",
+                    estimate=0.1, constraint_residual=None, error=None,
+                    converged=True)
+        table = StudyTable(rows=[dict(base, p_value=ALPHA),
+                                 dict(base, p_value=0.01)])
+        (summary,) = table.summarize()
+        assert summary["fraction_significant"] == 0.5
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidSpec):
             simulation_study([], replicates=1)
@@ -219,6 +229,14 @@ class TestSimulationStudy:
         assert all(r["converged"] is False for r in rows)
 
 
+def _fit_and_evaluate(data, method: str) -> None:
+    """One method's work in a study cell: its fit, then the evaluation of
+    its activated predictions."""
+    family = family_by_name(data.spec.family)
+    mu, _ = fit_method(method, data.z, data.y, data.x, family)
+    evaluate_glm(data.x, mu, family)
+
+
 class TestStudyMemory:
     """Each method's fit holds its design once plus one weighted copy."""
 
@@ -227,10 +245,10 @@ class TestStudyMemory:
     def test_peak_above_the_data_is_two_designs(self, method, family):
         n, p, q = 2000, 10, 100
         data = generate(SyntheticSpec(n=n, p=p, q=q, rho=2.0, family=family, seed=7))
-        run_method(data, method)  # untraced, so one-time allocations are not counted
+        _fit_and_evaluate(data, method)  # untraced: one-time allocations not counted
         tracemalloc.start()
         try:
-            run_method(data, method)
+            _fit_and_evaluate(data, method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,10 +272,10 @@ class TestStudyMemory:
         one design plus one block, with the slack of the two-design test."""
         n, p, q = 2000, 10, 100
         data = generate(SyntheticSpec(n=n, p=p, q=q, rho=2.0, family=family, seed=7))
-        run_method(data, method)
+        _fit_and_evaluate(data, method)
         tracemalloc.start()
         try:
-            run_method(data, method)
+            _fit_and_evaluate(data, method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,6 +331,23 @@ def _figure1_fit(method: str, seed: int, max_iter: int = ConstrainedConfig.max_i
         return fit, fit.fitted_means
     out = fit_constrained_glm(z, y, x, BERNOULLI, ConstrainedConfig(max_iter=max_iter))
     return out, out.corrected_predictions
+
+
+class TestFitMethod:
+    @pytest.mark.parametrize("max_iter", (0, 2, ConstrainedConfig.max_iter))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_is_the_shipped_fit(self, method, max_iter):
+        z, x, y = synth._figure1_data(0)
+        mu, fit = fit_method(method, z, y, x, BERNOULLI, max_iter)
+        ref, ref_mu = _figure1_fit(method, 0, max_iter)
+        np.testing.assert_array_equal(mu, ref_mu)
+        assert (fit.loss, fit.iterations, fit.converged, fit.stop_reason) == (
+            ref.loss, ref.iterations, ref.converged, ref.stop_reason)
+
+    def test_unknown_method_raises(self):
+        z, x, y = synth._figure1_data(0)
+        with pytest.raises(InvalidSpec, match="unknown method 'cx'"):
+            fit_method("cx", z, y, x, BERNOULLI)
 
 
 class TestFigure1Demo:
