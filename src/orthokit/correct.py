@@ -32,27 +32,6 @@ from .linalg import (as_matrix, as_tensor, as_vector, build_projector, center_co
                      shape_error)
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_dot_terms(a, b) -> tuple[float, float, float, float]:
-    """The four rectified dot products of a pair of vectors.
-
-    Returns ``(h(a).h(b), h(-a).h(b), h(a).h(-b), h(-a).h(-b))`` with
-    ``h = relu``.  Since ``x = h(x) - h(-x)``, the raw inner product equals
-    the alternating sum ``t0 - t1 - t2 + t3``.
-    """
-    av = as_vector(a)
-    bv = as_vector(b)
-    return (
-        float(relu(av) @ relu(bv)),
-        float(relu(-av) @ relu(bv)),
-        float(relu(av) @ relu(-bv)),
-        float(relu(-av) @ relu(-bv)),
-    )
-
-
 def augment_intercept(x) -> np.ndarray:
     """Prepend a column of ones (so projections also remove the mean)."""
     xm = as_matrix(x)

@@ -18,12 +18,12 @@ class RankDeficient(OrthokitError):
     QR diagonal (its distance from the span of the columns before it) is
     at most ``linalg.RANK_RTOL`` times the largest column norm.  A matrix
     with no columns or fewer rows than columns raises ``DimensionMismatch``
-    instead (``linalg.shape_error``).
+    instead (``linalg.shape_error``).  The message names only the index.
     """
 
-    def __init__(self, col_index: int, message: str | None = None):
+    def __init__(self, col_index: int):
         self.col_index = int(col_index)
-        super().__init__(message or f"matrix is rank deficient at column {col_index}")
+        super().__init__(f"matrix is rank deficient at column {col_index}")
 
 
 class DomainError(OrthokitError):

@@ -183,7 +183,6 @@ class GlmFit:
     iterations: int
     converged: bool
     loss: float
-    weight_diag: np.ndarray
     family: GlmFamily
     stop_reason: str = ""
 
@@ -420,15 +419,14 @@ def fit_glm(
         zm, yv, np.empty((n, 0)), family, max_iter, tol / n, 0.0
     )
     mu = family.clip_mean(mu)
-    return GlmFit(beta, mu, iterations, converged, nll, family.variance(mu),
-                  family, reason)
+    return GlmFit(beta, mu, iterations, converged, nll, family, reason)
 
 
 def wald_inference(fit: GlmFit, z) -> EvaluationReport:
     """Wald standard errors, z statistics, and two-sided normal p-values.
 
     Standard errors are the square roots of the diagonal of
-    ``(Z^T W Z)^{-1}`` with W the Fisher weights at the fitted means; for the
+    ``(Z^T W Z)^{-1}`` with W = ``family.variance(fitted_means)``; for the
     gaussian family this is scaled by the residual variance estimate.  The
     diagonal is the column sums of squares of ``L^{-1}`` for the Cholesky
     factor ``L`` of the information matrix, which is never inverted itself.
@@ -442,7 +440,7 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
         raise DimensionMismatch("design width does not match coefficient length")
     n, k = zm.shape
 
-    factor, rcond = _cholesky(_weighted_gram(zm, fit.weight_diag))
+    factor, rcond = _cholesky(_weighted_gram(zm, fit.family.variance(fit.fitted_means)))
     if rcond < k * np.finfo(np.float64).eps:
         raise SingularInformation(
             f"information matrix is numerically singular (rcond={rcond:.3g})"

@@ -22,19 +22,19 @@ training-set projector.  Each epoch ends with one pass per split: the
 training split's pass fits that regression (``gamma_hat``) on its
 uncorrected pre-activation at the projected layer, and every split's pass
 subtracts ``[1, protected] @ gamma_hat`` there.  The training split's
-``[1, protected]`` is fixed, so its QR is factored once per training by
-``build_projector``, and each epoch's fit is one ``solve`` on it.
+``[1, protected]`` is fixed, so its QR is factored once, before the first
+epoch, by ``build_projector``, and each epoch's fit is one ``solve`` on it.
 Training fits no GLM: ``TrainingResult.confounder_report`` runs the Wald
 test of the protected rows on the model's predictions when a caller asks
 for it.
 
 All weights and biases are views into one float64 buffer (``params["flat"]``),
 and ``backward`` writes its gradients into views of a buffer of the same
-layout, so an SGD step is one update of the whole buffer, elementwise the
-per-layer ``w -= LEARNING_RATE * g``.  The loop calls ufuncs and their
-reductions directly (``np.add.reduce``, ``np.count_nonzero`` and the like)
-rather than their Python-level wrappers: a 128-row step costs about 100 us,
-most of it per-call overhead.
+layout, which training allocates once, so an SGD step is one update of the
+whole buffer, elementwise the per-layer ``w -= LEARNING_RATE * g``.  The
+loop calls ufuncs and their reductions directly (``np.add.reduce``,
+``np.count_nonzero`` and the like) rather than their Python-level wrappers:
+a 128-row step costs about 100 us, most of it per-call overhead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correct import augment_intercept
-from .errors import InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec
 from .evalmodel import evaluate_glm
 from .glm import BERNOULLI, _sigmoid
 from .linalg import _projectors, build_projector
@@ -61,6 +61,8 @@ CONFOUNDER_MAGNITUDE = 5.0
 # Minibatch SGD settings of ``train_mlp``
 LEARNING_RATE = 0.3
 BATCH_SIZE = 128
+# The network is [inputs, *HIDDEN_WIDTHS, 1]
+HIDDEN_WIDTHS = (16, 8)
 
 
 @dataclass
@@ -124,22 +126,19 @@ def make_confounded_data(
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Architecture, epochs and seed; widths default to [input, 16, 8, 1]."""
+    """Epochs, projected hidden layer (0 or 1) and seed of ``train_mlp``;
+    a negative or fractional epoch count or another layer is ``InvalidSpec``."""
 
-    layer_widths: tuple | None = None
     epochs: int = 60
     ortho_layer_index: int = 0
     seed: int = 0
 
-    def widths(self, d_in: int) -> tuple:
-        w = self.layer_widths or (d_in, 16, 8, 1)
-        if w[0] != d_in:
-            raise InvalidSpec(f"layer_widths[0]={w[0]} does not match inputs {d_in}")
-        if w[-1] != 1:
-            raise InvalidSpec("output layer must have width 1")
-        if not 0 <= self.ortho_layer_index < len(w) - 2:
+    def __post_init__(self):
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 0:
+            raise InvalidSpec(
+                f"epochs must be a non-negative integer, got {self.epochs!r}")
+        if not 0 <= self.ortho_layer_index < len(HIDDEN_WIDTHS):
             raise InvalidSpec("ortho_layer_index must select a hidden layer")
-        return tuple(int(v) for v in w)
 
 
 def _new_params(widths: tuple) -> dict:
@@ -191,25 +190,20 @@ def forward(
     return _sigmoid(out[:, 0])
 
 
-def backward(
-    params: dict, inputs: list, prob, yb, correct=None, ortho_layer: int = 0,
-    grads: dict | None = None,
-):
+def backward(params: dict, inputs: list, prob, yb, correct, ortho_layer: int,
+             grads: dict):
     """Mean binary cross-entropy gradients for all weights and biases.
 
     ``inputs`` and ``prob`` are what ``forward`` recorded and returned for
     the batch.  A hidden layer's ReLU mask is its output ``> 0``, which is
     the next layer's input.  ``correct`` is the correction ``forward``
     applied at ``ortho_layer``; it must be linear and symmetric (a
-    projector's ``complement``), so it also maps the upstream gradient.
-    The gradients are written into ``grads``, a dict of ``params``' layout
-    whose every entry they overwrite, or into a new one; returns its
-    ``(weights, biases)`` lists.
+    projector's ``complement``), or None.  The gradients are written into
+    ``grads``, a dict of ``params``' layout (training allocates it once),
+    every entry of which they overwrite.  Returns its ``(weights, biases)``
+    lists.
     """
     weights = params["weights"]
-    if grads is None:
-        widths = (weights[0].shape[0], *(w.shape[1] for w in weights))
-        grads = _new_params(widths)
     grads_w, grads_b = grads["weights"], grads["biases"]
     delta = ((prob - yb) / yb.shape[0])[:, None]
     np.matmul(inputs[-1].T, delta, out=grads_w[-1])
@@ -285,16 +279,26 @@ class TrainingResult:
         """Probabilities; a corrected model subtracts ``[1, protected] @
         gamma_hat`` at its projected layer, with ``gamma_hat`` fitted on
         these rows if no epoch has run.  A corrected model raises
-        ``InvalidSpec`` without ``protected``."""
+        ``InvalidSpec`` without ``protected``.  Features of another width
+        than the training inputs, and protected rows that differ in number
+        from the feature rows or in width from the training split's, raise
+        ``DimensionMismatch``."""
+        x = np.asarray(features, dtype=np.float64)
+        d = self.params["weights"][0].shape[0]
+        if x.ndim != 2 or x.shape[1] != d:
+            raise DimensionMismatch(f"features of shape {x.shape}, not (rows, {d})")
         xa = None
         if self.with_correction:
             if protected is None:
-                raise InvalidSpec(
-                    "a model trained with correction needs `protected` to predict"
-                )
+                raise InvalidSpec("a model trained with correction needs "
+                                  "`protected` to predict")
             xa = augment_intercept(protected)
+            k = xa.shape[1] if self.gamma_hat is None else len(self.gamma_hat)
+            if xa.shape != (x.shape[0], k):
+                raise DimensionMismatch(f"protected of shape {xa[:, 1:].shape}, "
+                                        f"not {(x.shape[0], k - 1)}")
         ortho = self.config.ortho_layer_index
-        return _regressed(self.params, features, xa, ortho, self.gamma_hat)[0]
+        return _regressed(self.params, x, xa, ortho, self.gamma_hat)[0]
 
     def confounder_report(self, features: np.ndarray, protected: np.ndarray):
         """Does ``protected`` explain the model's predictions on these rows?
@@ -367,13 +371,15 @@ def train_mlp(
     epoch ends with one ``forward`` pass per split, training split first:
     its pass fits ``gamma_hat`` and all three subtract it (see the module
     docstring).  No GLM is fitted; ``TrainingResult.confounder_report``
-    tests the predictions on given rows when asked.
-    Training always completes; a NaN output, which makes the loss
+    tests the predictions on given rows when asked.  With correction, the
+    training split's ``[1, protected]`` is factored first, so a dependent
+    column there raises ``RankDeficient`` before any SGD step.  Otherwise
+    training always completes; a NaN output, which makes the loss
     non-finite, aborts with diagnostics.
     """
     cfg = cfg or MlpConfig()
     x_tr, prot_tr, y_tr = data.rows(data.train_mask)
-    widths = cfg.widths(x_tr.shape[1])
+    widths = (x_tr.shape[1], *HIDDEN_WIDTHS, 1)
     rng = stream(cfg.seed, 0x31A)
     params = init_params(widths, rng)
     grads = _new_params(widths)
@@ -393,7 +399,7 @@ def train_mlp(
         )
     ]
     xa_tr = splits[0][2]
-    fit_tr = None  # the Projector of xa_tr, factored at the first epoch's end
+    fit_tr = build_projector(xa_tr) if with_correction else None
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         batch_residuals, skipped = _sgd_epoch(
@@ -401,8 +407,6 @@ def train_mlp(
             xa_tr[order] if with_correction else None, ortho, epoch,
         )
         result.skipped_batches += skipped
-        if with_correction and fit_tr is None:
-            fit_tr = build_projector(xa_tr)
 
         epoch_residual = (
             float(np.add.reduce(batch_residuals) / len(batch_residuals))

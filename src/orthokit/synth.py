@@ -56,7 +56,6 @@ class SyntheticSpec:
     rho: float
     family: str = "bernoulli"
     seed: int = 0
-    true_gamma: tuple | None = None
 
     def validate(self) -> None:
         if self.n < 1:
@@ -68,8 +67,6 @@ class SyntheticSpec:
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}; "
                               f"expected one of {sorted(FAMILIES)}")
-        if self.true_gamma is not None and len(self.true_gamma) != self.q:
-            raise InvalidSpec("true_gamma length must equal q")
 
 
 @dataclass
@@ -87,18 +84,15 @@ POISSON_ETA_CLIP = 10.0
 
 
 def generate(spec: SyntheticSpec, replicate: int = 0) -> SyntheticDataset:
-    """Draw one dataset for the given cell; deterministic in (seed, replicate)."""
+    """Draw one dataset for the given cell; deterministic in (seed, replicate).
+    Its ``true_gamma`` is drawn from N(0, I / q), so Var(Z gamma) ~ 1."""
     spec.validate()
     family = family_by_name(spec.family)
     rng = stream(spec.seed, replicate)
     z = rng.standard_normal((spec.n, spec.q))
     e = rng.standard_normal((spec.n, spec.p))
     x = spec.rho * z[:, : spec.p] + e
-    if spec.true_gamma is not None:
-        gamma = np.asarray(spec.true_gamma, dtype=np.float64)
-    else:
-        # scaled to keep Var(Z gamma) ~ 1 regardless of q
-        gamma = rng.standard_normal(spec.q) / np.sqrt(spec.q)
+    gamma = rng.standard_normal(spec.q) / np.sqrt(spec.q)
     eta = z @ gamma
     if family.name == "bernoulli":
         y = (rng.random(spec.n) < family.h(eta)).astype(np.float64)

@@ -1,0 +1,40 @@
+"""Test-side helpers that the package itself does not need.
+
+``relu`` and ``relu_dot_terms`` state the rectified algebra that the ReLU
+tests assert, and ``gradients`` runs ``online.backward`` into a new buffer,
+where training passes the one it allocated.
+"""
+
+import numpy as np
+
+from orthokit.linalg import as_vector
+from orthokit.online import _new_params, backward
+
+
+def relu(x) -> np.ndarray:
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+
+
+def relu_dot_terms(a, b) -> tuple[float, float, float, float]:
+    """The four rectified dot products of a pair of vectors.
+
+    Returns ``(h(a).h(b), h(-a).h(b), h(a).h(-b), h(-a).h(-b))`` with
+    ``h = relu``.  Since ``x = h(x) - h(-x)``, the raw inner product equals
+    the alternating sum ``t0 - t1 - t2 + t3``.
+    """
+    av = as_vector(a)
+    bv = as_vector(b)
+    return (
+        float(relu(av) @ relu(bv)),
+        float(relu(-av) @ relu(bv)),
+        float(relu(av) @ relu(-bv)),
+        float(relu(-av) @ relu(-bv)),
+    )
+
+
+def gradients(params, inputs, prob, yb, correct=None, ortho_layer=0):
+    """``backward`` into a new buffer of ``params``' layout; returns its
+    ``(weights, biases)`` gradient lists."""
+    weights = params["weights"]
+    widths = (weights[0].shape[0], *(w.shape[1] for w in weights))
+    return backward(params, inputs, prob, yb, correct, ortho_layer, _new_params(widths))

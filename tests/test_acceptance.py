@@ -20,14 +20,14 @@ from orthokit.correct import (
     correct_features_linear,
     correct_features_relu,
     fit_constrained_glm,
-    relu,
-    relu_dot_terms,
 )
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import BERNOULLI, GAUSSIAN, POISSON, fit_glm
 from orthokit.linalg import build_projector
 from orthokit.online import MlpConfig, accuracy_by_split, make_confounded_data, train_mlp
 from orthokit.synth import SyntheticSpec, generate, simulation_study, stream
+
+from helpers import gradients, relu, relu_dot_terms
 
 
 def announce(criterion: str, ok: bool, detail: str) -> None:
@@ -322,7 +322,7 @@ class TestCriterion7OnlineDemo:
         p_corrected = float(res_c.confounder_report(x_te, prot_te).p_values[0])
 
         # backprop gradient check on a 10-sample batch, both variants
-        from orthokit.online import backward, bce_loss, forward, init_params
+        from orthokit.online import bce_loss, forward, init_params
 
         x, prot, y = data.rows(data.train_mask)
         xb, pb, yb = x[:10], prot[:10], y[:10]
@@ -334,7 +334,7 @@ class TestCriterion7OnlineDemo:
                 complement = build_projector(augment_intercept(prot_b)).complement
             inputs = []
             prob = forward(params, xb, complement, 0, inputs)
-            grads_w, _ = backward(params, inputs, prob, yb, complement, 0)
+            grads_w, _ = gradients(params, inputs, prob, yb, complement, 0)
             for layer, grad in enumerate(grads_w):
                 w = params["weights"][layer]
                 idx = (0, 0)

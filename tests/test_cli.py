@@ -571,7 +571,8 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
 def _usage_files(tmp_path):
     """A 6-row data file, copies of it without the feature column, with a
     bad protected cell, without data rows and without any line, 5-row tensor
-    and predictions files, two bad tensor heads and three invalid grid cells."""
+    and predictions files, two bad tensor heads, three invalid grid cells and
+    two grid files that hold no list of cells."""
     rows = [["z0", "x0", "y"]] + [[str(k), str(k % 2), str(k % 3)] for k in range(6)]
     _write_rows(tmp_path / "data.csv", rows)
     _write_rows(tmp_path / "no_features.csv", [r[1:] for r in rows])
@@ -587,6 +588,8 @@ def _usage_files(tmp_path):
                        ("family", {"n": 60, "p": 1, "q": 2, "family": "gamma"})]:
         # the valid first cell must not run before the invalid one is named
         (tmp_path / f"{name}.json").write_text(json.dumps([{"n": 60, "p": 1, "q": 2}, cell]))
+    (tmp_path / "empty_list.json").write_text("[]")
+    (tmp_path / "object.json").write_text("{}")
 
 
 TENSOR_ARGV = ["correct", "--data", "{tmp}/data.csv", "--protected", "x0", "--method", "tensor"]
@@ -617,17 +620,29 @@ LINEAR_ARGV = ["correct", "--outcome", "y", "--protected", "x0", "--method", "li
     (["simulate", "--grid", "{tmp}/p_above_q.json"], "need 1 <= p <= q, got p=3, q=2"),
     (["simulate", "--grid", "{tmp}/family.json"],
      "unknown family 'gamma'; expected one of ['bernoulli', 'gaussian', 'poisson']"),
+    (["simulate", "--grid", "{tmp}/empty_list.json"], "grid JSON must be a non-empty list of cells"),
+    (["simulate", "--grid", "{tmp}/object.json"], "grid JSON must be a non-empty list of cells"),
     (["simulate", "--grid", "appendix-g-bernoulli", "--replicates", "0"],
      "replicates must be >= 1"),
 ], ids=["no_outcome", "no_outcome_empty_protected", "tensor_without_file",
         "tensor_without_file_bad_cell", "tensor_rows", "no_features", "evaluate_rows",
         "empty_data", "header_only_data", "tensor_without_dims", "tensor_one_dim",
-        "grid_n0", "grid_p_above_q", "grid_family", "zero_replicates"])
+        "grid_n0", "grid_p_above_q", "grid_family", "grid_empty_list", "grid_object",
+        "zero_replicates"])
 def test_usage_rule_exits_2_with_its_line(argv, line, tmp_path, capsys):
     _usage_files(tmp_path)
     out = tmp_path / "out"
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {line.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
+def test_unreadable_data_exits_2_naming_it(tmp_path, capsys):
+    # a directory passes argparse but cannot be opened as a file
+    out = tmp_path / "out"
+    assert main(LINEAR_ARGV + [str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {tmp_path}: ")
     assert not out.exists()
 
 
@@ -1129,6 +1144,22 @@ class TestSimulateCommand:
         assert summary["ch"]["median_p_value"] == ""
         assert (summary["ch"]["rows"], summary["ch"]["unconverged"]) == ("0", "5")
         assert summary["uncorrected"]["unconverged"] == "5"
+
+    def test_cell_of_error_rows_has_no_summary_row(self, tmp_path):
+        # q = 60 columns on n = 50 rows: every method's fit raises, and error
+        # rows are pooled nowhere
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n": 50, "p": 1, "q": 60}]))
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--grid", str(grid), "--replicates", "1",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "study.csv", newline="", encoding="utf-8") as fh:
+            study = list(csv.DictReader(fh))
+        assert [r["method"] for r in study] == ["uncorrected", "cl", "ch"]
+        assert all(r["error"].startswith("DimensionMismatch: ") for r in study)
+        summary = (out / "summary.csv").read_text(encoding="utf-8")
+        assert summary.splitlines() == [",".join(SUMMARY_COLUMNS)]
 
     def test_byte_identical_reruns(self, tmp_path):
         grid = self.grid_file(tmp_path)

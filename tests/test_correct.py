@@ -27,8 +27,6 @@ from orthokit.correct import (
     correct_tensor_preactivation,
     corrected_design,
     fit_constrained_glm,
-    relu,
-    relu_dot_terms,
 )
 from orthokit.errors import DimensionMismatch, DomainError, InvalidSpec, RankDeficient
 from orthokit.evalmodel import evaluate_glm, evaluate_tensor
@@ -42,6 +40,8 @@ from orthokit.glm import (
 )
 from orthokit.linalg import build_projector, center_columns
 from orthokit.synth import SyntheticSpec, generate, stream
+
+from helpers import relu, relu_dot_terms
 
 
 def rng(seed: int) -> np.random.Generator:

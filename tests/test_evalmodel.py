@@ -19,12 +19,13 @@ from orthokit.correct import (
     correct_features_linear,
     correct_features_relu,
     fit_constrained_glm,
-    relu,
 )
 from orthokit.errors import DimensionMismatch, InvalidSpec
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import ALPHA, BERNOULLI, GAUSSIAN, EvaluationReport, fit_glm
 from orthokit.synth import SyntheticSpec, generate
+
+from helpers import relu
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -123,10 +123,7 @@ class TestFisherWeights:
         for family in FAMILIES:
             z, y = draw_problem(family, rng(1))
             fit = fit_glm(z, y, family)
-            np.testing.assert_array_equal(
-                fit.weight_diag, family.variance(fit.fitted_means)
-            )
-            assert np.all(fit.weight_diag > 0.0)
+            assert np.all(family.variance(fit.fitted_means) > 0.0)
 
 
 def unconstrained_step(z, y, mu, family):
@@ -471,7 +468,6 @@ class TestWaldInference:
             iterations=1,
             converged=True,
             loss=15.0,
-            weight_diag=np.full(30, 0.25),
             family=BERNOULLI,
         )
         rep = wald_inference(fit, z)
@@ -507,7 +503,6 @@ class TestWaldInference:
             iterations=1,
             converged=True,
             loss=10.0,
-            weight_diag=np.full(20, 0.25),
             family=BERNOULLI,
         )
         with pytest.raises(SingularInformation):

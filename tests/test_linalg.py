@@ -18,6 +18,9 @@ from orthokit.linalg import (
     RANK_RTOL,
     Projector,
     _projectors,
+    as_matrix,
+    as_tensor,
+    as_vector,
     build_projector,
     center_columns,
     least_squares,
@@ -466,3 +469,23 @@ class TestLeastSquares:
         out = least_squares(a, b)
         assert out.shape == (3, 2)
         np.testing.assert_allclose(a.T @ (b - a @ out), 0.0, atol=1e-9)
+
+
+class TestInputValidation:
+    """The converters every entry point runs its arrays through."""
+
+    def test_matrix_of_three_axes_rejected(self):
+        with pytest.raises(DimensionMismatch, match="design must be 2-D, got ndim=3"):
+            as_matrix(np.zeros((2, 3, 4)), "design")
+
+    @pytest.mark.parametrize("convert", [as_vector, as_tensor])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, convert, bad):
+        a = np.ones((3, 2))
+        a[1, 0] = bad
+        with pytest.raises(ValueError, match="response contains NaN or Inf"):
+            convert(a, "response")
+
+    def test_tensor_without_axes_rejected(self):
+        with pytest.raises(DimensionMismatch, match="tensor must have at least one axis"):
+            as_tensor(np.float64(1.0))

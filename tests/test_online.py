@@ -13,12 +13,13 @@ import pytest
 
 import orthokit.online as online_module
 from orthokit.correct import augment_intercept
-from orthokit.errors import InvalidSpec
+from orthokit.errors import DimensionMismatch, InvalidSpec, RankDeficient
 from orthokit.evalmodel import evaluate_glm
 from orthokit.glm import BERNOULLI
 from orthokit.linalg import build_projector, least_squares
 from orthokit.online import (
     BATCH_SIZE,
+    HIDDEN_WIDTHS,
     LEARNING_RATE,
     MlpConfig,
     accuracy_by_split,
@@ -30,6 +31,8 @@ from orthokit.online import (
     train_mlp,
 )
 from orthokit.synth import stream
+
+from helpers import gradients
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +93,7 @@ class TestGradients:
 
         inputs = []
         prob = forward(params, xb, complement, 0, inputs)
-        grads_w, grads_b = backward(params, inputs, prob, yb, complement, 0)
+        grads_w, grads_b = gradients(params, inputs, prob, yb, complement, 0)
 
         def loss_at():
             p2 = forward(params, xb, complement, 0)
@@ -153,7 +156,7 @@ class TestParameterBuffer:
 
     def test_buffer_update_equals_per_layer_update(self, data):
         params = init_params(self.WIDTHS, stream(22, 0))
-        grads_w, grads_b = backward(params, *self.batch(data, params), 0)
+        grads_w, grads_b = gradients(params, *self.batch(data, params), 0)
         layered = [[w - LEARNING_RATE * g for w, g in zip(params["weights"], grads_w)],
                    [b - LEARNING_RATE * g for b, g in zip(params["biases"], grads_b)]]
         gflat = grads_w[0].base
@@ -165,7 +168,7 @@ class TestParameterBuffer:
     def test_backward_overwrites_a_given_buffer(self, data):
         params = init_params(self.WIDTHS, stream(23, 0))
         inputs, prob, yb, complement = self.batch(data, params)
-        fresh = backward(params, inputs, prob, yb, complement, 0)
+        fresh = gradients(params, inputs, prob, yb, complement, 0)
         grads = init_params(self.WIDTHS, stream(24, 0))
         grads["flat"][:] = np.nan
         given = backward(params, inputs, prob, yb, complement, 0, grads)
@@ -244,8 +247,27 @@ class TestTraining:
     def test_bad_config_rejected(self, data):
         with pytest.raises(InvalidSpec):
             train_mlp(data, MlpConfig(ortho_layer_index=5), True)
-        with pytest.raises(InvalidSpec):
-            train_mlp(data, MlpConfig(layer_widths=(3, 16, 8, 1)), True)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", -2, "epochs must be a non-negative integer"),
+        ("epochs", 1.5, "epochs must be a non-negative integer"),
+        ("epochs", "3", "epochs must be a non-negative integer"),
+        ("ortho_layer_index", -1, "must select a hidden layer"),
+        ("ortho_layer_index", 2, "must select a hidden layer"),
+    ])
+    def test_config_rejected_at_construction(self, field, value, message):
+        with pytest.raises(InvalidSpec, match=message):
+            MlpConfig(**{field: value})
+
+    def test_rank_deficient_training_split_fails_before_any_step(self, caplog):
+        # an all-ones protected column duplicates the intercept: every batch
+        # would skip its correction, and gamma_hat could never be fitted
+        data = make_confounded_data(200, 50, seed=1)
+        data = dataclasses.replace(data, protected=np.ones_like(data.protected))
+        with caplog.at_level(logging.WARNING, logger="orthokit.online"):
+            with pytest.raises(RankDeficient, match="at column 1"):
+                train_mlp(data, MlpConfig(epochs=2), True)
+        assert caplog.records == []
 
 
 def preactivation(params, x, layer):
@@ -274,7 +296,7 @@ class TestEpochPass:
     )
     def run(self, request, small_data):
         with_correction, ortho = request.param
-        cfg = MlpConfig(layer_widths=(9, 16, 8, 1), epochs=3, ortho_layer_index=ortho, seed=4)
+        cfg = MlpConfig(epochs=3, ortho_layer_index=ortho, seed=4)
         return train_mlp(small_data, cfg, with_correction), with_correction, ortho
 
     def test_last_epoch_metrics_match_predict(self, run, small_data):
@@ -370,13 +392,48 @@ class TestEpochPass:
         np.testing.assert_array_equal(result.predict(x, prot), prob)
 
 
+class TestPredictShapes:
+    """``predict`` and ``confounder_report`` refuse rows that do not fit
+    the model with ``DimensionMismatch``."""
+
+    @pytest.fixture(scope="class")
+    def models(self, small_data):
+        cfg = MlpConfig(epochs=1, seed=4)
+        return {flag: train_mlp(small_data, cfg, flag) for flag in (False, True)}
+
+    @pytest.fixture
+    def rows(self, small_data):
+        x, prot, _ = small_data.rows(small_data.test_mask)
+        return x, prot
+
+    @pytest.mark.parametrize("entry", ["predict", "confounder_report"])
+    def test_protected_rows_differ_from_feature_rows(self, models, rows, entry):
+        x, prot = rows
+        with pytest.raises(DimensionMismatch, match=r"protected of shape \(5, 1\), not \(10, 1\)"):
+            getattr(models[True], entry)(x[:10], prot[:5])
+
+    @pytest.mark.parametrize("entry", ["predict", "confounder_report"])
+    def test_protected_width_differs_from_training(self, models, rows, entry):
+        x, prot = rows
+        with pytest.raises(DimensionMismatch, match=r"protected of shape \(\d+, 2\), not"):
+            getattr(models[True], entry)(x, np.column_stack([prot, prot]))
+
+    @pytest.mark.parametrize("with_correction", [False, True])
+    @pytest.mark.parametrize("entry", ["predict", "confounder_report"])
+    def test_feature_width_differs_from_training(self, models, rows, entry,
+                                                 with_correction):
+        x, prot = rows
+        with pytest.raises(DimensionMismatch, match=r"features of shape \(\d+, 8\), not"):
+            getattr(models[with_correction], entry)(x[:, :-1], prot)
+
+
 def per_batch_training(data, cfg):
     """Corrected ``train_mlp`` written as a loop that calls
     ``build_projector`` once per batch and gathers every batch and split
     afresh.  Returns (params, metrics, gamma_hat, confounder report)."""
     x, prot, y = data.rows(data.train_mask)
     rng = stream(cfg.seed, 0x31A)
-    params = init_params(cfg.widths(x.shape[1]), rng)
+    params = init_params((x.shape[1], *HIDDEN_WIDTHS, 1), rng)
     ortho = cfg.ortho_layer_index
     metrics = []
     for epoch in range(cfg.epochs):
@@ -394,7 +451,7 @@ def per_batch_training(data, cfg):
 
             inputs = []
             prob = forward(params, x[idx], certified, ortho, inputs)
-            grads_w, grads_b = backward(params, inputs, prob, y[idx], complement, ortho)
+            grads_w, grads_b = gradients(params, inputs, prob, y[idx], complement, ortho)
             for layer in range(len(grads_w)):
                 params["weights"][layer] -= LEARNING_RATE * grads_w[layer]
                 params["biases"][layer] -= LEARNING_RATE * grads_b[layer]
@@ -421,7 +478,7 @@ class TestStackedBatchProjectors:
 
     @pytest.mark.parametrize("ortho", [0, 1])
     def test_training_equals_per_batch_build_projector(self, small_data, ortho):
-        cfg = MlpConfig(layer_widths=(9, 16, 8, 1), epochs=3, ortho_layer_index=ortho, seed=4)
+        cfg = MlpConfig(epochs=3, ortho_layer_index=ortho, seed=4)
         result = train_mlp(small_data, cfg, True)
         params, metrics, gamma_hat, report = per_batch_training(small_data, cfg)
         assert result.skipped_batches == 0

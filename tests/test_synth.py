@@ -89,21 +89,11 @@ class TestGenerate:
         )
         assert np.all(pois.y >= 0) and np.all(pois.y == np.floor(pois.y))
 
-    def test_explicit_true_gamma(self):
-        spec = SyntheticSpec(
-            n=50, p=1, q=2, rho=0.0, family="gaussian", seed=1,
-            true_gamma=(1.0, -1.0),
-        )
-        d = generate(spec)
-        np.testing.assert_array_equal(d.true_gamma, [1.0, -1.0])
-
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidSpec):
             generate(SyntheticSpec(n=0, p=1, q=2, rho=0.0))
         with pytest.raises(InvalidSpec):
             generate(SyntheticSpec(n=10, p=3, q=2, rho=0.0))
-        with pytest.raises(InvalidSpec):
-            generate(SyntheticSpec(n=10, p=1, q=2, rho=0.0, true_gamma=(1.0,)))
 
 
 class TestSimulationStudy:
