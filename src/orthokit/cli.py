@@ -13,14 +13,15 @@ whole and split into lines once; every data row must have the header's
 width before any cell is decoded.  One decoder then reads each file in one
 pass, ``BLOCK_ROWS`` lines at a time, splitting a block into cells and
 decoding only the columns the command reads, into float64 or category
-codes.  So a file costs its lines, its decoded columns and one block of
-cells, not a str per cell.  Text without quotes or bare carriage returns
-is split on line ends and commas directly; ``csv.reader`` parses only
-files that have them, and feeds the same decoder.  A column is numeric
-when its non-empty cells are all numbers, categorical (one-hot encoded)
-otherwise.  An empty cell in either kind of column, and a non-finite cell
-where a number is required, is an error naming its column (or file) and
-row; each is raised when the command asks for that column.  Outputs are
+codes; a tensor file's cells are decoded as one row-major column.  So a
+file costs its lines, its decoded columns and one block of cells, not a
+str per cell.  Text without quotes or bare carriage returns is split on
+line ends and commas directly; ``csv.reader`` parses only files that have
+them, and feeds the same decoder.  A column is numeric when its non-empty
+cells are all numbers, categorical (one-hot encoded) otherwise.  An empty
+cell in either kind of column, and a non-finite cell where a number is
+required, is an error naming its column (or file) and row; each is raised
+when the command asks for that column.  Outputs are
 written byte for byte as ``csv.writer`` would write them (minimal quoting,
 CRLF row ends, floats to 17 digits), formatted and written ``BLOCK_ROWS``
 rows at a time, so a writer holds one block's text.
@@ -131,8 +132,9 @@ def _check_widths(path, widths, width) -> None:
 
 
 class _Column:
-    """One column, decoded a block at a time: float64 while every cell is
-    a number, category codes from the first cell that is not.
+    """``rows`` data rows of ``width`` cells each (1 for a table column),
+    decoded a block at a time in row-major order: float64 while every cell
+    is a number, category codes from the first cell that is not.
 
     Errors are recorded, not raised, so that a command meets them in the
     order it asks for its columns.  Empty cells parse as nan, so that a
@@ -140,10 +142,11 @@ class _Column:
     categorical.
     """
 
-    __slots__ = ("values", "bad", "word", "index", "codes", "levels", "empty")
+    __slots__ = ("values", "width", "bad", "word", "index", "codes", "levels", "empty")
 
-    def __init__(self, values):
-        self.values = values  # float64, filled in place while numeric
+    def __init__(self, rows, width=1):
+        self.values = np.empty(rows * width)  # filled in place while numeric
+        self.width = width
         self.bad = None  # (data row, cell): the first non-finite or empty cell
         self.word = None  # (data row, cell): the first non-number, if any
         self.index = {}  # level -> code, in order of first appearance
@@ -159,15 +162,15 @@ class _Column:
             values = np.fromiter(map(float, rest), float, len(filled))
         except ValueError:
             i = len(filled) - operator.length_hint(rest) - 1  # the cell float() refused
-            self.word = (start + i, cells[i])
-            self.codes = np.empty(len(self.values), np.intp)
+            self.word = (start + i // self.width, cells[i])
             self.values = None
             return False
-        self.values[start:start + len(values)] = values
+        at = start * self.width
+        self.values[at:at + len(values)] = values
         if self.bad is None:
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                self.bad = (start + int(bad[0]), cells[bad[0]])
+                self.bad = (start + int(bad[0]) // self.width, cells[bad[0]])
         return True
 
     def add_levels(self, cells, start) -> None:
@@ -190,33 +193,16 @@ class _Column:
         self.index = None
 
     def failure(self, where):
-        """Why this is not a column of finite numbers, as ``(0 for a
-        non-number or 1 for a non-finite cell, data row, message)``, or None."""
+        """Why this is not a column of finite numbers: its first non-number,
+        else its first non-finite or empty cell; None if there is none."""
         if self.word is not None:
             row, cell = self.word
-            return 0, row, f"{where} contains non-numeric cell {cell!r} (row {row + 2})"
+            return f"{where} contains non-numeric cell {cell!r} (row {row + 2})"
         if self.bad is not None:
             row, cell = self.bad
             what = f"non-finite cell {cell!r}" if cell else "an empty cell"
-            return 1, row, f"{where} contains {what} (row {row + 2})"
+            return f"{where} contains {what} (row {row + 2})"
         return None
-
-
-def _decode(blocks, count, width, columns) -> None:
-    """Decode ``columns`` (``{index: _Column}``) of the ``count`` data rows
-    of ``width`` cells in one pass over ``blocks``."""
-    for start, cells in blocks(count):
-        for j, column in columns.items():
-            part = cells[j::width]
-            if column.word is None:
-                if column.add_numbers(part, start):
-                    continue
-                # the rows before this block were numbers: split them again
-                for at, earlier in blocks(start):
-                    column.add_levels(earlier[j::width], at)
-            column.add_levels(part, start)
-    for column in columns.values():
-        column.finish()
 
 
 class Rows:
@@ -247,10 +233,22 @@ def read_table(path: str, columns=None):
     if not widths:
         raise CliError(f"{path} has a header but no data rows")
     _check_widths(path, widths, len(header))
-    n = len(widths)
-    decoded = {j: _Column(np.empty(n)) for j, name in enumerate(header)
+    n, width = len(widths), len(header)
+    decoded = {j: _Column(n) for j, name in enumerate(header)
                if columns is None or name in columns}
-    _decode(blocks, n, len(header), decoded)
+    for start, cells in blocks(n):
+        for j, column in decoded.items():
+            part = cells[j::width]
+            if column.word is None:
+                if column.add_numbers(part, start):
+                    continue
+                # the rows before this block were numbers: split them again
+                column.codes = np.empty(n, np.intp)
+                for at, earlier in blocks(start):
+                    column.add_levels(earlier[j::width], at)
+            column.add_levels(part, start)
+    for column in decoded.values():
+        column.finish()
     return header, Rows(n, {header[j]: column for j, column in decoded.items()})
 
 
@@ -260,7 +258,7 @@ def _numbers(body, name):
     column = body.columns[name]
     failure = column.failure(f"column {name!r}")
     if failure:
-        raise CliError(failure[2])
+        raise CliError(failure)
     return column.values
 
 
@@ -320,16 +318,14 @@ def read_tensor(path: str):
         raise CliError(f"{path}: expected {dims[0]} data rows, got {len(widths)}")
     d = math.prod(dims[1:])
     _check_widths(path, widths, d)
-    tensor = np.empty((dims[0], d))
-    columns = {j: _Column(tensor[:, j]) for j in range(d)}
-    _decode(blocks, dims[0], d, columns)
-    where = f"tensor file {path}"
-    # the first failing cell in row-major order, a non-number before a non-finite one
-    failures = [(f[0], f[1], j, f[2]) for j, column in columns.items()
-                if (f := column.failure(where))]
-    if failures:
-        raise CliError(min(failures)[-1])
-    return tensor.reshape(dims)
+    cells = _Column(dims[0], d)  # every cell, in row-major order
+    for start, block in blocks(dims[0]):
+        if not cells.add_numbers(block, start):
+            break
+    failure = cells.failure(f"tensor file {path}")
+    if failure:
+        raise CliError(failure)
+    return cells.values.reshape(dims)
 
 
 def _fmt(v) -> str:
@@ -453,12 +449,12 @@ def _protected_columns(text):
 def cmd_correct(args) -> int:
     out_dir = Path(args.out)
     if args.method == "tensor":
+        if not args.tensor:
+            raise CliError("--tensor <file> is required for method=tensor")
         protected = _protected_columns(args.protected)
         header, body = read_table(args.data, protected)
         x, x_names, refs = encode_columns(header, body, protected)
         del body  # decoded: not held through the tensor file
-        if not args.tensor:
-            raise CliError("--tensor <file> is required for method=tensor")
         tensor = read_tensor(args.tensor)
         if tensor.shape[0] != x.shape[0]:
             raise CliError("tensor rows do not match data rows")

@@ -268,7 +268,8 @@ def simulation_study(
     ``fit_method`` for each of ``METHODS``, then ``evaluate_glm`` of its
     activated predictions on the protected features.
 
-    Every cell is validated before any runs, so an invalid grid raises
+    Every cell is validated before any runs, so an invalid grid, or a
+    cell with n <= p + q that some method cannot fit, raises
     ``InvalidSpec`` and draws nothing.  Cells then run one after another,
     each (cell, replicate) on its own stream; a fit that fails becomes an
     error-marker row instead of aborting the study.  ``threads`` is kept
@@ -282,6 +283,8 @@ def simulation_study(
         raise InvalidSpec(f"threads must be None, 0 or 1, got {threads}")
     for spec in grid:
         spec.validate()
+        if spec.n <= spec.p + spec.q:  # q + 1 coefficients; cl's [1, Zc] has rank <= n - p
+            raise InvalidSpec(f"need n > p + q, got n={spec.n}, p={spec.p}, q={spec.q}")
     if replicates < 1:
         raise InvalidSpec("replicates must be >= 1")
     table = StudyTable()

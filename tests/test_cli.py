@@ -571,7 +571,7 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
 def _usage_files(tmp_path):
     """A 6-row data file, copies of it without the feature column, with a
     bad protected cell, without data rows and without any line, 5-row tensor
-    and predictions files, two bad tensor heads, three invalid grid cells and
+    and predictions files, two bad tensor heads, four invalid grid cells and
     two grid files that hold no list of cells."""
     rows = [["z0", "x0", "y"]] + [[str(k), str(k % 2), str(k % 3)] for k in range(6)]
     _write_rows(tmp_path / "data.csv", rows)
@@ -585,6 +585,7 @@ def _usage_files(tmp_path):
     _write_rows(tmp_path / "one_dim.csv", [["#dims 5"]] + [["1"]] * 5)
     _write_rows(tmp_path / "preds.csv", [["row_id", "y_hat"]] + [[k, "0.5"] for k in range(5)])
     for name, cell in [("n0", {"n": 0, "p": 1, "q": 2}), ("p_above_q", {"n": 60, "p": 3, "q": 2}),
+                       ("n_at_p_plus_q", {"n": 62, "p": 2, "q": 60}),
                        ("family", {"n": 60, "p": 1, "q": 2, "family": "gamma"})]:
         # the valid first cell must not run before the invalid one is named
         (tmp_path / f"{name}.json").write_text(json.dumps([{"n": 60, "p": 1, "q": 2}, cell]))
@@ -603,9 +604,11 @@ LINEAR_ARGV = ["correct", "--outcome", "y", "--protected", "x0", "--method", "li
     (["correct", "--data", "{tmp}/data.csv", "--protected", ","],
      "--outcome is required unless method=tensor"),
     (TENSOR_ARGV, "--tensor <file> is required for method=tensor"),
-    # the protected column is read before the tensor file is asked for
+    # the tensor file is asked for before the data file is read
     (["correct", "--data", "{tmp}/bad.csv", "--protected", "x0", "--method", "tensor"],
-     "column 'x0' contains non-finite cell 'nan' (row 4)"),
+     "--tensor <file> is required for method=tensor"),
+    (["correct", "--data", "{tmp}/missing.csv", "--protected", "x0", "--method", "tensor"],
+     "--tensor <file> is required for method=tensor"),
     (TENSOR_ARGV + ["--tensor", "{tmp}/tensor.csv"], "tensor rows do not match data rows"),
     (["correct", "--data", "{tmp}/no_features.csv", "--outcome", "y", "--protected", "x0"],
      "no feature columns remain after outcome/protected removal"),
@@ -618,6 +621,7 @@ LINEAR_ARGV = ["correct", "--outcome", "y", "--protected", "x0", "--method", "li
     (TENSOR_ARGV + ["--tensor", "{tmp}/one_dim.csv"], "{tmp}/one_dim.csv: need at least two dims"),
     (["simulate", "--grid", "{tmp}/n0.json"], "n must be >= 1, got 0"),
     (["simulate", "--grid", "{tmp}/p_above_q.json"], "need 1 <= p <= q, got p=3, q=2"),
+    (["simulate", "--grid", "{tmp}/n_at_p_plus_q.json"], "need n > p + q, got n=62, p=2, q=60"),
     (["simulate", "--grid", "{tmp}/family.json"],
      "unknown family 'gamma'; expected one of ['bernoulli', 'gaussian', 'poisson']"),
     (["simulate", "--grid", "{tmp}/empty_list.json"], "grid JSON must be a non-empty list of cells"),
@@ -625,9 +629,10 @@ LINEAR_ARGV = ["correct", "--outcome", "y", "--protected", "x0", "--method", "li
     (["simulate", "--grid", "appendix-g-bernoulli", "--replicates", "0"],
      "replicates must be >= 1"),
 ], ids=["no_outcome", "no_outcome_empty_protected", "tensor_without_file",
-        "tensor_without_file_bad_cell", "tensor_rows", "no_features", "evaluate_rows",
-        "empty_data", "header_only_data", "tensor_without_dims", "tensor_one_dim",
-        "grid_n0", "grid_p_above_q", "grid_family", "grid_empty_list", "grid_object",
+        "tensor_without_file_bad_cell", "tensor_without_file_missing_data", "tensor_rows",
+        "no_features", "evaluate_rows", "empty_data", "header_only_data",
+        "tensor_without_dims", "tensor_one_dim", "grid_n0", "grid_p_above_q",
+        "grid_n_at_p_plus_q", "grid_family", "grid_empty_list", "grid_object",
         "zero_replicates"])
 def test_usage_rule_exits_2_with_its_line(argv, line, tmp_path, capsys):
     _usage_files(tmp_path)
@@ -1146,10 +1151,11 @@ class TestSimulateCommand:
         assert summary["uncorrected"]["unconverged"] == "5"
 
     def test_cell_of_error_rows_has_no_summary_row(self, tmp_path):
-        # q = 60 columns on n = 50 rows: every method's fit raises, and error
-        # rows are pooled nowhere
+        # a protected feature 1e12 times a feature column: [1, X] is rank
+        # deficient, every method's evaluation raises, and error rows are
+        # pooled nowhere
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps([{"n": 50, "p": 1, "q": 60}]))
+        grid.write_text(json.dumps([{"n": 40, "p": 1, "q": 3, "rho": 1e12}]))
         out = tmp_path / "sim"
         rc = main(["simulate", "--grid", str(grid), "--replicates", "1",
                    "--out", str(out)])
@@ -1157,7 +1163,7 @@ class TestSimulateCommand:
         with open(out / "study.csv", newline="", encoding="utf-8") as fh:
             study = list(csv.DictReader(fh))
         assert [r["method"] for r in study] == ["uncorrected", "cl", "ch"]
-        assert all(r["error"].startswith("DimensionMismatch: ") for r in study)
+        assert all(r["error"].startswith("RankDeficient: ") for r in study)
         summary = (out / "summary.csv").read_text(encoding="utf-8")
         assert summary.splitlines() == [",".join(SUMMARY_COLUMNS)]
 

@@ -237,6 +237,7 @@ def test_main_writes_nothing_when_a_run_fails(repo, tmp_path, monkeypatch):
 
 
 def test_against_head_of_a_clean_repository_runs_two_equal_trees(repo, tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     trees = {}
     monkeypatch.setattr(ledger, "run_perfbench", fake_perfbench(trees))
     assert ledger.main(["--pr", "7", "--runs", "1", "--out", str(tmp_path / "out"),
@@ -244,6 +245,8 @@ def test_against_head_of_a_clean_repository_runs_two_equal_trees(repo, tmp_path,
     assert set(trees) == {"parent", "change"}
     assert trees["parent"][1] == trees["change"][1]
     assert sorted(trees["change"][1]) == ["BENCHMARK.json", "perfbench/run.py"]
+    written = json.loads((tmp_path / "out" / "BENCH_7.json").read_text())
+    assert written["settings"]["PYTHONDONTWRITEBYTECODE"] is None
 
 
 @pytest.mark.parametrize("returncode", [0, 3])
@@ -254,6 +257,7 @@ def test_against_runs_two_plain_trees_however_the_runs_end(repo, tmp_path, monke
     (repo / "run.log").write_text("")
     trees = {}
     monkeypatch.setattr(ledger, "run_perfbench", fake_perfbench(trees, returncode))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     out = tmp_path / "out"
     argv = ["--pr", "7", "--runs", "2", "--seed", "3", "--out", str(out),
             "--checkout", str(repo), "--against", "HEAD"]
@@ -280,6 +284,11 @@ def test_against_runs_two_plain_trees_however_the_runs_end(repo, tmp_path, monke
     assert written["parent"]["values"]["end_to_end"]["w"]["wall_s"] == [2.0] * 2
     assert written["values"]["end_to_end"]["w"]["wall_s"] == [1.0] * 2
     assert written["settings"]["seed"] == 3
+    # the two settings that move setup_s and peak_rss_mb with no program change
+    assert written["settings"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert written["settings"]["path_chars"] == {
+        side: len(str(tree)) for side, (tree, _) in trees.items()}
+    assert len(set(written["settings"]["path_chars"].values())) == 1
 
 
 @pytest.mark.parametrize("runner, line", [(None, "'run'"), (b"", "''")],

@@ -5,6 +5,7 @@ verified within Monte Carlo tolerance; everything else is determinism,
 schema stability, and the two-feature demonstration.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -132,7 +133,8 @@ class TestSimulationStudy:
         SyntheticSpec(n=60, p=3, q=2, rho=0.0),
         SyntheticSpec(n=60, p=1, q=2, rho=float("nan")),
         SyntheticSpec(n=60, p=1, q=2, rho=0.0, family="gamma"),
-    ], ids=["n", "p_above_q", "rho", "family"])
+        SyntheticSpec(n=62, p=2, q=60, rho=0.0),
+    ], ids=["n", "p_above_q", "rho", "family", "n_at_p_plus_q"])
     def test_invalid_cell_raises_before_any_cell_runs(self, bad, monkeypatch):
         drawn = []
         monkeypatch.setattr(synth, "generate", lambda *a: drawn.append(a))
@@ -198,12 +200,26 @@ class TestSimulationStudy:
             simulation_study([], replicates=1)
 
     def test_infeasible_cell_recorded_not_raised(self):
-        # n < q makes the unconstrained fit rank deficient; the study must
-        # record error rows instead of aborting
-        grid = [SyntheticSpec(n=6, p=1, q=10, rho=0.0, seed=1)]
+        # a protected feature 1e12 times a feature column makes [1, X] rank
+        # deficient; the study must record error rows instead of aborting
+        grid = [SyntheticSpec(n=40, p=1, q=3, rho=1e12, seed=1)]
         table = simulation_study(grid, replicates=1)
-        assert len(table.rows) >= 1
-        assert all(r.get("error") for r in table.rows)
+        assert [r["method"] for r in table.rows] == list(METHODS)
+        assert all(r["error"].startswith("RankDeficient: ") for r in table.rows)
+        assert table.summarize() == []
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 60)])
+    def test_cell_needs_more_rows_than_p_plus_q(self, p, q):
+        # every method fits q + 1 coefficients, and cl's [1, Zc] has rank at
+        # most n - p: n = p + q is refused before anything is drawn, and
+        # n = p + q + 1 runs every method
+        at = SyntheticSpec(n=p + q, p=p, q=q, rho=2.0, seed=2)
+        with pytest.raises(InvalidSpec, match=rf"need n > p \+ q, got n={p + q}, p={p}, q={q}"):
+            simulation_study([at], replicates=1)
+        assert generate(at).z.shape == (p + q, q)  # such data can still be drawn
+        table = simulation_study([dataclasses.replace(at, n=p + q + 1)], replicates=1)
+        assert [r["method"] for r in table.rows] == [m for m in METHODS for _ in range(p)]
+        assert not any(r["error"] for r in table.rows)
 
     def test_converged_column_reports_the_methods_own_fit(self):
         # A separated logistic cell: the uncorrected IRLS fit stops at its

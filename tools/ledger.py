@@ -30,7 +30,11 @@ run exits 0 and reports ``correct: true``.  Then it writes
 * ``env``: the runner's ``# env`` line (Python, numpy and BLAS versions,
   CPUs and thread settings), ``commit`` (``git rev-parse HEAD`` of the
   checkout, with ``+dirty`` when its ``src`` or ``perfbench`` has
-  uncommitted changes), and the run settings;
+  uncommitted changes), and the run settings: besides ``--runs``,
+  ``--seconds`` and ``--seed``, the two that move ``setup_s`` and
+  ``peak_rss_mb`` with no program change, ``PYTHONDONTWRITEBYTECODE`` as
+  the runs inherit it (set, every run compiles the package) and
+  ``path_chars``, the length of each tree's path;
 * ``parent``: REV's ``end_to_end``, ``layers``, ``values``, ``operations``,
   ``env`` and ``commit``.
 
@@ -53,6 +57,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
 import signal
 import statistics
@@ -286,13 +291,16 @@ def main(argv=None) -> int:
         with paired_trees(args.checkout, parent_commit) as (parent, change):
             sides = gather(workloads, args.runs,
                            {"parent": runner(parent), "change": runner(change)})
+            path_chars = {"parent": len(str(parent)), "change": len(str(change))}
     except LedgerError as exc:
         print(f"error: {exc}\nno ledger written", file=sys.stderr)
         return 1
     ledger = sides["change"]
     ledger.update(pr=args.pr, commit=commit,
                   parent={**sides["parent"], "commit": parent_commit},
-                  settings={"runs": args.runs, "seconds": seconds, "seed": args.seed})
+                  settings={"runs": args.runs, "seconds": seconds, "seed": args.seed,
+                            "path_chars": path_chars,
+                            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")})
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
