@@ -318,14 +318,14 @@ def read_tensor(path: str):
         raise CliError(f"{path}: expected {dims[0]} data rows, got {len(widths)}")
     d = math.prod(dims[1:])
     _check_widths(path, widths, d)
-    cells = _Column(dims[0], d)  # every cell, in row-major order
-    for start, block in blocks(dims[0]):
-        if not cells.add_numbers(block, start):
+    column = _Column(dims[0], d)  # every cell, in row-major order
+    for start, cells in blocks(dims[0]):
+        if not column.add_numbers(cells, start):
             break
-    failure = cells.failure(f"tensor file {path}")
+    failure = column.failure(f"tensor file {path}")
     if failure:
         raise CliError(failure)
-    return cells.values.reshape(dims)
+    return column.values.reshape(dims)
 
 
 def _fmt(v) -> str:

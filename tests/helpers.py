@@ -2,7 +2,9 @@
 
 ``relu`` and ``relu_dot_terms`` state the rectified algebra that the ReLU
 tests assert, and ``gradients`` runs ``online.backward`` into a new buffer,
-where training passes the one it allocated.
+where training passes the one it allocated.  ``conditioned`` and
+``assert_moved_at_most`` are the affine map and the rounding bound of the
+invariance tests.
 """
 
 import numpy as np
@@ -38,3 +40,19 @@ def gradients(params, inputs, prob, yb, correct=None, ortho_layer=0):
     weights = params["weights"]
     widths = (weights[0].shape[0], *(w.shape[1] for w in weights))
     return backward(params, inputs, prob, yb, correct, ortho_layer, _new_params(widths))
+
+
+def conditioned(seed: int, p: int, cond: float) -> np.ndarray:
+    """A p x p matrix ``U diag(s) V^T`` with random orthogonal U and V and
+    singular values from 1 down to ``1 / cond``."""
+    g = np.random.Generator(np.random.Philox(key=seed))
+    u = np.linalg.qr(g.standard_normal((p, p)))[0]
+    v = np.linalg.qr(g.standard_normal((p, p)))[0]
+    return u @ np.diag(np.logspace(0.0, -np.log10(cond), p)) @ v.T
+
+
+def assert_moved_at_most(got, ref, bound):
+    """``got`` is within ``bound`` of ``ref``, relative to ``ref``'s
+    largest entry (or absolutely, below 1)."""
+    moved = float(np.max(np.abs(got - ref)))
+    assert moved <= bound * max(1.0, float(np.max(np.abs(ref)))), (moved, bound)

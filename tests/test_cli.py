@@ -568,6 +568,24 @@ def test_bad_input_in_small_blocks(case, block_rows, tmp_path, capsys, monkeypat
     test_bad_input_exits_2_with_one_line(case, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 1024])
+@pytest.mark.parametrize("first, second, what", [
+    ("abc", "xyz", "non-numeric cell 'abc'"),
+    ("inf", "", "non-finite cell 'inf'"),
+], ids=["non_number", "non_finite"])
+def test_tensor_names_its_first_bad_cell_in_row_major_order(first, second, what, block_rows,
+                                                           tmp_path, monkeypatch):
+    # the last cell of data row 1 comes before the first cell of data row 2
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    rows = [["#dims 4 2 3"]] + [["1"] * 6 for _ in range(4)]
+    rows[2][5], rows[3][0] = first, second
+    path = tmp_path / "t.csv"
+    _write_rows(path, rows)
+    with pytest.raises(cli.CliError) as exc:
+        read_tensor(str(path))
+    assert str(exc.value) == f"tensor file {path} contains {what} (row 3)"
+
+
 def _usage_files(tmp_path):
     """A 6-row data file, copies of it without the feature column, with a
     bad protected cell, without data rows and without any line, 5-row tensor

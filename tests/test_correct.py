@@ -41,7 +41,7 @@ from orthokit.glm import (
 from orthokit.linalg import build_projector, center_columns
 from orthokit.synth import SyntheticSpec, generate, stream
 
-from helpers import relu, relu_dot_terms
+from helpers import assert_moved_at_most, conditioned, relu, relu_dot_terms
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -419,20 +419,6 @@ class TestNewtonStep:
         d, used = glm_module._newton_step(hess, jac, grad, c)
         assert used is hess
         np.testing.assert_allclose(jac @ d, -c, rtol=0.0, atol=1e-15)
-
-
-def conditioned(seed: int, p: int, cond: float) -> np.ndarray:
-    """A p x p matrix ``U diag(s) V^T`` with random orthogonal U and V and
-    singular values from 1 down to ``1 / cond``."""
-    g = rng(seed)
-    u = np.linalg.qr(g.standard_normal((p, p)))[0]
-    v = np.linalg.qr(g.standard_normal((p, p)))[0]
-    return u @ np.diag(np.logspace(0.0, -np.log10(cond), p)) @ v.T
-
-
-def assert_moved_at_most(got, ref, bound):
-    moved = float(np.max(np.abs(got - ref)))
-    assert moved <= bound * max(1.0, float(np.max(np.abs(ref)))), (moved, bound)
 
 
 class TestInvariance:

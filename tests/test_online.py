@@ -32,7 +32,7 @@ from orthokit.online import (
 )
 from orthokit.synth import stream
 
-from helpers import gradients
+from helpers import assert_moved_at_most, conditioned, gradients
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +491,53 @@ class TestStackedBatchProjectors:
         got = result.confounder_report(x, prot)
         for f in dataclasses.fields(report):
             np.testing.assert_array_equal(getattr(got, f.name), getattr(report, f.name))
+
+
+class TestBatchCorrectionInvariance:
+    """Each batch's correction depends only on the span of its ``[1,
+    protected]`` rows.  An invertible affine map ``X -> X A + b`` may move
+    a batch's complement of H by 128 eps cond(A), and permuting a batch's
+    rows may move its permuted corrected rows by 128 eps, both relative to
+    the largest entry: rounding allowances fixed before any run, as in
+    ``test_correct.py::TestInvariance``.  An epoch of four full batches
+    and a short one of 64 rows."""
+
+    ROWS, P, WIDTH = 4 * BATCH_SIZE + 64, 3, 16
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def corrected(x, h) -> list:
+        """Each batch's complement of its rows of ``h``, from the
+        projectors of ``[1, x]``'s batches as an epoch builds them."""
+        projectors = online_module._batch_projectors(np.column_stack([np.ones(len(x)), x]))
+        assert len(projectors) == -(-len(x) // BATCH_SIZE)
+        return [proj.complement(h[k * BATCH_SIZE:(k + 1) * BATCH_SIZE])
+                for k, proj in enumerate(projectors)]
+
+    def draw(self, seed):
+        g = stream(seed, 0x1A)
+        return g.standard_normal((self.ROWS, self.P)), g.standard_normal((self.ROWS, self.WIDTH))
+
+    @pytest.mark.parametrize("cond", (1.0, 1e3, 1e6))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_affine_map_of_protected_features(self, seed, cond):
+        x, h = self.draw(seed)
+        a = conditioned(200 + seed, self.P, cond)
+        np.testing.assert_allclose(np.linalg.cond(a), cond, rtol=1e-6)
+        b = stream(seed, 0x1B).standard_normal(self.P)
+        for got, ref in zip(self.corrected(x @ a + b, h), self.corrected(x, h)):
+            assert_moved_at_most(got, ref, BATCH_SIZE * self.EPS * cond)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_permutation_within_a_batch(self, seed):
+        x, h = self.draw(seed)
+        g = stream(seed, 0x1C)
+        starts = range(0, self.ROWS, BATCH_SIZE)
+        local = [g.permutation(min(BATCH_SIZE, self.ROWS - start)) for start in starts]
+        perm = np.concatenate([start + order for start, order in zip(starts, local)])
+        got, ref = self.corrected(x[perm], h[perm]), self.corrected(x, h)
+        for got_k, ref_k, order in zip(got, ref, local):
+            assert_moved_at_most(got_k, ref_k[order], BATCH_SIZE * self.EPS)
 
 
 class TestSkippedBatches:
