@@ -85,6 +85,10 @@ def constraint_value(gamma, z, x_centered, family: GlmFamily) -> float:
     zm = as_matrix(z, "design matrix")
     xc = as_matrix(x_centered, "centered protected features")
     g = as_vector(gamma, "coefficients")
+    if zm.shape[1] != g.shape[0] or xc.shape[0] != zm.shape[0]:
+        raise DimensionMismatch(f"design of shape {zm.shape}, coefficients of shape "
+                                f"{g.shape} and centered protected features of "
+                                f"shape {xc.shape} do not fit")
     mu = family.h(zm @ g)
     v = xc.T @ mu
     return float(v @ v)

@@ -1,10 +1,10 @@
 """GLM engine: canonical families, the Newton loop, and Wald inference.
 
 The three canonical families are supported: gaussian/identity,
-bernoulli/sigmoid, and poisson/exp.  For a canonical link the derivative of
-the activation is the variance function, ``h'(eta) = V(mu)``, and the link
-derivative is ``g'(mu) = 1 / V(mu)``, so a family is defined by ``h`` and
-``V`` alone.
+bernoulli/sigmoid, and poisson/exp.  For a canonical link ``h'(eta) =
+V(mu)`` and ``g'(mu) = 1 / V(mu)``, so a family is ``h``, ``V``, ``V'``,
+its NLL and its response domain; the mean clamp and the response check
+follow from the domain.
 One Newton loop, ``_newton``, fits every GLM in the package: it minimizes
 the per-row NLL subject to p constraints ``Xc^T h(Z gamma) / n = 0`` by
 ``_newton_step`` on the KKT system with the Lagrangian Hessian
@@ -35,9 +35,9 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, InvalidSpec, SingularInformation
 from .linalg import RANK_RTOL, as_matrix, as_vector, least_squares, shape_error
 
-# Clamp applied to means before weight/likelihood evaluation, keeping the
-# link derivative and variance function away from their boundary
-# singularities.
+# Distance ``GlmFamily.clip_mean`` keeps means inside the family's domain
+# before weight/likelihood evaluation: away from the boundary singularities
+# of the link derivative and the variance function.
 MEAN_EPS = 1e-10
 
 # Smallest reciprocal condition estimate ``(min L_jj / max L_jj)^2`` of the
@@ -77,26 +77,32 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GlmFamily:
-    """A canonical link/activation pair defining a GLM.
+    """A canonical GLM family: exactly what differs between families.
 
     ``h`` is the inverse link (the activation), ``variance`` the variance
-    function V(mu), which for a canonical link is also ``h'`` expressed
-    through the mean, and ``clip_mean`` maps means into the open domain on
-    which weights are defined.
-    """
+    function V(mu), for a canonical link ``h'`` through the mean,
+    ``neg_loglik`` the NLL of a response and clamped means, and ``domain``
+    the closed response range ``(low, high)``."""
 
     name: str
     h: Callable[[np.ndarray], np.ndarray]
     variance: Callable[[np.ndarray], np.ndarray]
-    clip_mean: Callable[[np.ndarray], np.ndarray]
-    check_y: Callable[[np.ndarray], None]
     # V'(mu); for canonical links h'' = V'(mu) V(mu)
     variance_prime: Callable[[np.ndarray], np.ndarray]
+    neg_loglik: Callable[[np.ndarray, np.ndarray], float]
+    domain: tuple[float, float]
 
     @property
     def h0(self) -> float:
         """Activation at zero; the constant added by prediction corrections."""
         return float(self.h(np.zeros(1))[0])
+
+    def clip_mean(self, mu: np.ndarray) -> np.ndarray:
+        return np.clip(mu, self.domain[0] + MEAN_EPS, self.domain[1] - MEAN_EPS)
+
+    def check_y(self, y: np.ndarray) -> None:
+        if np.any(y < self.domain[0]) or np.any(y > self.domain[1]):
+            raise DomainError(f"{self.name} responses must lie in {list(self.domain)}")
 
     def nll(self, y: np.ndarray, mu: np.ndarray) -> float:
         """Negative log-likelihood up to additive terms free of mu.
@@ -105,53 +111,34 @@ class GlmFamily:
         which lets evaluation models regress corrected predictions that may
         fall outside the family's natural response domain.
         """
-        mu = self.clip_mean(mu)
-        if self.name == "gaussian":
-            return float(0.5 * np.sum((y - mu) ** 2))
-        if self.name == "bernoulli":
-            return float(-np.sum(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
-        return float(np.sum(mu - y * np.log(mu)))
-
-
-def _check_gaussian(y: np.ndarray) -> None:
-    return None
-
-
-def _check_bernoulli(y: np.ndarray) -> None:
-    if np.any(y < 0.0) or np.any(y > 1.0):
-        raise DomainError("bernoulli responses must lie in [0, 1]")
-
-
-def _check_poisson(y: np.ndarray) -> None:
-    if np.any(y < 0.0):
-        raise DomainError("poisson responses must be non-negative")
+        return float(self.neg_loglik(y, self.clip_mean(mu)))
 
 
 GAUSSIAN = GlmFamily(
     name="gaussian",
-    h=lambda eta: np.asarray(eta, dtype=np.float64),
-    variance=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
-    clip_mean=lambda mu: np.asarray(mu, dtype=np.float64),
-    check_y=_check_gaussian,
-    variance_prime=lambda mu: np.zeros_like(np.asarray(mu, dtype=np.float64)),
+    h=lambda eta: eta,
+    variance=np.ones_like,
+    variance_prime=np.zeros_like,
+    neg_loglik=lambda y, mu: 0.5 * np.sum((y - mu) ** 2),
+    domain=(-np.inf, np.inf),
 )
 
 BERNOULLI = GlmFamily(
     name="bernoulli",
     h=_sigmoid,
     variance=lambda mu: mu * (1.0 - mu),
-    clip_mean=lambda mu: np.clip(mu, MEAN_EPS, 1.0 - MEAN_EPS),
-    check_y=_check_bernoulli,
     variance_prime=lambda mu: 1.0 - 2.0 * mu,
+    neg_loglik=lambda y, mu: -np.sum(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)),
+    domain=(0.0, 1.0),
 )
 
 POISSON = GlmFamily(
     name="poisson",
     h=np.exp,
-    variance=lambda mu: np.asarray(mu, dtype=np.float64),
-    clip_mean=lambda mu: np.clip(mu, MEAN_EPS, None),
-    check_y=_check_poisson,
-    variance_prime=lambda mu: np.ones_like(np.asarray(mu, dtype=np.float64)),
+    variance=lambda mu: mu,
+    variance_prime=np.ones_like,
+    neg_loglik=lambda y, mu: np.sum(mu - y * np.log(mu)),
+    domain=(0.0, np.inf),
 )
 
 FAMILIES = {f.name: f for f in (GAUSSIAN, BERNOULLI, POISSON)}
@@ -318,6 +305,7 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
             mu = family.h(zd @ g)
             return mu, xc.T @ mu / n, family.nll(yv, mu)
 
+    low, high = family.domain
     gamma, rho, best = np.zeros(k), 0.0, None
     mu, c, nll = evaluate(gamma)
     reason = f"reached max_iter={max_iter}"
@@ -333,7 +321,7 @@ def _newton(zd, yv, xc, family, max_iter, tol, constraint_tol):
         if feasible and (best is None or loss < best_loss):
             best, best_loss = out, loss
         if family.name == "bernoulli" and not (
-            MEAN_EPS < mu.min() and mu.max() < 1.0 - MEAN_EPS
+            low + MEAN_EPS < mu.min() and mu.max() < high - MEAN_EPS
         ):
             reason = "means reached the clamp: the design is quasi-separated"
             break
@@ -447,16 +435,23 @@ def wald_inference(fit: GlmFit, z) -> EvaluationReport:
         )
     diag = np.sum(np.linalg.inv(factor) ** 2, axis=0)
     if fit.family.name == "gaussian":
-        # the gaussian NLL is half the residual sum of squares
+        # the gaussian NLL is half the residual sum of squares; at the
+        # rounding level of the fitted means each z would be noise over noise
+        rss = 2.0 * fit.loss
+        rounding = n * np.finfo(np.float64).eps * np.max(np.abs(fit.fitted_means))
+        if rss <= rounding**2:
+            raise SingularInformation(
+                "residual variance is at rounding level: the response is an "
+                "exact affine function of the design, a constant included"
+            )
         dof = max(n - k, 1)
-        sigma2 = 2.0 * fit.loss / dof
+        sigma2 = rss / dof
         diag = diag * sigma2
 
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         raise SingularInformation("non-positive variance estimate")
     se = np.sqrt(diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zstat = np.where(se > 0, fit.coefficients / se, 0.0)
+    zstat = fit.coefficients / se
     return EvaluationReport(
         coefficients=fit.coefficients.copy(),
         std_errors=se,

@@ -985,6 +985,20 @@ class TestEvaluateCommand:
             rows = list(csv.reader(fh))[1:]
         assert all(float(r[4]) == 1.0 for r in rows)
 
+    def test_constant_gaussian_predictions_exit_2_with_one_line(self, gaussian_csv,
+                                                                tmp_path, capsys):
+        # a constant response has rounding-noise residuals: no Wald test
+        path, _ = gaussian_csv
+        preds = tmp_path / "preds.csv"
+        _write_rows(preds, [["row_id", "y_hat"]] + [[i, "3"] for i in range(200)])
+        rc = main([
+            "evaluate", "--predictions", str(preds), "--protected-data", str(path),
+            "--protected", "x0,x1", "--family", "gaussian", "--out", str(tmp_path / "ev"),
+        ])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and "exact affine function of the design" in err[0], err
+
     def test_unconverged_fit_fails_every_coefficient_exit_3(self, tmp_path, capsys):
         # predictions equal to a binary protected column separate the
         # evaluation GLM: its slope diverges and its Wald p-value is large,

@@ -150,6 +150,18 @@ class TestConstraintValue:
         val = constraint_value(gamma, z, xc, BERNOULLI)
         assert abs(val - total) <= 1e-12 * max(1.0, total)
 
+    @pytest.mark.parametrize("z_cols, xc_rows", [(3, 50), (4, 40)],
+                             ids=["coefficients", "protected-rows"])
+    def test_shape_mismatch_raises(self, z_cols, xc_rows):
+        g = rng(23)
+        z = g.standard_normal((50, z_cols))
+        xc = center_columns(g.standard_normal((xc_rows, 2)))
+        with pytest.raises(DimensionMismatch) as exc:
+            constraint_value(np.zeros(4), z, xc, BERNOULLI)
+        assert str(exc.value) == (
+            f"design of shape (50, {z_cols}), coefficients of shape (4,) and "
+            f"centered protected features of shape ({xc_rows}, 2) do not fit")
+
 
 def appendix_design(seed=0, n=1000, p=5, q=10, family="bernoulli"):
     return generate(

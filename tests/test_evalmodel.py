@@ -20,7 +20,7 @@ from orthokit.correct import (
     correct_features_relu,
     fit_constrained_glm,
 )
-from orthokit.errors import DimensionMismatch, InvalidSpec
+from orthokit.errors import DimensionMismatch, InvalidSpec, SingularInformation
 from orthokit.evalmodel import evaluate_glm, evaluate_relu_l2, evaluate_tensor
 from orthokit.glm import ALPHA, BERNOULLI, GAUSSIAN, EvaluationReport, fit_glm
 from orthokit.synth import SyntheticSpec, generate
@@ -83,6 +83,25 @@ class TestEvaluateGlm:
         y_hat = g.standard_normal(100) * 0.3 + 0.5  # leaves (0, 1)
         rep = evaluate_glm(x, y_hat, BERNOULLI)
         assert rep.p_values.shape == (2,)
+
+    @pytest.mark.parametrize("response", [
+        lambda t: 1.0 + 2.0 * t,
+        np.zeros_like,
+        lambda t: np.full_like(t, 3.0),
+        lambda t: np.full_like(t, 0.5),
+    ], ids=["affine", "zero", "three", "half"])
+    def test_gaussian_exactly_affine_response_raises(self, response):
+        # its residual variance is rounding noise, and so would be its z values
+        t = np.arange(40.0)
+        with pytest.raises(SingularInformation, match="exact affine function of the design"):
+            evaluate_glm(t[:, None], response(t), GAUSSIAN)
+
+    def test_gaussian_noise_above_rounding_is_tested(self):
+        t = np.arange(40.0)
+        noise = rng(5).standard_normal(40)
+        assert evaluate_glm(t[:, None], 3.0 + 1e-8 * noise, GAUSSIAN).p_values[0] >= ALPHA
+        assert evaluate_glm(t[:, None], 1.0 + 2.0 * t + 1e-9 * noise,
+                            GAUSSIAN).p_values[0] < ALPHA
 
 
 class TestEvaluateReluL2:

@@ -537,6 +537,30 @@ class TestFamilies:
         expected = {"gaussian": 0.0, "bernoulli": 0.5, "poisson": 1.0}
         assert family.h0 == pytest.approx(expected[family.name])
 
+    @pytest.mark.parametrize("family, y, message", [
+        (BERNOULLI, np.nextafter(0.0, -1.0), "bernoulli responses must lie in [0.0, 1.0]"),
+        (BERNOULLI, np.nextafter(1.0, 2.0), "bernoulli responses must lie in [0.0, 1.0]"),
+        (POISSON, np.nextafter(0.0, -1.0), "poisson responses must lie in [0.0, inf]"),
+    ], ids=["bernoulli-below", "bernoulli-above", "poisson-below"])
+    def test_check_y_rejects_just_outside_the_domain(self, family, y, message):
+        ends = np.array(family.domain)
+        family.check_y(ends[np.isfinite(ends)])  # the domain is closed
+        with pytest.raises(DomainError) as exc:
+            family.check_y(np.array([0.5, y]))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_clip_mean_keeps_means_inside_the_domain(self, family):
+        mu = np.array([-1e300, -1.0, -MEAN_EPS, 0.0, MEAN_EPS / 2, MEAN_EPS,
+                       0.5, 1.0 - MEAN_EPS / 2, 1.0, 2.0, 1e300])
+        low, high = family.domain
+        clipped = family.clip_mean(mu)
+        assert np.all(clipped >= low + MEAN_EPS) and np.all(clipped <= high - MEAN_EPS)
+        inside = (mu >= low + MEAN_EPS) & (mu <= high - MEAN_EPS)
+        np.testing.assert_array_equal(clipped[inside], mu[inside])
+        # only the gaussian domain, the whole line, leaves every mean as it is
+        assert inside.all() == (family is GAUSSIAN)
+
 
 def masked_sigmoid(eta):
     """The two-branch logistic function ``_sigmoid`` replaced: exp(-eta)
