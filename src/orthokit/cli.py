@@ -26,8 +26,8 @@ written byte for byte as ``csv.writer`` would write them (minimal quoting,
 CRLF row ends, floats to 17 digits), formatted and written ``BLOCK_ROWS``
 rows at a time, so a writer holds one block's text.
 
-Exit codes: 0 success, 2 usage/validation error, 3 non-convergence (the
-report is still written).
+Exit codes: 0 success, 2 usage/validation error, 3 non-convergence or a
+``simulate`` cell with no estimate (the outputs are still written).
 """
 
 from __future__ import annotations
@@ -654,7 +654,15 @@ def cmd_simulate(args) -> int:
         SUMMARY_COLUMNS,
         [tuple(s[k] for k in SUMMARY_COLUMNS) for s in table.summarize()],
     )
-    return 0
+    # a cell whose every row is an error row has no estimate: exit 3
+    errors = {}
+    for row in table.rows:
+        cell = " ".join(f"{c}={row[c]}" for c in SUMMARY_COLUMNS[:5])
+        errors.setdefault(cell, []).append(row["error"])
+    empty = {cell: found[0] for cell, found in errors.items() if all(found)}
+    for cell, error in empty.items():
+        print(f"no estimate in cell {cell}: {error}", file=sys.stderr)
+    return 3 if empty else 0
 
 
 # ---------------------------------------------------------------------------

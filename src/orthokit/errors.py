@@ -27,7 +27,8 @@ class RankDeficient(OrthokitError):
 
 
 class DomainError(OrthokitError):
-    """A response or mean value lies outside the family's domain."""
+    """An input has a non-finite entry, or a response or mean value lies
+    outside the family's domain."""
 
 
 class DidNotConverge(OrthokitError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, DomainError, RankDeficient
 
 # Relative tolerance below which a column is declared linearly dependent:
 # its QR diagonal against the largest column norm (what a column-pivoted QR
@@ -54,7 +54,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise DomainError(f"{name} contains NaN or Inf entries")
     return m
 
 
@@ -62,7 +62,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     """Validate and convert input to a 1-D float64 array with finite entries."""
     v = np.asarray(a, dtype=np.float64).reshape(-1)
     if v.size and not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise DomainError(f"{name} contains NaN or Inf entries")
     return v
 
 
@@ -72,7 +72,7 @@ def as_tensor(t, name: str = "tensor") -> np.ndarray:
     if a.ndim < 1:
         raise DimensionMismatch(f"{name} must have at least one axis")
     if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise DomainError(f"{name} contains NaN or Inf entries")
     return a
 
 

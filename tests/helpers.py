@@ -2,13 +2,16 @@
 
 ``relu`` and ``relu_dot_terms`` state the rectified algebra that the ReLU
 tests assert, and ``gradients`` runs ``online.backward`` into a new buffer,
-where training passes the one it allocated.  ``conditioned`` and
+where training passes the one it allocated.  ``mask_forward`` is
+``online.forward`` with the mask rectifier ``h *= h > 0.0``, the reference
+its in-place ReLU is tested against.  ``conditioned`` and
 ``assert_moved_at_most`` are the affine map and the rounding bound of the
 invariance tests.
 """
 
 import numpy as np
 
+from orthokit.glm import _sigmoid
 from orthokit.linalg import as_vector
 from orthokit.online import _new_params, backward
 
@@ -40,6 +43,27 @@ def gradients(params, inputs, prob, yb, correct=None, ortho_layer=0):
     weights = params["weights"]
     widths = (weights[0].shape[0], *(w.shape[1] for w in weights))
     return backward(params, inputs, prob, yb, correct, ortho_layer, _new_params(widths))
+
+
+def mask_forward(params, x, correct=None, ortho_layer=0, inputs=None):
+    """``online.forward`` rectifying each hidden layer by its mask,
+    ``h *= h > 0.0``, which leaves -0.0 where ``forward`` writes +0.0."""
+    weights, biases = params["weights"], params["biases"]
+    act = x
+    for layer in range(len(weights) - 1):
+        if inputs is not None:
+            inputs.append(act)
+        h = act @ weights[layer]
+        h += biases[layer]
+        if layer == ortho_layer and correct is not None:
+            h = correct(h)
+        h *= h > 0.0
+        act = h
+    if inputs is not None:
+        inputs.append(act)
+    out = act @ weights[-1]
+    out += biases[-1]
+    return _sigmoid(out[:, 0])
 
 
 def conditioned(seed: int, p: int, cond: float) -> np.ndarray:

@@ -1182,22 +1182,42 @@ class TestSimulateCommand:
         assert (summary["ch"]["rows"], summary["ch"]["unconverged"]) == ("0", "5")
         assert summary["uncorrected"]["unconverged"] == "5"
 
-    def test_cell_of_error_rows_has_no_summary_row(self, tmp_path):
+    def test_cell_of_error_rows_has_no_summary_row(self, tmp_path, capsys):
         # a protected feature 1e12 times a feature column: [1, X] is rank
         # deficient, every method's evaluation raises, and error rows are
-        # pooled nowhere
+        # pooled nowhere; both files are written, and the cell without an
+        # estimate is named on stderr and exits 3
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"n": 40, "p": 1, "q": 3, "rho": 1e12}]))
         out = tmp_path / "sim"
         rc = main(["simulate", "--grid", str(grid), "--replicates", "1",
                    "--out", str(out)])
-        assert rc == 0
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "no estimate in cell family=bernoulli n=40 p=1 q=3 rho=1000000000000.0: "
+            "RankDeficient: matrix is rank deficient at column 0"]
         with open(out / "study.csv", newline="", encoding="utf-8") as fh:
             study = list(csv.DictReader(fh))
         assert [r["method"] for r in study] == ["uncorrected", "cl", "ch"]
         assert all(r["error"].startswith("RankDeficient: ") for r in study)
         summary = (out / "summary.csv").read_text(encoding="utf-8")
         assert summary.splitlines() == [",".join(SUMMARY_COLUMNS)]
+
+    def test_only_the_cell_without_an_estimate_is_named(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        good = {"n": 40, "p": 1, "q": 3}
+        grid.write_text(json.dumps([{**good, "rho": 1e12}, good]))
+        rc = main(["simulate", "--grid", str(grid), "--replicates", "2",
+                   "--out", str(tmp_path / "both")])
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("no estimate in cell family=bernoulli n=40 p=1 q=3 "
+                               "rho=1000000000000.0: RankDeficient: ")
+        grid.write_text(json.dumps([good]))
+        rc = main(["simulate", "--grid", str(grid), "--replicates", "2",
+                   "--out", str(tmp_path / "good")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_byte_identical_reruns(self, tmp_path):
         grid = self.grid_file(tmp_path)

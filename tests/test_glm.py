@@ -251,6 +251,14 @@ class TestFitGlm:
         with pytest.raises(DomainError):
             fit_glm(z, [-1.0, 2.0, 1.0], POISSON)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_an_orthokit_error(self, bad):
+        # a caller that catches OrthokitError, as cli.main does, sees it
+        with pytest.raises(DomainError, match="response contains NaN or Inf"):
+            fit_glm(np.ones((3, 1)), [0.0, bad, 1.0], BERNOULLI)
+        with pytest.raises(DomainError, match="contains NaN or Inf"):
+            fit_glm([[1.0], [bad], [1.0]], [0.0, 1.0, 1.0], BERNOULLI)
+
     def test_response_length_mismatch(self):
         with pytest.raises(DimensionMismatch, match="design has 3 rows but response has 2"):
             fit_glm(np.ones((3, 1)), [0.0, 1.0], BERNOULLI)

@@ -132,7 +132,7 @@ def paired_ledger(parent: dict, change: dict) -> dict:
 def test_paired_counts_wins_and_leaves_ties_to_neither_side():
     parent = {"wall_s": [1.0] * 10, "correct.constrained_feasible": [3.0] * 10}
     change = {"wall_s": [0.5] * 9 + [1.0], "correct.constrained_feasible": [4.0] * 6 + [3.0] * 4}
-    wall, feasible = ledger.paired(paired_ledger(parent, change), SPEC)
+    wall, feasible = ledger.paired(paired_ledger(parent, change), SPEC, ["w.wall_s"])
     # nine wins and a tie meet the rule; the move is larger than an IQR of 0
     assert wall.startswith("+ end_to_end w wall_s: 1 -> 0.5 s (-50.0%)")
     assert wall.endswith("parent IQR 0, won 9/10")
@@ -145,17 +145,30 @@ def test_paired_counts_wins_and_leaves_ties_to_neither_side():
 def test_paired_marks_a_move_beyond_the_bound_and_needs_a_move_past_the_iqr():
     parent = {"wall_s": [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.2, 0.8, 1.1, 0.9]}
     worse = {"wall_s": [v * 1.3 for v in parent["wall_s"]]}
-    (line,) = ledger.paired(paired_ledger(parent, worse), SPEC)
-    assert line.startswith("! ") and line.endswith("won 0/10")
+    for claims in ((), ["w.wall_s"]):  # claimed or not
+        (line,) = ledger.paired(paired_ledger(parent, worse), SPEC, claims)
+        assert line.startswith("! ") and line.endswith("won 0/10")
     # every pair won, but the median moves by less than the parent's IQR
     slightly = {"wall_s": [v - 0.01 for v in parent["wall_s"]]}
-    (line,) = ledger.paired(paired_ledger(parent, slightly), SPEC)
+    (line,) = ledger.paired(paired_ledger(parent, slightly), SPEC, ["w.wall_s"])
     assert line.startswith("  ") and line.endswith("won 10/10")
     # a clear win, but in fewer than ten pairs
     faster = {"wall_s": [v / 2 for v in parent["wall_s"]]}
     few = {k: v[:5] for k, v in parent.items()}, {k: v[:5] for k, v in faster.items()}
-    (line,) = ledger.paired(paired_ledger(*few), SPEC)
+    (line,) = ledger.paired(paired_ledger(*few), SPEC, ["w.wall_s"])
     assert line.startswith("  ") and line.endswith("won 5/5")
+
+
+def test_paired_marks_no_unclaimed_winning_row():
+    # ten wins and a move past the IQR, but only a claimed row gets a +
+    parent = {"wall_s": [1.0] * 10, "setup_s": [0.2] * 10}
+    change = {"wall_s": [0.5] * 10, "setup_s": [0.1] * 10}
+    book = paired_ledger(parent, change)
+    wall, setup = ledger.paired(book, SPEC)
+    assert wall.startswith("  end_to_end w wall_s: 1 -> 0.5") and wall.endswith("won 10/10")
+    assert setup.startswith("  end_to_end w setup_s: 0.2 -> 0.1")
+    wall, setup = ledger.paired(book, SPEC, ["w.setup_s"])
+    assert wall.startswith("  ") and setup.startswith("+ ")
 
 
 def test_paired_claims_no_layer_metric():
@@ -163,7 +176,8 @@ def test_paired_claims_no_layer_metric():
     # claim rule's letter asks, but a layer row is a report
     parent = {"wall_s": [1.0] * 10, "correct.constrained_feasible": [3.0] * 9 + [2.0]}
     change = {"wall_s": [1.0] * 10, "correct.constrained_feasible": [5.0] * 10}
-    _, feasible = ledger.paired(paired_ledger(parent, change), SPEC)
+    claims = ["w.wall_s", "w.correct.constrained_feasible"]
+    _, feasible = ledger.paired(paired_ledger(parent, change), SPEC, claims)
     assert feasible.startswith("  layers w correct.constrained_feasible: 3 -> 5")
     assert feasible.endswith("won 10/10")
 
@@ -226,6 +240,21 @@ def test_main_needs_a_parent_revision(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("claim", ["w.correct.constrained_feasible", "x.wall_s",
+                                   "wall_s", "w.wall_s.x"])
+def test_a_claim_that_names_no_end_to_end_metric_exits_2_before_any_run(
+        repo, tmp_path, monkeypatch, capsys, claim):
+    monkeypatch.setattr(ledger, "run_perfbench", lambda *a: pytest.fail("ran"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        ledger.main(["--pr", "7", "--out", str(out), "--checkout", str(repo),
+                     "--against", "HEAD", "--claim", "w.wall_s", "--claim", claim])
+    assert exc.value.code == 2
+    assert f"--claim {claim}: not an end-to-end metric" in capsys.readouterr().err
+    assert not out.exists()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
 def test_main_writes_nothing_when_a_run_fails(repo, tmp_path, monkeypatch):
     monkeypatch.setattr(ledger, "run_perfbench", lambda *a: subprocess.CompletedProcess([], 2, "", "boom"))
     out = tmp_path / "out"
@@ -247,6 +276,7 @@ def test_against_head_of_a_clean_repository_runs_two_equal_trees(repo, tmp_path,
     assert sorted(trees["change"][1]) == ["BENCHMARK.json", "perfbench/run.py"]
     written = json.loads((tmp_path / "out" / "BENCH_7.json").read_text())
     assert written["settings"]["PYTHONDONTWRITEBYTECODE"] is None
+    assert written["settings"]["claims"] == []
 
 
 @pytest.mark.parametrize("returncode", [0, 3])
@@ -260,7 +290,7 @@ def test_against_runs_two_plain_trees_however_the_runs_end(repo, tmp_path, monke
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     out = tmp_path / "out"
     argv = ["--pr", "7", "--runs", "2", "--seed", "3", "--out", str(out),
-            "--checkout", str(repo), "--against", "HEAD"]
+            "--checkout", str(repo), "--against", "HEAD", "--claim", "w.wall_s"]
     assert ledger.main(argv) == (1 if returncode else 0)
     assert set(trees) == ({"parent"} if returncode else {"parent", "change"})
     # both sides run side by side, from paths of one length, and neither
@@ -284,6 +314,7 @@ def test_against_runs_two_plain_trees_however_the_runs_end(repo, tmp_path, monke
     assert written["parent"]["values"]["end_to_end"]["w"]["wall_s"] == [2.0] * 2
     assert written["values"]["end_to_end"]["w"]["wall_s"] == [1.0] * 2
     assert written["settings"]["seed"] == 3
+    assert written["settings"]["claims"] == ["w.wall_s"]
     # the two settings that move setup_s and peak_rss_mb with no program change
     assert written["settings"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert written["settings"]["path_chars"] == {

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokit.errors import DimensionMismatch, RankDeficient
+from orthokit.errors import DimensionMismatch, DomainError, RankDeficient
 from orthokit.linalg import (
     RANK_RTOL,
     Projector,
@@ -105,7 +105,7 @@ class TestBuildProjector:
     def test_nan_rejected(self):
         x = np.ones((4, 1))
         x[2, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             build_projector(x)
 
 
@@ -459,7 +459,7 @@ class TestLeastSquares:
         fit = build_projector(rng(67).standard_normal((6, 2)))
         with pytest.raises(DimensionMismatch):
             fit.solve(np.ones(5))
-        with pytest.raises(ValueError, match="right-hand side"):
+        with pytest.raises(DomainError, match="right-hand side"):
             fit.solve(np.array([1.0, 2.0, np.nan, 0.0, 0.0, 0.0]))
 
     def test_matrix_rhs(self):
@@ -483,7 +483,7 @@ class TestInputValidation:
     def test_non_finite_entry_rejected(self, convert, bad):
         a = np.ones((3, 2))
         a[1, 0] = bad
-        with pytest.raises(ValueError, match="response contains NaN or Inf"):
+        with pytest.raises(DomainError, match="response contains NaN or Inf"):
             convert(a, "response")
 
     def test_tensor_without_axes_rejected(self):

@@ -32,7 +32,7 @@ from orthokit.online import (
 )
 from orthokit.synth import stream
 
-from helpers import assert_moved_at_most, conditioned, gradients
+from helpers import assert_moved_at_most, conditioned, gradients, mask_forward
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,54 @@ class TestParameterBuffer:
         assert given[0] is grads["weights"] and given[1] is grads["biases"]
         for got, want in zip(given[0] + given[1], fresh[0] + fresh[1]):
             np.testing.assert_array_equal(got, want)
+
+
+class TestInPlaceRelu:
+    """``forward``'s ``np.maximum(h, 0.0, out=h)`` against the mask form
+    ``h *= h > 0.0``: they differ only in the sign of a rectified zero
+    (+0.0 where the mask leaves -0.0), which no later product, sum or
+    comparison sees."""
+
+    @staticmethod
+    def inject(h):
+        # exact zeros of both signs among the batch's pre-activations
+        h[:16] = 0.0
+        h[16:32] = -0.0
+        return h
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_probabilities_and_gradients_equal_the_mask_form(self, data, layer):
+        x, _, y = data.rows(data.train_mask)
+        xb, yb = x[:BATCH_SIZE], y[:BATCH_SIZE]
+        params = init_params((x.shape[1], *HIDDEN_WIDTHS, 1), stream(13, 0))
+        pre = preactivation(params, xb, layer)
+        assert np.any(pre < 0.0) and np.any(pre > 0.0)
+        got_inputs, want_inputs = [], []
+        got = forward(params, xb, self.inject, layer, got_inputs)
+        want = mask_forward(params, xb, self.inject, layer, want_inputs)
+        # the rectified zeros differ in sign, and in nothing else
+        rectified = want_inputs[layer + 1]
+        assert np.any(np.signbit(rectified) & (rectified == 0.0))
+        assert not np.any(np.signbit(got_inputs[layer + 1]))
+        for a, b in zip(got_inputs, want_inputs):
+            np.testing.assert_array_equal(a, b)
+        assert np.array_equal(got, want)
+        for g, w in zip(gradients(params, got_inputs, got, yb),
+                        gradients(params, want_inputs, want, yb)):
+            for a, b in zip(g, w):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("with_correction", [False, True])
+    def test_training_at_layer_1_equals_the_mask_form(self, data, with_correction,
+                                                      monkeypatch):
+        cfg = MlpConfig(epochs=2, ortho_layer_index=1, seed=5)
+        got = train_mlp(data, cfg, with_correction)
+        monkeypatch.setattr(online_module, "forward", mask_forward)
+        want = train_mlp(data, cfg, with_correction)
+        assert got.params["flat"].tobytes() == want.params["flat"].tobytes()
+        assert got.metrics == want.metrics
+        if with_correction:
+            assert got.gamma_hat.tobytes() == want.gamma_hat.tobytes()
 
 
 class TestTraining:

@@ -2,6 +2,7 @@
 
     python tools/ledger.py --pr N --against HEAD~1     # 3 pairs of 30 s runs
     python tools/ledger.py --pr N --against HEAD~1 --runs 10 --seed 5
+    python tools/ledger.py --pr N --against HEAD~1 --runs 10 --claim nonlinear.wall_s
     python tools/ledger.py --pr N --against REV --checkout ../other --out DIR
 
 Two plain trees are written into one temporary directory by one writer:
@@ -34,21 +35,25 @@ run exits 0 and reports ``correct: true``.  Then it writes
   ``--seconds`` and ``--seed``, the two that move ``setup_s`` and
   ``peak_rss_mb`` with no program change, ``PYTHONDONTWRITEBYTECODE`` as
   the runs inherit it (set, every run compiles the package) and
-  ``path_chars``, the length of each tree's path;
+  ``path_chars``, the length of each tree's path, and ``claims``, the
+  ``--claim`` names;
 * ``parent``: REV's ``end_to_end``, ``layers``, ``values``, ``operations``,
   ``env`` and ``commit``.
 
 Last it prints, per metric, the parent's and the change's medians, the
 parent's interquartile range and the pairs the change won, a tie counting
-for neither side.  ``+`` marks an end-to-end metric that meets the claim
-rule (at least ten pairs run, nine tenths of them won, and a median move
-larger than the parent's interquartile range); a layer metric is a report,
-never a claim, so it gets no ``+``.  ``!`` marks an end-to-end metric
-whose median is worse than the parent's by more than its
-``BENCHMARK.json`` bound, read as a fraction of the parent's median.  The
-marks do not change the exit code.  Layer metrics are listed only where
-their medians differ; a metric only one side reports is listed as
-``new`` or ``gone``.
+for neither side.  ``+`` marks an end-to-end metric named by a ``--claim
+WORKLOAD.METRIC`` (repeatable) that meets the claim rule (at least ten
+pairs run, nine tenths of them won, and a median move larger than the
+parent's interquartile range).  Every other row is a report, never a
+claim, so it gets no ``+``: a layer metric, and an end-to-end metric no
+``--claim`` names.  A ``--claim`` that names no end-to-end metric of a
+``BENCHMARK.json`` workload exits 2 before any run.  ``!`` marks an
+end-to-end metric whose median is worse than the parent's by more than
+its ``BENCHMARK.json`` bound, read as a fraction of the parent's median,
+claimed or not.  The marks do not change the exit code.  Layer metrics
+are listed only where their medians differ; a metric only one side
+reports is listed as ``new`` or ``gone``.
 """
 
 from __future__ import annotations
@@ -219,11 +224,12 @@ def commit_of(checkout: Path) -> str:
     return head + ("+dirty" if dirty else "")
 
 
-def paired(ledger: dict, spec: dict) -> list:
+def paired(ledger: dict, spec: dict, claims=()) -> list:
     """One line per end-to-end metric and per layer metric that moved,
     the parent's median against the change's, with the parent's
     interquartile range and the pairs the change won.  ``+`` marks an
-    end-to-end metric that meets the claim rule, ``!`` one worse than the
+    end-to-end metric named in ``claims`` (``"workload.metric"`` strings)
+    that meets the claim rule, ``!`` an end-to-end metric worse than the
     parent's median by more than its bound (a fraction of that median).
     A metric only one side reports is listed as ``new`` or ``gone``."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -252,8 +258,8 @@ def paired(ledger: dict, spec: dict) -> list:
                 if section == "end_to_end":  # a layer row is a report, never a claim
                     if name in bounds and sign * (b - a) > bounds[name] * abs(a):
                         mark = "!"
-                    elif (len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
-                          and -sign * (b - a) > iqr):
+                    elif (f"{workload}.{name}" in claims and len(pairs) >= 10
+                          and 10 * won >= 9 * len(pairs) and -sign * (b - a) > iqr):
                         mark = "+"
                 change = f"{(b - a) / a:+.1%}" if a else "n/a"
                 lines.append(f"{mark} {section} {workload} {name}: {a:.6g} -> {b:.6g} "
@@ -276,11 +282,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--out", type=Path, default=ROOT)
     parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--claim", action="append", default=[],
+                        metavar="WORKLOAD.METRIC",
+                        help="an end-to-end metric the change claims to improve; "
+                             "only claimed rows can be marked +")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     workloads = [w["name"] for w in spec["workloads"]]
+    claimable = {f"{w}.{m['name']}" for w in workloads for m in spec["end_to_end"]}
+    for claim in args.claim:
+        if claim not in claimable:
+            parser.error(f"--claim {claim}: not an end-to-end metric of a "
+                         f"workload, one of {', '.join(sorted(claimable))}")
 
     def runner(tree):
         return lambda w, t: run_perfbench(tree, w, t, seconds, args.seed)
@@ -299,15 +314,15 @@ def main(argv=None) -> int:
     ledger.update(pr=args.pr, commit=commit,
                   parent={**sides["parent"], "commit": parent_commit},
                   settings={"runs": args.runs, "seconds": seconds, "seed": args.seed,
-                            "path_chars": path_chars,
+                            "path_chars": path_chars, "claims": args.claim,
                             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")})
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
     print(f"parent {parent_commit} -> change {commit}, "
-          f"{args.runs} pairs (+ meets the claim rule, ! a move beyond its bound):")
-    print("\n".join(paired(ledger, spec)))
+          f"{args.runs} pairs (+ a claim that meets the claim rule, ! a move beyond its bound):")
+    print("\n".join(paired(ledger, spec, args.claim)))
     return 0
 
 
