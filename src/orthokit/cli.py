@@ -569,7 +569,7 @@ def cmd_evaluate(args) -> int:
         share = 1.0 - res.objective / zero if zero > 0.0 else 0.0
         lines = [f"relu-evaluation objective={_fmt(res.objective)} "
                  f"objective_at_zero={_fmt(zero)} explained_share={_fmt(share)}"]
-        code = 0
+        code = 0 if res.converged else 3
     else:
         with _naming_dependent_column("protected", ["(intercept)"] + x_names,
                                       "the intercept and earlier protected columns"):
@@ -598,14 +598,6 @@ PRESETS = {
 }
 
 
-def _exact(kind, value):
-    """``kind(value)``, refusing a string, a boolean and a fraction for an int."""
-    fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, (str, bool)) or fraction:
-        raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
-    return kind(value)
-
-
 def _grid_from_args(args) -> list:
     if args.grid in PRESETS:
         family = PRESETS[args.grid]
@@ -625,18 +617,9 @@ def _grid_from_args(args) -> list:
         raise CliError("grid JSON must be a non-empty list of cells")
     grid = []
     for cell in cells:
-        try:
-            grid.append(
-                SyntheticSpec(
-                    n=_exact(int, cell["n"]),
-                    p=_exact(int, cell["p"]),
-                    q=_exact(int, cell["q"]),
-                    rho=_exact(float, cell.get("rho", 2.0)),
-                    family=str(cell.get("family", "bernoulli")),
-                    seed=_exact(int, cell.get("seed", args.seed)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        try:  # TypeError: not an object, a key missing or unknown; OverflowError: a huge int rho
+            grid.append(SyntheticSpec(**{"rho": 2.0, "seed": args.seed, **cell}))
+        except (TypeError, OverflowError, InvalidSpec) as exc:
             raise CliError(f"bad grid cell {cell!r}: {exc}")
     return grid
 

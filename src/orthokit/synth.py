@@ -4,7 +4,8 @@ The generator draws prediction features Z with iid standard-normal entries
 and builds protected features as ``X = rho * Z[:, :p] + E`` with independent
 standard-normal noise E, so the population correlation between paired
 columns is ``rho / sqrt(rho^2 + 1)``.  Responses are sampled from the chosen
-family at mean ``h(Z gamma)``.
+family at mean ``h(Z gamma)``.  A cell, a ``SyntheticSpec``, checks its
+fields when it is built, so no invalid cell can be made.
 
 Randomness comes from counter-based Philox streams keyed by a splitmix64
 chain over ``(seed, *ids)``; identical seeds reproduce datasets bit for bit,
@@ -18,7 +19,9 @@ I/O, and ``cli`` writes the tables in its CSV format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Iterable
 
 import numpy as np
@@ -57,14 +60,19 @@ class SyntheticSpec:
     family: str = "bernoulli"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("n", "p", "q", "seed", "rho"):
+            value, kind = getattr(self, name), Real if name == "rho" else Integral
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         if self.n < 1:
             raise InvalidSpec(f"n must be >= 1, got {self.n}")
         if not 1 <= self.p <= self.q:
             raise InvalidSpec(f"need 1 <= p <= q, got p={self.p}, q={self.q}")
-        if not np.isfinite(self.rho):
+        object.__setattr__(self, "rho", float(self.rho))  # an int rho is stored as a float
+        if not math.isfinite(self.rho):
             raise InvalidSpec("rho must be finite")
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}; "
                               f"expected one of {sorted(FAMILIES)}")
 
@@ -86,7 +94,6 @@ POISSON_ETA_CLIP = 10.0
 def generate(spec: SyntheticSpec, replicate: int = 0) -> SyntheticDataset:
     """Draw one dataset for the given cell; deterministic in (seed, replicate).
     Its ``true_gamma`` is drawn from N(0, I / q), so Var(Z gamma) ~ 1."""
-    spec.validate()
     family = family_by_name(spec.family)
     rng = stream(spec.seed, replicate)
     z = rng.standard_normal((spec.n, spec.q))
@@ -268,9 +275,10 @@ def simulation_study(
     ``fit_method`` for each of ``METHODS``, then ``evaluate_glm`` of its
     activated predictions on the protected features.
 
-    Every cell is validated before any runs, so an invalid grid, or a
-    cell with n <= p + q that some method cannot fit, raises
-    ``InvalidSpec`` and draws nothing.  Cells then run one after another,
+    Each cell checked itself when it was built.  Before any cell runs, an
+    empty grid, a cell with n <= p + q that some method cannot fit, or a
+    cell repeated with another seed (the rows name no seed; ``replicates``
+    repeats a cell) raises ``InvalidSpec``.  Cells then run one after another,
     each (cell, replicate) on its own stream; a fit that fails becomes an
     error-marker row instead of aborting the study.  ``threads`` is kept
     for callers that pass it: None, 0 and 1 are accepted, and more threads
@@ -281,10 +289,15 @@ def simulation_study(
         raise InvalidSpec("grid must contain at least one cell")
     if threads and threads > 1:
         raise InvalidSpec(f"threads must be None, 0 or 1, got {threads}")
+    cells = set()
     for spec in grid:
-        spec.validate()
         if spec.n <= spec.p + spec.q:  # q + 1 coefficients; cl's [1, Zc] has rank <= n - p
             raise InvalidSpec(f"need n > p + q, got n={spec.n}, p={spec.p}, q={spec.q}")
+        cell = (spec.family, spec.n, spec.p, spec.q, spec.rho)
+        if cell in cells:
+            named = " ".join(f"{c}={v}" for c, v in zip(SUMMARY_COLUMNS, cell))
+            raise InvalidSpec(f"repeated cell {named}; replicates repeat a cell")
+        cells.add(cell)
     if replicates < 1:
         raise InvalidSpec("replicates must be >= 1")
     table = StudyTable()

@@ -2,6 +2,7 @@
 with direct library calls."""
 
 import csv
+import dataclasses
 import json
 import sys
 import tracemalloc
@@ -637,10 +638,13 @@ LINEAR_ARGV = ["correct", "--outcome", "y", "--protected", "x0", "--method", "li
     (TENSOR_ARGV + ["--tensor", "{tmp}/no_dims.csv"],
      "{tmp}/no_dims.csv: first row must be '#dims n d1 ... dR'"),
     (TENSOR_ARGV + ["--tensor", "{tmp}/one_dim.csv"], "{tmp}/one_dim.csv: need at least two dims"),
-    (["simulate", "--grid", "{tmp}/n0.json"], "n must be >= 1, got 0"),
-    (["simulate", "--grid", "{tmp}/p_above_q.json"], "need 1 <= p <= q, got p=3, q=2"),
+    (["simulate", "--grid", "{tmp}/n0.json"],
+     "bad grid cell {{'n': 0, 'p': 1, 'q': 2}}: n must be >= 1, got 0"),
+    (["simulate", "--grid", "{tmp}/p_above_q.json"],
+     "bad grid cell {{'n': 60, 'p': 3, 'q': 2}}: need 1 <= p <= q, got p=3, q=2"),
     (["simulate", "--grid", "{tmp}/n_at_p_plus_q.json"], "need n > p + q, got n=62, p=2, q=60"),
     (["simulate", "--grid", "{tmp}/family.json"],
+     "bad grid cell {{'n': 60, 'p': 1, 'q': 2, 'family': 'gamma'}}: "
      "unknown family 'gamma'; expected one of ['bernoulli', 'gaussian', 'poisson']"),
     (["simulate", "--grid", "{tmp}/empty_list.json"], "grid JSON must be a non-empty list of cells"),
     (["simulate", "--grid", "{tmp}/object.json"], "grid JSON must be a non-empty list of cells"),
@@ -1053,6 +1057,31 @@ class TestEvaluateCommand:
         assert float(fields["explained_share"]) == share
         assert 0.0 < share < 1.0
 
+    def test_relu_uncertified_fit_exits_3(self, gaussian_csv, tmp_path, capsys,
+                                          monkeypatch):
+        # the projection-corrected predictions are certified; reported
+        # uncertified, the same fit writes the same table and line and exits 3
+        path, _ = gaussian_csv
+        main(["correct", "--data", str(path), "--outcome", "y", "--protected", "x0,x1",
+              "--family", "gaussian", "--method", "relu", "--out", str(tmp_path / "c")])
+        ev = ["evaluate", "--predictions", str(tmp_path / "c" / "corrected_predictions.csv"),
+              "--protected-data", str(path), "--protected", "x0,x1", "--relu"]
+        capsys.readouterr()
+        assert main(ev + ["--out", str(tmp_path / "certified")]) == 0
+        certified = capsys.readouterr().out
+        monkeypatch.setattr(cli, "evaluate_relu_l2", lambda *a: dataclasses.replace(
+            evaluate_relu_l2(*a), converged=False, stop_reason="reached max_iter=500"))
+        assert main(ev + ["--out", str(tmp_path / "uncertified")]) == 3
+        assert capsys.readouterr().out == certified
+        assert ((tmp_path / "certified" / "evaluation.csv").read_bytes()
+                == (tmp_path / "uncertified" / "evaluation.csv").read_bytes())
+        monkeypatch.undo()
+        # the raw response's best start stops at a kink of the rectifier
+        raw = ["evaluate", "--predictions", str(path), "--prediction-column", "y",
+               "--protected-data", str(path), "--protected", "x0,x1", "--relu"]
+        assert main(raw + ["--out", str(tmp_path / "raw")]) == 3
+        assert (tmp_path / "raw" / "evaluation.csv").exists()
+
 
 def _collinear_files(tmp_path):
     """A CSV whose numeric 'male' is the indicator of level 'M' of the
@@ -1219,6 +1248,20 @@ class TestSimulateCommand:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
+    def test_repeated_cell_exits_2_naming_it(self, tmp_path, capsys):
+        # study.csv and summary.csv carry no seed: two seeds of one cell
+        # would write rows with the same cell and replicate numbers
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n": 40, "p": 1, "q": 3, "seed": 1},
+                                    {"n": 40, "p": 1, "q": 3, "seed": 2}]))
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--grid", str(grid), "--replicates", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: repeated cell family=bernoulli n=40 p=1 q=3 rho=2.0; "
+            "replicates repeat a cell\n")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         grid = self.grid_file(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -1248,6 +1291,11 @@ class TestSimulateCommand:
             # a quoted number is text, not a number
             '{"n": "60", "p": " 1", "q": 2, "rho": "2"}', '{"n": 60, "p": 1, "q": 2, "rho": "2"}',
             '{"n": 60, "p": 1, "q": 2, "seed": "3"}',
+            # an unknown key, a missing key, an integral float, a cell that
+            # is not an object and an integer rho no float holds
+            '{"n": 60, "p": 1, "q": 2, "rhoo": 0.0}', '{"n": 60, "p": 1}',
+            '{"n": 60.0, "p": 1, "q": 2}', '7',
+            '{"n": 60, "p": 1, "q": 2, "rho": 1' + "0" * 400 + "}",
         ]):
             bad = tmp_path / f"bad{k}.json"
             bad.write_text(f"[{cell}]")

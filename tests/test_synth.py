@@ -97,6 +97,53 @@ class TestGenerate:
             generate(SyntheticSpec(n=10, p=3, q=2, rho=0.0))
 
 
+SPEC = SyntheticSpec(n=60, p=1, q=2, rho=0.0)
+
+
+class TestSpecRules:
+    """A ``SyntheticSpec`` checks its own fields when it is built, also
+    when ``dataclasses.replace`` builds it."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", True, "n must be integral, got True"),
+        ("n", 60.0, "n must be integral, got 60.0"),
+        ("n", "60", "n must be integral, got '60'"),
+        ("n", float("inf"), "n must be integral, got inf"),
+        ("p", 1.5, "p must be integral, got 1.5"),
+        ("q", np.float64(2.0), "q must be integral, got"),
+        ("seed", False, "seed must be integral, got False"),
+        ("seed", "3", "seed must be integral, got '3'"),
+        ("rho", True, "rho must be real, got True"),
+        ("rho", "2", "rho must be real, got '2'"),
+        ("rho", None, "rho must be real, got None"),
+        ("rho", float("nan"), "rho must be finite"),
+        ("rho", -float("inf"), "rho must be finite"),
+        ("n", 0, "n must be >= 1, got 0"),
+        ("p", 0, "need 1 <= p <= q, got p=0, q=2"),
+        ("p", 3, "need 1 <= p <= q, got p=3, q=2"),
+        ("family", "gamma", "unknown family 'gamma'"),
+        ("family", None, "unknown family None"),
+        ("family", ["bernoulli"], "unknown family \\['bernoulli'\\]"),
+    ])
+    def test_each_rule_raises_when_built(self, field, value, message):
+        kwargs = dict(dataclasses.asdict(SPEC), **{field: value})
+        with pytest.raises(InvalidSpec, match=f"^{message}"):
+            SyntheticSpec(**kwargs)
+        with pytest.raises(InvalidSpec, match=f"^{message}"):
+            dataclasses.replace(SPEC, **{field: value})
+
+    def test_numpy_integers_and_an_int_rho_are_accepted(self):
+        spec = SyntheticSpec(n=np.int64(60), p=np.int32(1), q=np.int64(2),
+                             rho=np.int64(2), seed=np.uint64(7))
+        assert (spec.n, spec.p, spec.q, spec.seed) == (60, 1, 2, 7)
+        # a spec's rho is a float, so an int rho writes as a float one
+        assert type(spec.rho) is float and spec.rho == 2.0
+        assert type(SyntheticSpec(n=60, p=1, q=2, rho=np.float32(0.5)).rho) is float
+        data = generate(spec)
+        np.testing.assert_array_equal(
+            data.x, generate(dataclasses.replace(spec, n=60, rho=2.0, seed=7)).x)
+
+
 class TestSimulationStudy:
     def test_row_count_formula(self):
         grid = [
@@ -129,21 +176,42 @@ class TestSimulationStudy:
         assert first.rows == simulation_study(grid, replicates=2, threads=0).rows
 
     @pytest.mark.parametrize("bad", [
-        SyntheticSpec(n=0, p=1, q=2, rho=0.0),
-        SyntheticSpec(n=60, p=3, q=2, rho=0.0),
-        SyntheticSpec(n=60, p=1, q=2, rho=float("nan")),
-        SyntheticSpec(n=60, p=1, q=2, rho=0.0, family="gamma"),
-        SyntheticSpec(n=62, p=2, q=60, rho=0.0),
+        dict(n=0, p=1, q=2, rho=0.0),
+        dict(n=60, p=3, q=2, rho=0.0),
+        dict(n=60, p=1, q=2, rho=float("nan")),
+        dict(n=60, p=1, q=2, rho=0.0, family="gamma"),
+        dict(n=62, p=2, q=60, rho=0.0),
     ], ids=["n", "p_above_q", "rho", "family", "n_at_p_plus_q"])
     def test_invalid_cell_raises_before_any_cell_runs(self, bad, monkeypatch):
+        # an invalid spec cannot be built, so the cell is built inside the
+        # check: a cell's own rules raise there, the grid's in the study
         drawn = []
         monkeypatch.setattr(synth, "generate", lambda *a: drawn.append(a))
-        grid = [SyntheticSpec(n=60, p=1, q=2, rho=0.0), bad]
+        grid = [SyntheticSpec(n=60, p=1, q=2, rho=0.0)]
         with pytest.raises(InvalidSpec):
-            simulation_study(grid, replicates=1)
+            simulation_study(grid + [SyntheticSpec(**bad)], replicates=1)
         with pytest.raises(InvalidSpec, match="threads"):
-            simulation_study(grid[:1], replicates=1, threads=2)
+            simulation_study(grid, replicates=1, threads=2)
         assert drawn == []
+
+    def test_repeated_cell_is_named_before_any_cell_runs(self, monkeypatch):
+        # study rows key a cell by family, n, p, q and rho and carry no
+        # seed, so a cell listed twice with two seeds would repeat its rows'
+        # cell and replicate numbers; an int rho is the same cell as a float
+        drawn = []
+        monkeypatch.setattr(synth, "generate", lambda *a: drawn.append(a))
+        cell = dict(n=40, p=1, q=3, rho=2.0)
+        grid = [SyntheticSpec(**cell, seed=1), SyntheticSpec(n=50, p=1, q=3, rho=2.0),
+                SyntheticSpec(**dict(cell, rho=2), seed=2)]
+        with pytest.raises(InvalidSpec) as exc:
+            simulation_study(grid, replicates=2)
+        assert str(exc.value) == ("repeated cell family=bernoulli n=40 p=1 q=3 rho=2.0; "
+                                  "replicates repeat a cell")
+        assert drawn == []
+        monkeypatch.undo()
+        # another family is another cell
+        other = dataclasses.replace(grid[2], family="poisson")
+        assert len(simulation_study([grid[0], other], replicates=1).rows) == 6
 
     def test_confounded_cell_separates_methods(self):
         grid = [SyntheticSpec(n=1000, p=3, q=8, rho=2.0, seed=8)]
